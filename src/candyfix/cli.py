@@ -6,7 +6,7 @@ probability tables), ``certify`` (contraction certificates), ``crosscheck``
 plus a manifest into the output directory; the manifest stream is append-only
 and each result file names the manifest that produced it.
 
-Exit codes: 0 success, 1 check failure, 2 argument error, 3 corrupt state.
+Exit codes: 0 success, 1 check failure, 2 argument error, 3 corrupt input file.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, CheckpointStore
 from .dyadic import Dyadic
 from .engine import EngineParams, certify, compute_tables, kstep_prob
 from .lattice import Boundary, ModelParams
@@ -39,6 +38,7 @@ from .montecarlo import (
     write_trajectories_jsonl,
 )
 from .render import (
+    TablesFormatError,
     certificate_to_json,
     certificate_to_text,
     tables_from_json,
@@ -179,16 +179,9 @@ def cmd_enumerate(args) -> int:
         print(f"warning: k={args.k} needs large exact sweeps; expect heavy "
               "memory and a long run", file=sys.stderr)
     out = _out_dir(args)
-    store = None
-    try:
-        if args.checkpoint:
-            store = CheckpointStore(args.checkpoint, args.k, engine.tag)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResourceWarning)
-            tables = compute_tables(args.k, engine, checkpoint=store,
-                                    threads=args.threads)
-    except CheckpointError as exc:
-        return _fail(str(exc), CORRUPT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResourceWarning)
+        tables = compute_tables(args.k, engine)
     payload = {"k": args.k, "engine": engine.tag}
     manifest = _Manifest(out, "enumerate", payload,
                          exploratory=not engine.is_theorem)
@@ -219,20 +212,18 @@ def cmd_certify(args) -> int:
         path = Path(args.tables)
         if not path.exists():
             return _fail(f"tables file not found: {path}")
-        with open(path) as fh:
-            tables = tables_from_json(json.load(fh))
+        try:
+            with open(path) as fh:
+                tables = tables_from_json(json.load(fh))
+        except (UnicodeDecodeError, json.JSONDecodeError, TablesFormatError) as exc:
+            return _fail(f"corrupt tables file {path}: {exc}", CORRUPT)
         if tables.k != args.k:
             return _fail(f"tables file is for k={tables.k}, not k={args.k}")
+        if tables.engine != engine:
+            return _fail(f"tables file is for {tables.engine.tag}, not {engine.tag}")
     elif args.no_compute:
         return _fail("--no-compute requires --tables")
-    store = None
-    try:
-        if args.checkpoint:
-            store = CheckpointStore(args.checkpoint, args.k, engine.tag)
-        cert = certify(args.k, tables=tables, engine=engine, checkpoint=store,
-                       threads=args.threads)
-    except CheckpointError as exc:
-        return _fail(str(exc), CORRUPT)
+    cert = certify(args.k, tables=tables, engine=engine)
     out = _out_dir(args)
     payload = {"k": args.k, "engine": engine.tag}
     manifest = _Manifest(out, "certify", payload,
@@ -326,8 +317,6 @@ def _add_engine_flags(p):
     p.add_argument("--kappa", type=int, default=3)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--p", default=None, help="recoloring law, e.g. 1/2,1/2")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,13 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--boundary", default="stable-exterior",
                    choices=[b.value for b in Boundary])
+    p.add_argument("--threads", type=int, default=1)
     _add_engine_flags(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("enumerate", help="exact probability tables")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--checkpoint", default=None, help="resumable state directory")
     _add_engine_flags(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("certify", help="contraction certificate")
@@ -362,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables", default=None, help="reuse a prior tables.json")
     p.add_argument("--no-compute", dest="no_compute", action="store_true",
                    help="fail instead of computing missing tables")
-    p.add_argument("--checkpoint", default=None)
     _add_engine_flags(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("crosscheck", help="Monte Carlo vs exact engine")
@@ -371,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--windows", default="all", help="count or 'all'")
     p.add_argument("--seed", type=int, default=0)
-    _add_engine_flags(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("probe", help="exact k-step probability of one window")
@@ -387,10 +378,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
-    try:
-        return args.func(args)
-    except CheckpointError as exc:
-        return _fail(str(exc), CORRUPT)
+    return args.func(args)
 
 
 if __name__ == "__main__":

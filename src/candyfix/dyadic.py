@@ -3,7 +3,7 @@
 A dyadic rational is a number of the form ``num / 2**exp``.  All branching
 probabilities in the two-color engine are 1/2, so every probability it
 produces is dyadic; keeping them in this form (instead of generic fractions)
-makes canonical forms, table rendering and checkpoint round-trips trivial.
+makes canonical forms, table rendering and JSON round-trips trivial.
 
 Canonical form: ``num`` is odd or zero, ``exp >= 0``, and zero is stored as
 ``0 / 2**0``.  Two canonical dyadics are equal iff their fields are equal.

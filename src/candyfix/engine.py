@@ -25,25 +25,30 @@ window by two sites per side (a site's stability reads two neighbors), which
 is exactly why radius 2k+2 suffices for k steps - a claim
 :func:`window_sufficiency_check` verifies rather than assumes.
 
-Every conditioning then reduces to a boolean mask over the 2^(4k+5) window
-words plus a maximum over the shared ``g_k`` vector, so the k=4 sweep runs in
-seconds instead of re-running a distribution dynamic program per window.
-The per-window forward program (:func:`kstep_prob`) is kept as an independent
-implementation and cross-checked against the shared sweep in the test suite.
+Each level averages over the unstable sites of every word; words sharing an
+unstable-site mask share one partial sum of the next level's values, and
+those sums are built depth first along the masks' common prefixes.
+
+The tables then come from one classification of the 2^(4k+5) window words:
+``p_unstable`` and ``p_triple`` are maxima of ``g_k`` under two masks, and
+every stable-origin word falls in exactly one gap cell, so a single grouped
+maximum fills the gap table.  :func:`worst_case` answers one conditioning at
+a time, at any radius, through a mask from :mod:`candyfix.windows`; it is the
+independent route the one-pass tables are tested against.  The per-window
+forward program (:func:`kstep_prob`) is kept as an independent implementation
+and cross-checked against the shared sweep in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .checkpoint import CheckpointStore
 from .dyadic import Dyadic
 from .windows import (
     Conditioning,
@@ -122,6 +127,11 @@ def _unstable_vec(words: np.ndarray, length: int) -> np.ndarray:
     return (m3 | (m3 << 1) | (m3 << 2)) & ((1 << length) - 1)
 
 
+def _all_words(length: int) -> np.ndarray:
+    """Every word of ``length`` sites, in 32 bits while they fit (half the memory)."""
+    return np.arange(1 << length, dtype=np.int32 if length < 32 else np.int64)
+
+
 def _popcounts(arr: np.ndarray) -> np.ndarray:
     if arr.dtype == object:
         return np.array([int(x).bit_count() for x in arr], dtype=np.int64)
@@ -168,27 +178,42 @@ def _backward_level(g_next: np.ndarray, length: int, dtype) -> np.ndarray:
     value is the average of g_next over the 2^u joint recolorings of w's u
     unstable interior sites; stored integers pick up a factor 2^(L-4-u) so
     the whole level shares the exponent increment L-4.
+
+    The unstable-mask groups are visited in ascending mask order, which walks
+    the trie of high-bit prefixes depth first.  The sum of g_next over the
+    axes of mask U is the sum for U without its lowest set bit, summed over
+    that bit's axis, so a stack of partial sums along the current root-to-leaf
+    path serves every group; it never holds more than g_next's own size.
     """
     nint = length - 4
     size = 1 << length
-    idx = np.arange(size, dtype=np.int64)
-    unstable_interior = (_unstable_vec(idx, length) >> 2) & ((1 << nint) - 1)
+    unstable_interior = (_unstable_vec(_all_words(length), length) >> 2) & ((1 << nint) - 1)
     order = np.argsort(unstable_interior, kind="stable")
     sorted_masks = unstable_interior[order]
+    del unstable_interior
     starts, ends = _group_bounds(sorted_masks)
     g = np.zeros(size, dtype=dtype)
-    tensor = g_next.reshape((2,) * nint)
+    stack = [(0, g_next.reshape((2,) * nint))]
     for s, e in zip(starts, ends):
         mask = int(sorted_masks[s])
-        unstable_positions = [p for p in range(nint) if (mask >> p) & 1]
-        axes = tuple(nint - 1 - p for p in unstable_positions)
-        summed = tensor.sum(axis=axes) if axes else tensor
-        flat = np.ascontiguousarray(summed).ravel()
+        # pop every partial sum whose mask is not a high-bit prefix of this one
+        while mask & -(stack[-1][0] & -stack[-1][0]) != stack[-1][0]:
+            stack.pop()
+        prefix, summed = stack[-1]
+        rest = mask ^ prefix
+        while rest:
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            summed = summed.sum(axis=nint - 1 - p, keepdims=True)
+            prefix |= 1 << p
+            stack.append((prefix, summed))
+        flat = summed.ravel()
         words = order[s:e]
         v = np.zeros(words.shape, dtype=np.int64)
-        for p in sorted(set(range(nint)) - set(unstable_positions), reverse=True):
-            v = (v << 1) | ((words >> (p + 2)) & 1)
-        g[words] = flat[v] << (nint - len(unstable_positions))
+        for p in range(nint - 1, -1, -1):
+            if not (mask >> p) & 1:
+                v = (v << 1) | ((words >> (p + 2)) & 1)
+        g[words] = flat[v] << (nint - mask.bit_count())
     return g
 
 
@@ -197,67 +222,30 @@ def sweep_exponent(k: int) -> int:
     return sum(4 * r + 1 for r in range(1, k + 1))
 
 
-def kstep_vector(k: int, checkpoint: CheckpointStore | None = None) -> tuple[np.ndarray, int]:
+def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     """The shared vector g_k over all radius-(2k+2) words, with its exponent.
 
     ``g[w] / 2**exp`` is the exact probability that the origin is unstable
-    after k synchronous steps given initial colors w.  With a checkpoint
-    store, each completed level is persisted and a rerun resumes after the
-    deepest stored level.
+    after k synchronous steps given initial colors w.
     """
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    max_exp = sweep_exponent(k)
-    dtype = _sweep_dtype(max_exp)
-    if checkpoint is not None and dtype is object:
-        warnings.warn("checkpointing supported only for machine-width sweeps (k <= 4)",
-                      ResourceWarning, stacklevel=2)
-        checkpoint = None
-
-    start = 0
-    g = None
+    dtype = _sweep_dtype(sweep_exponent(k))
+    g = ((_unstable_vec(_all_words(5), 5) >> 2) & 1).astype(dtype)  # g_0 on 5-site words
     exp = 0
-    if checkpoint is not None:
-        done = [r for r in checkpoint.completed_levels() if r <= k]
-        if done:
-            start = max(done)
-            g, exp = checkpoint.load_level(start)
-            g = g.astype(dtype, copy=False)
-    if g is None:
-        length0 = 5
-        idx = np.arange(1 << length0, dtype=np.int64)
-        g = ((_unstable_vec(idx, length0) >> 2) & 1).astype(dtype)
-        if checkpoint is not None and not checkpoint.has_level(0):
-            checkpoint.save_level(0, g, 0)
-
-    for r in range(start + 1, k + 1):
+    for r in range(1, k + 1):
         length = 4 * r + 5
         g = _backward_level(g, length, dtype)
         exp += length - 4
-        if checkpoint is not None:
-            checkpoint.save_level(r, g, exp)
     return g, exp
 
 
-def masked_max(values: np.ndarray, mask: np.ndarray, threads: int = 1) -> int:
-    """Maximum of values[mask] via an associative chunked reduction.
-
-    The reduction is order-independent, so any thread count yields the
-    bit-identical result; raises if the mask selects nothing.
-    """
-    if not mask.any():
-        raise UnrealizableConditioningError("conditioning selects no window")
-    if threads <= 1:
-        return int(values[mask].max())
-    chunks = np.array_split(np.arange(len(values)), max(threads * 4, 1))
-    def chunk_max(chunk):
-        sel = mask[chunk]
-        if not sel.any():
-            return None
-        return int(values[chunk][sel].max())
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = [m for m in pool.map(chunk_max, chunks) if m is not None]
-    return max(partials)
+def masked_max(values: np.ndarray, mask: np.ndarray, conditioning="conditioning") -> int:
+    """Maximum of the (nonnegative) values under a mask; raises if it selects nothing."""
+    best = values.max(where=mask, initial=-1)
+    if best < 0:
+        raise UnrealizableConditioningError(f"{conditioning} selects no window")
+    return int(best)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +290,6 @@ def worst_case(
     k: int,
     conditioning: Conditioning,
     radius: int | None = None,
-    threads: int = 1,
     vector: tuple[np.ndarray, int] | None = None,
 ) -> Dyadic:
     """Max k-step origin-instability probability over a conditioning class.
@@ -325,39 +312,51 @@ def worst_case(
     else:
         idx = np.arange(1 << (2 * radius + 1), dtype=np.int64)
         values = g[(idx >> (radius - base)) & ((1 << (2 * base + 1)) - 1)]
-    return Dyadic(masked_max(values, mask, threads), exp)
+    return Dyadic(masked_max(values, mask, conditioning), exp)
 
 
-def compute_tables(
-    k: int,
-    engine: EngineParams = THEOREM,
-    checkpoint: CheckpointStore | None = None,
-    threads: int = 1,
-) -> ProbTables:
-    """All worst-case tables for k steps; exact maxima over every window class."""
+def compute_tables(k: int, engine: EngineParams = THEOREM) -> ProbTables:
+    """All worst-case tables for k steps; exact maxima over every window class.
+
+    One classification of the radius-(2k+2) words serves every entry: the two
+    headline probabilities are maxima under a mask, and each stable-origin
+    word lies in exactly one gap cell (n, m), its stable run lengths to the
+    left and right of the origin clipped at 2k, so one grouped maximum fills
+    the whole gap table.
+    """
     if not engine.is_theorem:
         return _compute_tables_generic(k, engine)
-    g, exp = kstep_vector(k, checkpoint)
+    g, exp = kstep_vector(k)
     radius = 2 * k + 2
+    length = 2 * radius + 1
     sat = 2 * k
+    unstable = _unstable_vec(_all_words(length), length)
 
-    def worst(name: str, cond: Conditioning) -> Dyadic:
-        if checkpoint is not None:
-            stored = checkpoint.get_entry(name)
-            if stored is not None:
-                return stored
-        value = Dyadic(masked_max(g, conditioning_mask(k, cond, radius), threads), exp)
-        if checkpoint is not None:
-            checkpoint.set_entry(name, value)
-        return value
+    def stable(x: int) -> np.ndarray:
+        return (unstable >> (x + radius)) & 1 == 0
 
-    p_unstable = worst("p_unstable", UnstableAtOrigin())
-    p_triple = worst("p_triple", TripleUnstable())
-    p_gap = tuple(
-        tuple(worst(f"p_gap_{n}_{m}", StableGap(n, m)) for m in range(sat + 1))
-        for n in range(sat + 1)
-    )
-    return ProbTables(k, engine, p_unstable, p_triple, p_gap)
+    origin = stable(0)
+    p_unstable = masked_max(g, ~origin, UnstableAtOrigin())
+    p_triple = masked_max(g, ~(origin | stable(-1) | stable(1)), TripleUnstable())
+
+    def run_length(sign: int) -> np.ndarray:
+        """Stable sites beside a stable origin on one side, clipped at sat."""
+        run = origin.copy()
+        count = np.zeros(run.shape, dtype=np.int16)
+        for d in range(1, sat + 1):
+            run &= stable(sign * d)
+            count += run
+        return count
+
+    cell = (run_length(-1)[origin], run_length(1)[origin])
+    del unstable
+    best = np.full((sat + 1, sat + 1), -1, dtype=g.dtype)
+    np.maximum.at(best, cell, g[origin])
+    if (best < 0).any():
+        n, m = (int(i) for i in np.argwhere(best < 0)[0])
+        raise UnrealizableConditioningError(f"{StableGap(n, m)} selects no window")
+    p_gap = tuple(tuple(Dyadic(int(v), exp) for v in row) for row in best)
+    return ProbTables(k, engine, Dyadic(p_unstable, exp), Dyadic(p_triple, exp), p_gap)
 
 
 def _compute_tables_generic(k: int, engine: EngineParams) -> ProbTables:
@@ -630,12 +629,10 @@ def certify(
     k: int,
     tables: ProbTables | None = None,
     engine: EngineParams = THEOREM,
-    checkpoint: CheckpointStore | None = None,
-    threads: int = 1,
 ) -> Certificate:
     """Assemble the contraction certificate for k steps, exactly."""
     if tables is None:
-        tables = compute_tables(k, engine, checkpoint=checkpoint, threads=threads)
+        tables = compute_tables(k, engine)
     kappa = tables.engine.kappa
     arg, gap = max_gap_sum(k, tables)
     term_triple = Fraction(kappa - 2, kappa) * tables.p_triple.as_fraction()

@@ -61,14 +61,28 @@ def tables_to_json(tables: ProbTables) -> dict:
     }
 
 
+class TablesFormatError(ValueError):
+    """A tables document is missing a field or has the wrong shape."""
+
+
 def tables_from_json(obj: dict) -> ProbTables:
-    return ProbTables(
-        k=int(obj["k"]),
-        engine=engine_from_json(obj["engine"]),
-        p_unstable=Dyadic.from_json(obj["pI"]),
-        p_triple=Dyadic.from_json(obj["pIII"]),
-        p_gap=tuple(tuple(Dyadic.from_json(e) for e in row) for row in obj["pS"]),
-    )
+    """Parse the JSON schema, refusing missing fields and a misshapen gap table."""
+    try:
+        k = int(obj["k"])
+        engine = engine_from_json(obj["engine"])
+        p_unstable = Dyadic.from_json(obj["pI"])
+        p_triple = Dyadic.from_json(obj["pIII"])
+        rows = obj["pS"]
+        side = engine.saturation(k) + 1
+        if not (isinstance(rows, list) and len(rows) == side
+                and all(isinstance(row, list) and len(row) == side for row in rows)):
+            raise TablesFormatError(f"pS must be a {side}x{side} table for k={k}")
+        p_gap = tuple(tuple(Dyadic.from_json(e) for e in row) for row in rows)
+    except TablesFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TablesFormatError(f"bad tables document: {exc!r}") from exc
+    return ProbTables(k, engine, p_unstable, p_triple, p_gap)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -5,5 +5,5 @@ from candyfix.engine import compute_tables
 
 @pytest.fixture(scope="session")
 def tables_k4():
-    """The k=4 sweep is the expensive shared input; compute it once."""
+    """The k=4 tables (about a second), computed once for every test that reads them."""
     return compute_tables(4)

@@ -87,24 +87,6 @@ def test_enumerate_k0_rejected(tmp_path):
     assert run("enumerate", "--k", "0", "--out", str(tmp_path)) == 2
 
 
-def test_enumerate_checkpoint_resume_and_corruption(tmp_path):
-    ck = tmp_path / "ck"
-    assert run("enumerate", "--k", "2", "--checkpoint", str(ck),
-               "--out", str(tmp_path / "r1")) == 0
-    # resume over the finished state: identical tables
-    assert run("enumerate", "--k", "2", "--checkpoint", str(ck),
-               "--out", str(tmp_path / "r2")) == 0
-    assert (tmp_path / "r1" / "tables.json").read_bytes() == \
-        (tmp_path / "r2" / "tables.json").read_bytes()
-    # corrupt a level: exit 3
-    level = ck / "level-2.npy"
-    blob = bytearray(level.read_bytes())
-    blob[-1] ^= 0xFF
-    level.write_bytes(bytes(blob))
-    assert run("enumerate", "--k", "2", "--checkpoint", str(ck),
-               "--out", str(tmp_path / "r3")) == 3
-
-
 def test_certify_k1_and_k3(tmp_path, capsys):
     assert run("certify", "--k", "1", "--out", str(tmp_path / "c1")) == 0
     out = capsys.readouterr().out
@@ -128,6 +110,36 @@ def test_certify_no_compute_without_tables(tmp_path):
     assert run("certify", "--k", "2", "--no-compute", "--out", str(tmp_path)) == 2
 
 
+def test_certify_tables_engine_mismatch_rejected(tmp_path, capsys):
+    # the kappa=3 file must not stand in for a kappa=4 certificate
+    assert run("enumerate", "--k", "2", "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    assert run("certify", "--k", "2", "--tables", str(tmp_path / "tables.json"),
+               "--kappa", "4", "--out", str(tmp_path / "c")) == 2
+    captured = capsys.readouterr()
+    assert "kappa=3" in captured.err and "c = " not in captured.out
+    assert not (tmp_path / "c" / "certificate.json").exists()
+
+
+def test_certify_truncated_tables_is_corrupt(tmp_path, capsys):
+    assert run("enumerate", "--k", "2", "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "tables.json").read_text())
+    doc["pS"] = doc["pS"][:-1]
+    (tmp_path / "short.json").write_text(json.dumps(doc))
+    del doc["pI"]
+    (tmp_path / "keyless.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    for name in ("short.json", "keyless.json"):
+        assert run("certify", "--k", "2", "--tables", str(tmp_path / name),
+                   "--out", str(tmp_path / "c")) == 3, name
+        assert "corrupt tables file" in capsys.readouterr().err
+
+
+def test_engine_commands_take_no_threads(tmp_path):
+    for command in ("enumerate", "certify"):
+        assert run(command, "--k", "1", "--threads", "2", "--out", str(tmp_path)) == 2
+
+
 def test_crosscheck_small_pass(tmp_path, capsys):
     code = run("crosscheck", "--k", "1", "--windows", "12", "--samples", "20000",
                "--seed", "2", "--out", str(tmp_path))
@@ -140,6 +152,15 @@ def test_crosscheck_small_pass(tmp_path, capsys):
 def test_crosscheck_zero_samples_rejected(tmp_path):
     assert run("crosscheck", "--k", "1", "--samples", "0",
                "--out", str(tmp_path)) == 2
+
+
+def test_crosscheck_rejects_engine_flags(tmp_path):
+    # crosscheck runs the theorem engine only; a law flag must not pass silently
+    for flag, value in (("--kappa", "4"), ("--n", "3"), ("--p", "1/2,1/2"),
+                        ("--threads", "2")):
+        assert run("crosscheck", "--k", "1", flag, value, "--windows", "1",
+                   "--samples", "10", "--out", str(tmp_path)) == 2, flag
+    assert not (tmp_path / "crosscheck.json").exists()
 
 
 def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):

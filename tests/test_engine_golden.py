@@ -114,3 +114,13 @@ def test_k3_certificate_exact():
     assert cert.gap_max == D("2495/1024")
     assert cert.c == Fraction(55705, 49152)
     assert not cert.contraction
+
+
+def test_k4_certificate_exact(tables_k4):
+    # the contraction the fixation argument rests on
+    cert = certify(4, tables=tables_k4)
+    assert cert.p_unstable == D("518955/2^21")
+    assert cert.p_triple == D("15371121/2^26")
+    assert (cert.gap_argmax, cert.gap_max) == (16, D("2371247/2^20"))
+    assert cert.c == Fraction(200344049, 201326592)
+    assert cert.contraction

@@ -1,5 +1,6 @@
 """Structural invariants of the exact engine, independent of golden values."""
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     EngineConsistencyError,
     EngineParams,
+    ProbTables,
     compute_tables,
     gap_sum,
     kstep_prob,
@@ -22,7 +24,9 @@ from candyfix.engine import (
 )
 from candyfix.windows import (
     StableGap,
+    TripleUnstable,
     UnrealizableConditioningError,
+    UnstableAtOrigin,
     WindowClass,
     enumerate_windows,
 )
@@ -99,13 +103,14 @@ def test_oracle_equivalence_all_k1_windows():
 
 
 def test_forward_matches_shared_vector():
-    for k in (1, 2):
+    sizes = {2: 400, 3: 48, 4: 24}
+    for k in (1, 2, 3, 4):
         g, exp = kstep_vector(k)
         radius = 2 * k + 2
         length = 2 * radius + 1
         rng = np.random.default_rng(10 + k)
         words = (range(1 << length) if k == 1
-                 else rng.integers(0, 1 << length, size=400))
+                 else rng.integers(0, 1 << length, size=sizes[k]))
         for word in words:
             word = int(word)
             assert kstep_prob(WindowClass.from_word(word, radius), k) == Dyadic(
@@ -154,14 +159,6 @@ def test_truncated_radius_fails_sufficiency():
     assert not window_sufficiency_check(1, windows=[WindowClass.from_word(word, 2)])
 
 
-def test_masked_max_parallel_bit_identical():
-    g, _ = kstep_vector(2)
-    mask = np.ones(len(g), dtype=bool)
-    serial = masked_max(g, mask, threads=1)
-    for threads in (2, 3, 8):
-        assert masked_max(g, mask, threads=threads) == serial
-
-
 def test_masked_max_empty_reports():
     g, _ = kstep_vector(1)
     with pytest.raises(UnrealizableConditioningError):
@@ -169,7 +166,48 @@ def test_masked_max_empty_reports():
 
 
 def test_parallel_tables_bit_identical():
-    assert compute_tables(2, threads=4) == TABLES[2]
+    # the tables hold no state between calls, so concurrent calls agree
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(lambda _: compute_tables(2), range(4)))
+    assert all(tables == TABLES[2] for tables in results)
+
+
+def test_worst_case_empty_reports(monkeypatch):
+    import candyfix.engine as engine_mod
+
+    monkeypatch.setattr(
+        engine_mod, "conditioning_mask",
+        lambda k, cond, radius: np.zeros(1 << (2 * radius + 1), dtype=bool))
+    with pytest.raises(UnrealizableConditioningError):
+        worst_case(1, StableGap(0, 0))
+
+
+def test_tables_empty_gap_cell_reports(monkeypatch):
+    import candyfix.engine as engine_mod
+
+    vector = kstep_vector(1)
+    monkeypatch.setattr(engine_mod, "kstep_vector", lambda k: vector)
+    # every site unstable: no window has a stable origin, so every gap cell is empty
+    monkeypatch.setattr(engine_mod, "_unstable_vec",
+                        lambda words, length: np.full_like(words, (1 << length) - 1))
+    with pytest.raises(UnrealizableConditioningError, match="stable-gap"):
+        compute_tables(1)
+
+
+def test_tables_match_per_conditioning_worst_case():
+    # the one-pass cell assignment against one conditioning mask per entry
+    for k in (1, 2, 3):
+        vector = kstep_vector(k)
+        sat = 2 * k
+
+        def worst(cond):
+            return worst_case(k, cond, vector=vector)
+
+        p_gap = tuple(tuple(worst(StableGap(n, m)) for m in range(sat + 1))
+                      for n in range(sat + 1))
+        expect = ProbTables(k, EngineParams.theorem(), worst(UnstableAtOrigin()),
+                            worst(TripleUnstable()), p_gap)
+        assert compute_tables(k) == expect, k
 
 
 def test_generic_engine_smoke():
