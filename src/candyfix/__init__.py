@@ -4,7 +4,8 @@ Three layers:
 
 * :mod:`candyfix.lattice`     - configurations, chain stability, one update step.
 * :mod:`candyfix.engine`      - exact k-step probability tables and the
-  expected-instability contraction certificate (dyadic arithmetic throughout).
+  expected-instability contraction certificate of the theorem model (1-D,
+  kappa=3, two colors, uniform recoloring; dyadic arithmetic throughout).
 * :mod:`candyfix.montecarlo`  - trajectory experiments, fixation statistics
   and empirical cross-validation of the exact engine.
 
@@ -16,7 +17,6 @@ __version__ = "0.1.0"
 from .dyadic import Dyadic
 from .engine import (
     Certificate,
-    EngineParams,
     ProbTables,
     certify,
     compute_tables,
@@ -65,7 +65,6 @@ __all__ = [
     "Certificate",
     "Configuration",
     "Dyadic",
-    "EngineParams",
     "ExperimentSpec",
     "ExplicitWord",
     "ModelParams",

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: ``simulate`` (trajectory experiments), ``enumerate`` (exact
-probability tables), ``certify`` (contraction certificates), ``crosscheck``
-(Monte Carlo versus exact engine).  Every successful run writes result files
-plus a manifest into the output directory; the manifest stream is append-only
-and each result file names the manifest that produced it.
+Subcommands: ``simulate`` (trajectory experiments under any model
+parameters); ``enumerate`` (exact probability tables) and ``certify``
+(contraction certificates), both for the theorem model only; ``crosscheck``
+(Monte Carlo versus exact engine) and ``probe`` (one window's exact
+probability).  Every successful run writes result files plus a manifest into
+the output directory; the manifest stream is append-only and each result
+file names the manifest that produced it.
 
 Exit codes: 0 success, 1 check failure, 2 argument error, 3 corrupt input file.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .dyadic import Dyadic
-from .engine import EngineParams, certify, compute_tables, kstep_prob
+from .engine import certify, compute_tables, kstep_prob
 from .lattice import Boundary, ModelParams
 from .montecarlo import (
     ExperimentSpec,
@@ -38,6 +40,8 @@ from .montecarlo import (
     write_trajectories_jsonl,
 )
 from .render import (
+    ENGINE_TAG,
+    EngineMismatchError,
     TablesFormatError,
     certificate_to_json,
     certificate_to_text,
@@ -162,29 +166,17 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _engine_from_args(args) -> EngineParams:
-    dist = _parse_dist(args.p) if args.p else tuple(
-        Fraction(1, args.n) for _ in range(args.n))
-    return EngineParams(kappa=args.kappa, n=args.n, recolor_dist=dist)
-
-
 def cmd_enumerate(args) -> int:
     if args.k < 1:
         return _fail(f"--k must be >= 1, got {args.k}")
-    try:
-        engine = _engine_from_args(args)
-    except ValueError as exc:
-        return _fail(str(exc))
     if args.k > 4:
         print(f"warning: k={args.k} needs large exact sweeps; expect heavy "
               "memory and a long run", file=sys.stderr)
     out = _out_dir(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResourceWarning)
-        tables = compute_tables(args.k, engine)
-    payload = {"k": args.k, "engine": engine.tag}
-    manifest = _Manifest(out, "enumerate", payload,
-                         exploratory=not engine.is_theorem)
+        tables = compute_tables(args.k)
+    manifest = _Manifest(out, "enumerate", {"k": args.k, "engine": ENGINE_TAG})
     with open(manifest.add(out / "tables.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, **tables_to_json(tables)},
                   fh, indent=1, sort_keys=True)
@@ -203,10 +195,6 @@ def cmd_enumerate(args) -> int:
 def cmd_certify(args) -> int:
     if args.k < 1:
         return _fail(f"--k must be >= 1, got {args.k}")
-    try:
-        engine = _engine_from_args(args)
-    except ValueError as exc:
-        return _fail(str(exc))
     tables = None
     if args.tables:
         path = Path(args.tables)
@@ -217,17 +205,15 @@ def cmd_certify(args) -> int:
                 tables = tables_from_json(json.load(fh))
         except (UnicodeDecodeError, json.JSONDecodeError, TablesFormatError) as exc:
             return _fail(f"corrupt tables file {path}: {exc}", CORRUPT)
+        except EngineMismatchError as exc:
+            return _fail(str(exc))
         if tables.k != args.k:
             return _fail(f"tables file is for k={tables.k}, not k={args.k}")
-        if tables.engine != engine:
-            return _fail(f"tables file is for {tables.engine.tag}, not {engine.tag}")
     elif args.no_compute:
         return _fail("--no-compute requires --tables")
-    cert = certify(args.k, tables=tables, engine=engine)
+    cert = certify(args.k, tables=tables)
     out = _out_dir(args)
-    payload = {"k": args.k, "engine": engine.tag}
-    manifest = _Manifest(out, "certify", payload,
-                         exploratory=not engine.is_theorem)
+    manifest = _Manifest(out, "certify", {"k": args.k, "engine": ENGINE_TAG})
     with open(manifest.add(out / "certificate.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, **certificate_to_json(cert)},
                   fh, indent=1, sort_keys=True)
@@ -246,19 +232,12 @@ def cmd_crosscheck(args) -> int:
         return _fail(f"--k must be >= 1, got {args.k}")
     if args.samples < 1:
         return _fail(f"--samples must be >= 1, got {args.samples}")
+    if args.windows < 1:
+        return _fail(f"--windows must be >= 1, got {args.windows}")
     radius = 2 * args.k + 2
     length = 2 * radius + 1
-    if args.windows == "all":
-        words = range(1 << length)
-    else:
-        try:
-            count = int(args.windows)
-        except ValueError:
-            return _fail(f"--windows must be a count or 'all', got {args.windows!r}")
-        if count < 1:
-            return _fail(f"--windows must be >= 1, got {count}")
-        gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-        words = [int(w) for w in gen.integers(0, 1 << length, size=count)]
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+    words = [int(w) for w in gen.integers(0, 1 << length, size=args.windows)]
 
     report = []
     failures = 0
@@ -313,12 +292,6 @@ def cmd_probe(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_engine_flags(p):
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--p", default=None, help="recoloring law, e.g. 1/2,1/2")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="candyfix",
@@ -338,13 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", default="stable-exterior",
                    choices=[b.value for b in Boundary])
     p.add_argument("--threads", type=int, default=1)
-    _add_engine_flags(p)
+    p.add_argument("--kappa", type=int, default=3)
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--p", default=None, help="recoloring law, e.g. 1/2,1/2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("enumerate", help="exact probability tables")
     p.add_argument("--k", type=int, required=True)
-    _add_engine_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enumerate)
 
@@ -353,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables", default=None, help="reuse a prior tables.json")
     p.add_argument("--no-compute", dest="no_compute", action="store_true",
                    help="fail instead of computing missing tables")
-    _add_engine_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("crosscheck", help="Monte Carlo vs exact engine")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--windows", default="all", help="count or 'all'")
+    p.add_argument("--windows", type=int, default=24,
+                   help="number of random radius-(2k+2) windows to check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_crosscheck)

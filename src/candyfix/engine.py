@@ -1,11 +1,12 @@
 """Exact k-step instability probabilities, worst-case tables and certificates.
 
-Everything here is exact integer arithmetic.  A probability is held as an
-integer numerator at a power-of-two exponent (see :class:`candyfix.dyadic.Dyadic`);
-the two-color uniform engine never needs anything else because every branch
+The engine computes one model, the theorem's: 1-D, kappa=3, two colors,
+uniform recoloring.  Everything here is exact integer arithmetic.  A
+probability is held as an integer numerator at a power-of-two exponent (see
+:class:`candyfix.dyadic.Dyadic`); nothing else is needed because every branch
 weight is 1/2.
 
-Core quantities, for the two-color kappa=3 model with uniform recoloring:
+Core quantities:
 
 * ``p_unstable(k)``  - worst case over windows of P(origin unstable after k
   steps | origin unstable now).
@@ -59,7 +60,7 @@ from .windows import (
     WindowClass,
     conditioning_mask,
     default_radius,
-    word_unstable_bits,
+    unstable_bits,
 )
 
 
@@ -67,64 +68,9 @@ class EngineConsistencyError(AssertionError):
     """An internal cross-identity of the enumeration failed; results invalid."""
 
 
-@dataclass(frozen=True)
-class EngineParams:
-    """Parameters of the exact engine (1-D only).
-
-    Only the theorem setting (kappa=3, two colors, uniform law) carries
-    golden-value tests; other parameters are accepted for exploration and go
-    through the slower generic path.  The recoloring law must be dyadic so
-    the engine stays closed under exact arithmetic.
-    """
-
-    kappa: int = 3
-    n: int = 2
-    recolor_dist: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1, 2))
-
-    def __post_init__(self):
-        if self.kappa < 2:
-            raise ValueError(f"kappa must be >= 2, got {self.kappa}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 colors, got {self.n}")
-        dist = tuple(Fraction(p) for p in self.recolor_dist)
-        object.__setattr__(self, "recolor_dist", dist)
-        if len(dist) != self.n or any(p < 0 for p in dist) or sum(dist) != 1:
-            raise ValueError(f"invalid recoloring distribution {dist}")
-        for p in dist:
-            Dyadic.from_fraction(p)  # raises unless dyadic
-
-    @classmethod
-    def theorem(cls) -> "EngineParams":
-        return cls()
-
-    @property
-    def is_theorem(self) -> bool:
-        return self.kappa == 3 and self.n == 2 and self.recolor_dist == (
-            Fraction(1, 2), Fraction(1, 2))
-
-    @property
-    def tag(self) -> str:
-        p = ",".join(str(x) for x in self.recolor_dist)
-        return f"kappa={self.kappa},n={self.n},p={p}"
-
-    def saturation(self, k: int) -> int:
-        # instability propagates kappa-1 sites per step
-        return (self.kappa - 1) * k
-
-
-THEOREM = EngineParams.theorem()
-
-
 # --------------------------------------------------------------------------
-# low-level word helpers (two-color fast path)
+# low-level word helpers
 # --------------------------------------------------------------------------
-
-
-def _unstable_vec(words: np.ndarray, length: int) -> np.ndarray:
-    """Unstable-site bitmasks for an array of word integers (kappa=3)."""
-    eq = ~(words ^ (words >> 1))
-    m3 = eq & (eq >> 1) & ((1 << (length - 2)) - 1)
-    return (m3 | (m3 << 1) | (m3 << 2)) & ((1 << length) - 1)
 
 
 def _all_words(length: int) -> np.ndarray:
@@ -187,7 +133,7 @@ def _backward_level(g_next: np.ndarray, length: int, dtype) -> np.ndarray:
     """
     nint = length - 4
     size = 1 << length
-    unstable_interior = (_unstable_vec(_all_words(length), length) >> 2) & ((1 << nint) - 1)
+    unstable_interior = (unstable_bits(_all_words(length), length) >> 2) & ((1 << nint) - 1)
     order = np.argsort(unstable_interior, kind="stable")
     sorted_masks = unstable_interior[order]
     del unstable_interior
@@ -231,7 +177,7 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
     dtype = _sweep_dtype(sweep_exponent(k))
-    g = ((_unstable_vec(_all_words(5), 5) >> 2) & 1).astype(dtype)  # g_0 on 5-site words
+    g = ((unstable_bits(_all_words(5), 5) >> 2) & 1).astype(dtype)  # g_0 on 5-site words
     exp = 0
     for r in range(1, k + 1):
         length = 4 * r + 5
@@ -255,35 +201,26 @@ def masked_max(values: np.ndarray, mask: np.ndarray, conditioning="conditioning"
 
 @dataclass(frozen=True)
 class ProbTables:
-    """Worst-case k-step instability probabilities for one engine setting.
+    """Worst-case k-step instability probabilities of the theorem model.
 
     ``p_gap`` is indexed 0..sat on both sides; index ``sat`` doubles as the
     value for every larger count (saturation).  ``p_gap[sat][sat]`` is 0.
     """
 
     k: int
-    engine: EngineParams
     p_unstable: Dyadic
     p_triple: Dyadic
     p_gap: tuple[tuple[Dyadic, ...], ...]
 
     @property
     def sat(self) -> int:
-        return self.engine.saturation(self.k)
+        return 2 * self.k  # instability propagates two sites per step
 
     def p_gap_at(self, n: int, m: int) -> Dyadic:
         """Gap-table entry with saturation: counts beyond sat read index sat."""
         if n < 0 or m < 0:
             raise ValueError(f"gap sides must be nonnegative, got ({n}, {m})")
         return self.p_gap[min(n, self.sat)][min(m, self.sat)]
-
-    def __eq__(self, other):
-        if not isinstance(other, ProbTables):
-            return NotImplemented
-        return (self.k == other.k and self.engine == other.engine
-                and self.p_unstable == other.p_unstable
-                and self.p_triple == other.p_triple
-                and self.p_gap == other.p_gap)
 
 
 def worst_case(
@@ -315,7 +252,7 @@ def worst_case(
     return Dyadic(masked_max(values, mask, conditioning), exp)
 
 
-def compute_tables(k: int, engine: EngineParams = THEOREM) -> ProbTables:
+def compute_tables(k: int) -> ProbTables:
     """All worst-case tables for k steps; exact maxima over every window class.
 
     One classification of the radius-(2k+2) words serves every entry: the two
@@ -324,13 +261,11 @@ def compute_tables(k: int, engine: EngineParams = THEOREM) -> ProbTables:
     left and right of the origin clipped at 2k, so one grouped maximum fills
     the whole gap table.
     """
-    if not engine.is_theorem:
-        return _compute_tables_generic(k, engine)
     g, exp = kstep_vector(k)
     radius = 2 * k + 2
     length = 2 * radius + 1
     sat = 2 * k
-    unstable = _unstable_vec(_all_words(length), length)
+    unstable = unstable_bits(_all_words(length), length)
 
     def stable(x: int) -> np.ndarray:
         return (unstable >> (x + radius)) & 1 == 0
@@ -356,63 +291,7 @@ def compute_tables(k: int, engine: EngineParams = THEOREM) -> ProbTables:
         n, m = (int(i) for i in np.argwhere(best < 0)[0])
         raise UnrealizableConditioningError(f"{StableGap(n, m)} selects no window")
     p_gap = tuple(tuple(Dyadic(int(v), exp) for v in row) for row in best)
-    return ProbTables(k, engine, Dyadic(p_unstable, exp), Dyadic(p_triple, exp), p_gap)
-
-
-def _compute_tables_generic(k: int, engine: EngineParams) -> ProbTables:
-    """Exploratory path for non-theorem parameters: plain sweep over all words."""
-    radius = (engine.kappa - 1) * (k + 1)
-    length = 2 * radius + 1
-    total = engine.n ** length
-    if total > 1 << 22:
-        warnings.warn(
-            f"generic enumeration over {engine.n}^{length} words; this will be slow",
-            ResourceWarning, stacklevel=2)
-    sat = engine.saturation(k)
-    margin = engine.kappa - 1
-    flag_span = radius - margin
-
-    best: dict[tuple, Dyadic] = {}
-    conds: list[tuple[tuple, object]] = [("p_unstable", lambda f: not f[flag_span]),
-                                         ("p_triple", lambda f: not (f[flag_span - 1] or f[flag_span] or f[flag_span + 1]))]
-
-    def gap_pred(n, m):
-        def pred(f):
-            lo = -min(n, sat) if n == sat else -n
-            hi = min(m, sat) if m == sat else m
-            if any(not f[x + flag_span] for x in range(lo, hi + 1)):
-                return False
-            if n != sat and f[-n - 1 + flag_span]:
-                return False
-            if m != sat and f[m + 1 + flag_span]:
-                return False
-            return True
-        return pred
-
-    for n in range(sat + 1):
-        for m in range(sat + 1):
-            if n > sat or m > sat:
-                continue
-            conds.append((("gap", n, m), gap_pred(n, m)))
-
-    for colors in itertools.product(range(engine.n), repeat=length):
-        unstable = _runs_unstable(colors, engine.kappa)
-        flags = tuple(not unstable[i] for i in range(margin, length - margin))
-        matched = [name for name, pred in conds if pred(flags)]
-        if not matched:
-            continue
-        prob = _general_prob(colors, k, engine)
-        for name in matched:
-            if name not in best or prob > best[name]:
-                best[name] = prob
-
-    for name, _ in conds:
-        if name not in best:
-            raise UnrealizableConditioningError(f"conditioning {name} selects no window")
-    p_gap = tuple(
-        tuple(best[("gap", n, m)] for m in range(sat + 1)) for n in range(sat + 1)
-    )
-    return ProbTables(k, engine, best["p_unstable"], best["p_triple"], p_gap)
+    return ProbTables(k, Dyadic(p_unstable, exp), Dyadic(p_triple, exp), p_gap)
 
 
 # --------------------------------------------------------------------------
@@ -446,7 +325,7 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
         nint = cur - 4
         inner_mask = (1 << nint) - 1
         if state is None:
-            unstable = (word_unstable_bits(word, cur) >> 2) & inner_mask
+            unstable = (unstable_bits(word, cur) >> 2) & inner_mask
             base = ((word >> 2) & inner_mask) & ~unstable
             dep = _deposits(int(unstable))
             state = np.zeros(1 << nint, dtype=dtype)
@@ -455,7 +334,7 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
         else:
             support = np.nonzero(state)[0]
             values = state[support]
-            unstable = (_unstable_vec(support, cur) >> 2) & inner_mask
+            unstable = (unstable_bits(support, cur) >> 2) & inner_mask
             bases = ((support >> 2) & inner_mask) & ~unstable
             counts = _popcounts(unstable)
             umax = int(counts.max())
@@ -476,7 +355,7 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
         cur = nint
     origin = (cur - 1) // 2
     support = np.nonzero(state)[0]
-    hit = (_unstable_vec(support, cur) >> origin) & 1
+    hit = (unstable_bits(support, cur) >> origin) & 1
     return Dyadic(int(state[support][hit == 1].sum()), exp)
 
 
@@ -499,64 +378,6 @@ def one_step_oracle(window: WindowClass) -> Dyadic:
         if (w[0] == w[1] == w[2]) or (w[1] == w[2] == w[3]) or (w[2] == w[3] == w[4]):
             hits += 1
     return Dyadic(hits, len(local))
-
-
-def _runs_unstable(colors: tuple[int, ...], kappa: int) -> list[bool]:
-    """Clipped run-length scan; True where the site lies on a run >= kappa."""
-    length = len(colors)
-    out = [False] * length
-    i = 0
-    while i < length:
-        j = i
-        while j + 1 < length and colors[j + 1] == colors[i]:
-            j += 1
-        if j - i + 1 >= kappa:
-            for t in range(i, j + 1):
-                out[t] = True
-        i = j + 1
-    return out
-
-
-def kstep_prob_general(window: WindowClass, k: int, engine: EngineParams) -> Dyadic:
-    """Generic-parameter k-step probability (exploration path).
-
-    Same shrinking-region program as :func:`kstep_prob` but over an n-color
-    alphabet with arbitrary dyadic branch weights, held as exact fractions.
-    """
-    return _general_prob(tuple(window.colors), k, engine)
-
-
-def _general_prob(colors: tuple[int, ...], k: int, engine: EngineParams) -> Dyadic:
-    margin = engine.kappa - 1
-    radius = (len(colors) - 1) // 2
-    if radius < margin * (k + 1):
-        raise ValueError(
-            f"radius {radius} too small for k={k} at kappa={engine.kappa} "
-            f"(need >= {margin * (k + 1)})")
-    dist = engine.recolor_dist
-    state: dict[tuple[int, ...], Fraction] = {colors: Fraction(1)}
-    for _ in range(k):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for colors, mass in state.items():
-            unstable = _runs_unstable(colors, engine.kappa)
-            lo, hi = margin, len(colors) - margin - 1
-            free = [i for i in range(lo, hi + 1) if unstable[i]]
-            base = list(colors[lo:hi + 1])
-            for draw in itertools.product(range(engine.n), repeat=len(free)):
-                w = base[:]
-                weight = mass
-                for pos, c in zip(free, draw):
-                    w[pos - lo] = c
-                    weight *= dist[c]
-                key = tuple(w)
-                nxt[key] = nxt.get(key, Fraction(0)) + weight
-        state = nxt
-    center = (len(next(iter(state))) - 1) // 2
-    total = Fraction(0)
-    for colors, mass in state.items():
-        if _runs_unstable(colors, engine.kappa)[center]:
-            total += mass
-    return Dyadic.from_fraction(total)
 
 
 # --------------------------------------------------------------------------
@@ -625,19 +446,14 @@ class Certificate:
     contraction: bool
 
 
-def certify(
-    k: int,
-    tables: ProbTables | None = None,
-    engine: EngineParams = THEOREM,
-) -> Certificate:
+def certify(k: int, tables: ProbTables | None = None) -> Certificate:
     """Assemble the contraction certificate for k steps, exactly."""
     if tables is None:
-        tables = compute_tables(k, engine)
-    kappa = tables.engine.kappa
+        tables = compute_tables(k)
     arg, gap = max_gap_sum(k, tables)
-    term_triple = Fraction(kappa - 2, kappa) * tables.p_triple.as_fraction()
-    term_unstable = Fraction(2, kappa) * tables.p_unstable.as_fraction()
-    term_gap = Fraction(1, kappa) * gap.as_fraction()
+    term_triple = Fraction(1, 3) * tables.p_triple.as_fraction()
+    term_unstable = Fraction(2, 3) * tables.p_unstable.as_fraction()
+    term_gap = Fraction(1, 3) * gap.as_fraction()
     c = term_triple + term_unstable + term_gap
     return Certificate(
         k=k,

@@ -23,7 +23,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Boundary(str, Enum):
@@ -167,30 +166,38 @@ def _validate(config: Configuration, params: ModelParams) -> None:
 
 
 def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: bool) -> np.ndarray:
+    """Sites on a monochromatic run of >= kappa consecutive sites along one axis.
+
+    ``start`` marks where such a run begins: the AND of kappa-1 shifted
+    neighbor-equality masks.  A site is unstable when a run starts 0..kappa-1
+    sites before it.  A periodic line is first extended by kappa-1 wrapped
+    sites, so runs cross the seam; a periodic line shorter than kappa wraps
+    onto itself and is unstable iff it is monochromatic.
+
+    The result is laid out like ``cells``, so a batch stored with the run
+    axis outermost is processed along its long inner axis throughout.
+    """
+    out = np.zeros(cells.shape, dtype=bool)
     a = np.moveaxis(cells, axis, -1)
     length = a.shape[-1]
-    out = np.zeros(a.shape, dtype=bool)
     if periodic:
-        if length < kappa:
-            # a window of length kappa wraps onto itself: unstable iff the
-            # whole line is monochromatic
-            mono = (a == a[..., :1]).all(axis=-1)
-            out |= mono[..., None]
-            return np.moveaxis(out, -1, axis)
-        ext = np.concatenate([a, a[..., : kappa - 1]], axis=-1)
-        eq = ext[..., 1:] == ext[..., :-1]
-        win = sliding_window_view(eq, kappa - 1, axis=-1).all(axis=-1)  # start per site
-        for j in range(kappa):
-            out |= np.roll(win, j, axis=-1)
-        return np.moveaxis(out, -1, axis)
-    if length < kappa:
-        return np.moveaxis(out, -1, axis)
+        a = np.take(a, np.arange(length + kappa - 1) % length, axis=-1)
+        starts = length
+    else:
+        starts = length - kappa + 1
+        if starts < 1:
+            return out
     eq = a[..., 1:] == a[..., :-1]
-    win = sliding_window_view(eq, kappa - 1, axis=-1).all(axis=-1)
-    span = win.shape[-1]  # runs may start at 0 .. length-kappa
+    start = eq[..., :starts]
+    for j in range(1, kappa - 1):
+        start = start & eq[..., j: j + starts]
+    line = np.moveaxis(out, axis, -1)  # a view: writes land in out
     for j in range(kappa):
-        out[..., j : j + span] |= win
-    return np.moveaxis(out, -1, axis)
+        if periodic:
+            line |= np.roll(start, j, axis=-1)
+        else:
+            line[..., j: j + starts] |= start
+    return out
 
 
 def classify_stability(config: Configuration, params: ModelParams) -> StabilityMask:
@@ -230,32 +237,6 @@ def step(config: Configuration, params: ModelParams, rng: RngStream) -> Configur
     new_cells = config.cells.copy()
     new_cells[unstable] = draw_colors(rng.next_block(), params, count)
     return Configuration(new_cells, config.boundary)
-
-
-# --- serialization ---
-
-
-def config_to_json(config: Configuration, params: ModelParams) -> dict:
-    return {
-        "d": config.d,
-        "shape": list(config.shape),
-        "colors": config.cells.ravel(order="C").tolist(),
-        "boundary": config.boundary.value,
-        "kappa": params.kappa,
-        "n": params.n,
-    }
-
-
-def config_from_json(obj: dict) -> tuple[Configuration, ModelParams]:
-    shape = tuple(obj["shape"])
-    cells = np.array(obj["colors"], dtype=np.int64).reshape(shape, order="C")
-    config = Configuration(cells, Boundary(obj["boundary"]))
-    n = int(obj["n"])
-    params = ModelParams(
-        d=len(shape), n=n, kappa=int(obj["kappa"]),
-        recolor_dist=tuple(Fraction(1, n) for _ in range(n)),
-    )
-    return config, params
 
 
 def word_to_config(word: str, boundary: Boundary = Boundary.FROZEN) -> Configuration:

@@ -281,54 +281,31 @@ class EstimatedProb:
     trials: int
 
 
-def _unstable_rows(words: np.ndarray) -> np.ndarray:
-    eq = words[:, 1:] == words[:, :-1]
-    m3 = eq[:, :-1] & eq[:, 1:]
-    out = np.zeros(words.shape, dtype=bool)
-    out[:, :-2] |= m3
-    out[:, 1:-1] |= m3
-    out[:, 2:] |= m3
-    return out
-
-
-def estimate_kstep_prob(
-    window: WindowClass,
-    k: int,
-    trials: int,
-    seed: int = 0,
-    params: ModelParams | None = None,
-) -> EstimatedProb:
+def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> EstimatedProb:
     """Empirical frequency of an unstable origin after k steps, with its SE.
 
-    Simulates the window as a batch of rows under clipped runs.  Sites whose
+    Simulates the window under the theorem model (kappa=3, uniform two-color
+    recoloring) as a batch of trials under clipped runs.  Sites whose
     classification the window cannot determine are simulated with the clipped
     view; their recolorings never reach the origin's shrinking information
     cone within k steps, so the origin frequency is unbiased.
     """
-    if params is None:
-        params = ModelParams()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if window.radius < 2 * k + 2:
         raise ValueError(f"radius {window.radius} cannot determine k={k}")
     stream = RngStream(seed, 0)
-    words = np.tile(np.array(window.colors, dtype=np.int8), (trials, 1))
+    # sites x trials, so every classifier pass runs along the long trial axis
+    colors = np.array(window.colors, dtype=np.int8)
+    words = np.repeat(colors[:, None], trials, axis=1)
     for t in range(k):
-        unstable = _unstable_rows(words)
-        gen = stream.generator_at(t)
-        if params.uniform_two_color:
-            draws = gen.integers(0, 2, size=words.shape, dtype=np.int8)
-        else:
-            raw = gen.integers(0, 1 << 64, size=words.shape, dtype=np.uint64)
-            draws = np.searchsorted(
-                params.sampling_cuts(), raw, side="right").astype(np.int8)
-        words = np.where(unstable, draws, words)
-    c = words[:, window.radius - 2: window.radius + 3]
-    hit = (
-        ((c[:, 0] == c[:, 1]) & (c[:, 1] == c[:, 2]))
-        | ((c[:, 1] == c[:, 2]) & (c[:, 2] == c[:, 3]))
-        | ((c[:, 2] == c[:, 3]) & (c[:, 3] == c[:, 4]))
-    )
+        unstable = _unstable_along_axis(words, 0, 3, periodic=False)
+        # drawn trials x sites: trial i, site j reads the stream as it always has
+        draws = stream.generator_at(t).integers(0, 2, size=(trials, len(colors)), dtype=np.int8)
+        words = np.where(unstable, draws.T, words)
+    # the origin's flag reads only the five sites around it
+    near = words[window.radius - 2: window.radius + 3]
+    hit = _unstable_along_axis(near, 0, 3, periodic=False)[2]
     freq = float(hit.sum()) / trials
     return EstimatedProb(freq, sqrt(freq * (1.0 - freq) / trials), trials)
 

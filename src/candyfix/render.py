@@ -14,10 +14,16 @@ reproduces the identical table value.
 
 from __future__ import annotations
 
+import copy
+import json
 from fractions import Fraction
 
 from .dyadic import Dyadic
-from .engine import Certificate, EngineParams, ProbTables
+from .engine import Certificate, ProbTables
+
+# The model every table is computed for, as the tables JSON and text name it.
+ENGINE = {"kappa": 3, "n": 2, "p": ["1/2", "1/2"]}
+ENGINE_TAG = "kappa=3,n=2,p=1/2,1/2"
 
 
 def format_fraction(value: Fraction) -> str:
@@ -26,35 +32,15 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # --------------------------------------------------------------------------
 # JSON
 # --------------------------------------------------------------------------
 
 
-def engine_to_json(engine: EngineParams) -> dict:
-    return {
-        "kappa": engine.kappa,
-        "n": engine.n,
-        "p": [format_fraction(x) for x in engine.recolor_dist],
-    }
-
-
-def engine_from_json(obj: dict) -> EngineParams:
-    return EngineParams(
-        kappa=int(obj["kappa"]),
-        n=int(obj["n"]),
-        recolor_dist=tuple(Fraction(x) for x in obj["p"]),
-    )
-
-
 def tables_to_json(tables: ProbTables) -> dict:
     return {
         "k": tables.k,
-        "engine": engine_to_json(tables.engine),
+        "engine": copy.deepcopy(ENGINE),
         "pI": tables.p_unstable.as_json(),
         "pIII": tables.p_triple.as_json(),
         "pS": [[entry.as_json() for entry in row] for row in tables.p_gap],
@@ -65,24 +51,35 @@ class TablesFormatError(ValueError):
     """A tables document is missing a field or has the wrong shape."""
 
 
+class EngineMismatchError(ValueError):
+    """A tables document was computed for another model than :data:`ENGINE`."""
+
+
 def tables_from_json(obj: dict) -> ProbTables:
-    """Parse the JSON schema, refusing missing fields and a misshapen gap table."""
+    """Parse the JSON schema.
+
+    Refuses a document for another engine (:class:`EngineMismatchError`),
+    and missing fields or a misshapen gap table (:class:`TablesFormatError`).
+    """
     try:
         k = int(obj["k"])
-        engine = engine_from_json(obj["engine"])
+        if obj["engine"] != ENGINE:
+            raise EngineMismatchError(
+                f"tables file is for engine {json.dumps(obj['engine'])}, "
+                f"not {json.dumps(ENGINE)}")
         p_unstable = Dyadic.from_json(obj["pI"])
         p_triple = Dyadic.from_json(obj["pIII"])
         rows = obj["pS"]
-        side = engine.saturation(k) + 1
+        side = 2 * k + 1
         if not (isinstance(rows, list) and len(rows) == side
                 and all(isinstance(row, list) and len(row) == side for row in rows)):
             raise TablesFormatError(f"pS must be a {side}x{side} table for k={k}")
         p_gap = tuple(tuple(Dyadic.from_json(e) for e in row) for row in rows)
-    except TablesFormatError:
+    except (TablesFormatError, EngineMismatchError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise TablesFormatError(f"bad tables document: {exc!r}") from exc
-    return ProbTables(k, engine, p_unstable, p_triple, p_gap)
+    return ProbTables(k, p_unstable, p_triple, p_gap)
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -118,7 +115,7 @@ def tables_to_text(tables: ProbTables) -> str:
     sat = tables.sat
     lines = [
         f"k = {tables.k}",
-        f"engine = {tables.engine.tag}",
+        f"engine = {ENGINE_TAG}",
         f"p_unstable = {tables.p_unstable} = {tables.p_unstable.ratio_str()}",
         f"p_triple = {tables.p_triple} = {tables.p_triple.ratio_str()}",
         "",
@@ -159,19 +156,10 @@ def tables_from_text(text: str) -> ProbTables:
             key, _, val = ln.partition("=")
             fields[key.strip()] = val.strip()
     k = int(fields["k"])
-    kappa, n_colors, dist = None, None, None
-    for part in fields["engine"].split(","):
-        key, _, val = part.partition("=")
-        if key == "kappa":
-            kappa = int(val)
-        elif key == "n":
-            n_colors = int(val)
-        elif key == "p":
-            dist = [Fraction(val)]
-        elif dist is not None:
-            dist.append(Fraction(part))
-    engine = EngineParams(kappa, n_colors, tuple(dist))
-    sat = engine.saturation(k)
+    if fields["engine"] != ENGINE_TAG:
+        raise EngineMismatchError(
+            f"tables text is for engine {fields['engine']}, not {ENGINE_TAG}")
+    sat = 2 * k
 
     start = lines.index("numerators (column denominator in the second header line):")
     denoms = lines[start + 2].split()
@@ -188,7 +176,6 @@ def tables_from_text(text: str) -> ProbTables:
     )
     return ProbTables(
         k=k,
-        engine=engine,
         p_unstable=Dyadic.parse(fields["p_unstable"].partition("=")[0]),
         p_triple=Dyadic.parse(fields["p_triple"].partition("=")[0]),
         p_gap=p_gap,

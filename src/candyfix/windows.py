@@ -22,7 +22,6 @@ defines each probability table:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,27 +66,18 @@ class StableGap:
 Conditioning = UnstableAtOrigin | TripleUnstable | StableGap
 
 
-@lru_cache(maxsize=32)
-def unstable_bits_all(length: int) -> np.ndarray:
-    """Unstable-site bitmask for every word of ``length`` sites (kappa=3).
+def unstable_bits(words, length: int):
+    """Unstable-site bitmask of each ``length``-site word (kappa=3).
 
-    Bit ``j`` of entry ``w`` is set iff site ``j`` of word ``w`` lies on a
-    monochromatic run of >= 3 inside the word (runs clipped at the ends).
-    Only bits in [2, length-3] are window-derivable flags; the outer bits
-    are the clipped-boundary view and must not be read as flags.
+    ``words`` is one Python int or an integer array; an array keeps its
+    dtype, so int32 words stay half the size of int64 ones.  Bit ``j`` of
+    the result is set iff site ``j`` lies on a monochromatic run of >= 3
+    inside the word (runs clipped at the ends).  Only bits in [2, length-3]
+    are window-derivable flags; the outer bits are the clipped-boundary view
+    and must not be read as flags.
     """
-    if length < 3 or length > 26:
-        raise ValueError(f"word length {length} out of the supported range 3..26")
-    idx = np.arange(1 << length, dtype=np.int64)
-    eq = ~(idx ^ (idx >> 1))  # bit i: color(i) == color(i+1)
+    eq = ~(words ^ (words >> 1))  # bit i: color(i) == color(i+1)
     m3 = eq & (eq >> 1) & ((1 << (length - 2)) - 1)  # bit s: run covering s..s+2
-    return (m3 | (m3 << 1) | (m3 << 2)) & ((1 << length) - 1)
-
-
-def word_unstable_bits(word: int, length: int) -> int:
-    """Unstable-site bitmask of one word (same convention as unstable_bits_all)."""
-    eq = ~(word ^ (word >> 1))
-    m3 = eq & (eq >> 1) & ((1 << (length - 2)) - 1)
     return (m3 | (m3 << 1) | (m3 << 2)) & ((1 << length) - 1)
 
 
@@ -110,7 +100,9 @@ def conditioning_mask(k: int, conditioning: Conditioning, radius: int) -> np.nda
     if radius < 2 * k + 2:
         raise ValueError(f"radius {radius} too small for k={k} (need >= {2 * k + 2})")
     length = 2 * radius + 1
-    unstable = unstable_bits_all(length)
+    if length > 26:
+        raise ValueError(f"radius {radius} needs 2^{length} words; the limit is radius 12")
+    unstable = unstable_bits(np.arange(1 << length, dtype=np.int64), length)
 
     def unst(x: int) -> np.ndarray:
         if not -(radius - 2) <= x <= radius - 2:
@@ -157,7 +149,7 @@ class WindowClass:
     @classmethod
     def from_word(cls, word: int, radius: int, conditioning: Conditioning | None = None):
         length = 2 * radius + 1
-        unstable = word_unstable_bits(word, length)
+        unstable = unstable_bits(word, length)
         colors = tuple((word >> i) & 1 for i in range(length))
         flags = tuple(1 - ((unstable >> i) & 1) for i in range(2, length - 2))
         return cls(radius, colors, flags, conditioning)

@@ -111,13 +111,17 @@ def test_certify_no_compute_without_tables(tmp_path):
 
 
 def test_certify_tables_engine_mismatch_rejected(tmp_path, capsys):
-    # the kappa=3 file must not stand in for a kappa=4 certificate
+    # a table for another model must not stand in for the theorem's
     assert run("enumerate", "--k", "2", "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "tables.json").read_text())
+    assert doc["engine"] == {"kappa": 3, "n": 2, "p": ["1/2", "1/2"]}
+    doc["engine"]["kappa"] = 4
+    (tmp_path / "kappa4.json").write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run("certify", "--k", "2", "--tables", str(tmp_path / "tables.json"),
-               "--kappa", "4", "--out", str(tmp_path / "c")) == 2
+    assert run("certify", "--k", "2", "--tables", str(tmp_path / "kappa4.json"),
+               "--out", str(tmp_path / "c")) == 2
     captured = capsys.readouterr()
-    assert "kappa=3" in captured.err and "c = " not in captured.out
+    assert '"kappa": 4' in captured.err and "c = " not in captured.out
     assert not (tmp_path / "c" / "certificate.json").exists()
 
 
@@ -136,8 +140,13 @@ def test_certify_truncated_tables_is_corrupt(tmp_path, capsys):
 
 
 def test_engine_commands_take_no_threads(tmp_path):
+    # enumerate and certify compute the theorem model only; no flag selects another
     for command in ("enumerate", "certify"):
-        assert run(command, "--k", "1", "--threads", "2", "--out", str(tmp_path)) == 2
+        for flag, value in (("--threads", "2"), ("--kappa", "4"), ("--n", "3"),
+                            ("--p", "1/2,1/2")):
+            assert run(command, "--k", "1", flag, value,
+                       "--out", str(tmp_path)) == 2, (command, flag)
+    assert not list(tmp_path.iterdir())
 
 
 def test_crosscheck_small_pass(tmp_path, capsys):
@@ -147,6 +156,20 @@ def test_crosscheck_small_pass(tmp_path, capsys):
     report = json.loads((tmp_path / "crosscheck.json").read_text())
     assert report["failures"] == 0
     assert len(report["checks"]) == 12
+
+
+def test_crosscheck_default_window_count(tmp_path):
+    assert run("crosscheck", "--k", "1", "--samples", "1000",
+               "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "crosscheck.json").read_text())
+    assert len(report["checks"]) == 24
+
+
+def test_crosscheck_window_count_must_be_positive(tmp_path):
+    for value in ("all", "0"):
+        assert run("crosscheck", "--k", "1", "--windows", value, "--samples", "10",
+                   "--out", str(tmp_path)) == 2, value
+    assert not (tmp_path / "crosscheck.json").exists()
 
 
 def test_crosscheck_zero_samples_rejected(tmp_path):

@@ -1,7 +1,6 @@
 """Structural invariants of the exact engine, independent of golden values."""
 
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +8,10 @@ import pytest
 from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     EngineConsistencyError,
-    EngineParams,
     ProbTables,
     compute_tables,
     gap_sum,
     kstep_prob,
-    kstep_prob_general,
     kstep_vector,
     masked_max,
     one_step_oracle,
@@ -89,8 +86,8 @@ def test_unbounded_sum_identity_violation_is_fatal():
     tables = TABLES[1]
     broken = [[e for e in row] for row in tables.p_gap]
     broken[0][2] = Dyadic(1)  # breaks the saturated column only
-    bad = type(tables)(tables.k, tables.engine, tables.p_unstable,
-                       tables.p_triple, tuple(tuple(r) for r in broken))
+    bad = ProbTables(tables.k, tables.p_unstable, tables.p_triple,
+                     tuple(tuple(r) for r in broken))
     with pytest.raises(EngineConsistencyError):
         unbounded_sum(1, bad)
 
@@ -115,17 +112,6 @@ def test_forward_matches_shared_vector():
             word = int(word)
             assert kstep_prob(WindowClass.from_word(word, radius), k) == Dyadic(
                 int(g[word]), exp), (k, word)
-
-
-def test_general_program_matches_fast_path():
-    eng = EngineParams.theorem()
-    rng = np.random.default_rng(2)
-    for word in rng.integers(0, 1 << 9, size=30):
-        w = WindowClass.from_word(int(word), 4)
-        assert kstep_prob_general(w, 1, eng) == kstep_prob(w, 1)
-    for word in rng.integers(0, 1 << 13, size=5):
-        w = WindowClass.from_word(int(word), 6)
-        assert kstep_prob_general(w, 2, eng) == kstep_prob(w, 2)
 
 
 def test_symmetry_reductions_are_safe():
@@ -188,7 +174,7 @@ def test_tables_empty_gap_cell_reports(monkeypatch):
     vector = kstep_vector(1)
     monkeypatch.setattr(engine_mod, "kstep_vector", lambda k: vector)
     # every site unstable: no window has a stable origin, so every gap cell is empty
-    monkeypatch.setattr(engine_mod, "_unstable_vec",
+    monkeypatch.setattr(engine_mod, "unstable_bits",
                         lambda words, length: np.full_like(words, (1 << length) - 1))
     with pytest.raises(UnrealizableConditioningError, match="stable-gap"):
         compute_tables(1)
@@ -205,32 +191,8 @@ def test_tables_match_per_conditioning_worst_case():
 
         p_gap = tuple(tuple(worst(StableGap(n, m)) for m in range(sat + 1))
                       for n in range(sat + 1))
-        expect = ProbTables(k, EngineParams.theorem(), worst(UnstableAtOrigin()),
-                            worst(TripleUnstable()), p_gap)
+        expect = ProbTables(k, worst(UnstableAtOrigin()), worst(TripleUnstable()), p_gap)
         assert compute_tables(k) == expect, k
-
-
-def test_generic_engine_smoke():
-    # exploratory parameters: structural invariants only
-    eng = EngineParams(kappa=2, n=2)
-    tables = compute_tables(1, eng)
-    sat = eng.saturation(1)
-    assert tables.p_triple <= tables.p_unstable
-    assert tables.p_gap[sat][sat] == Dyadic(0)
-    for n in range(sat + 1):
-        for m in range(sat + 1):
-            assert tables.p_gap[n][m] == tables.p_gap[m][n]
-            assert Dyadic(0) <= tables.p_gap[n][m] <= Dyadic(1)
-
-
-def test_three_color_window_probability():
-    # 3-color uniform law, kappa=3: the all-same word keeps the origin
-    # unstable iff some 3-window around it redraws monochromatically
-    eng = EngineParams(kappa=3, n=3, recolor_dist=(
-        Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    window = WindowClass(4, (0,) * 9, (0,) * 5)
-    p = kstep_prob_general(window, 1, eng)
-    assert Dyadic(0) < p < Dyadic(1)
 
 
 def test_enumerate_windows_probabilities_realize_table_maxima():

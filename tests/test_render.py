@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from candyfix.engine import certify, compute_tables
 from candyfix.render import (
+    EngineMismatchError,
     certificate_to_json,
     certificate_to_text,
     format_fraction,
@@ -23,6 +26,7 @@ def test_tables_json_round_trip():
 def test_tables_json_schema():
     obj = tables_to_json(compute_tables(1))
     assert set(obj) == {"k", "engine", "pI", "pIII", "pS"}
+    assert obj["engine"] == {"kappa": 3, "n": 2, "p": ["1/2", "1/2"]}
     assert obj["pI"] == {"num": 5, "exp": 3}
     assert obj["pS"][0][1] == {"num": 3, "exp": 2}
     assert len(obj["pS"]) == 3 and all(len(row) == 3 for row in obj["pS"])
@@ -34,9 +38,16 @@ def test_tables_text_round_trip():
         assert tables_from_text(tables_to_text(tables)) == tables
 
 
+def test_tables_text_other_engine_refused():
+    text = tables_to_text(compute_tables(1)).replace("kappa=3", "kappa=4")
+    with pytest.raises(EngineMismatchError, match="kappa=4"):
+        tables_from_text(text)
+
+
 def test_k1_text_shows_reduced_entries():
     text = tables_to_text(compute_tables(1))
     assert "1/2" in text and "3/4" in text
+    assert "engine = kappa=3,n=2,p=1/2,1/2" in text.splitlines()
     # column denominators of the numerator block
     assert "2^2" in text and "2^1" in text and "2^0" in text
 

@@ -12,22 +12,22 @@ from candyfix.windows import (
     default_radius,
     enumerate_windows,
     reduced_classes,
-    unstable_bits_all,
-    word_unstable_bits,
+    unstable_bits,
 )
 
 
 def test_unstable_bits_match_lattice_classifier():
     params = ModelParams()
     rng = np.random.default_rng(0)
-    for length in (5, 9, 13):
-        table = unstable_bits_all(length)
+    for length in (5, 9, 13, 21):
+        table = unstable_bits(np.arange(1 << length, dtype=np.int32), length)
+        assert table.dtype == np.int32  # word arrays keep their 32-bit width
         for word in rng.integers(0, 1 << length, size=200):
             word = int(word)
             bits = "".join(str((word >> i) & 1) for i in range(length))
             mask = classify_stability(word_to_config(bits), params)
             expect = sum((not s) << i for i, s in enumerate(mask.bits))
-            assert int(table[word]) == expect == word_unstable_bits(word, length)
+            assert int(table[word]) == expect == unstable_bits(word, length)
 
 
 def test_window_class_flags_are_interior_only():
@@ -81,6 +81,8 @@ def test_conditioning_mask_flag_range_guard():
         conditioning_mask(1, StableGap(3, 0), radius=4)  # flag at -4 not derivable
     with pytest.raises(ValueError):
         conditioning_mask(2, UnstableAtOrigin(), radius=4)
+    with pytest.raises(ValueError, match="radius 12"):
+        conditioning_mask(1, UnstableAtOrigin(), radius=13)  # 2^27 words
 
 
 def test_stable_gap_validation():
