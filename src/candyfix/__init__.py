@@ -34,9 +34,7 @@ from .lattice import (
     Configuration,
     ModelParams,
     RngStream,
-    StabilityMask,
     classify_stability,
-    count_unstable,
     is_stable,
     step,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "ProbTables",
     "RandomUnstableBlock",
     "RngStream",
-    "StabilityMask",
     "StableGap",
     "TrajectoryStats",
     "TripleUnstable",
@@ -81,7 +78,6 @@ __all__ = [
     "certify",
     "classify_stability",
     "compute_tables",
-    "count_unstable",
     "enumerate_windows",
     "estimate_kstep_prob",
     "gap_sum",

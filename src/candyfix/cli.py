@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .dyadic import Dyadic
-from .engine import certify, compute_tables, kstep_prob
+from .engine import certify, check_sweep_k, compute_tables, kstep_prob
 from .lattice import Boundary, ModelParams
 from .montecarlo import (
     ExperimentSpec,
@@ -145,7 +144,7 @@ def cmd_simulate(args) -> int:
     }
     manifest = _Manifest(out, "simulate", payload,
                          exploratory=not spec.theorem_setting)
-    stats = run_experiment(spec, threads=args.threads)
+    stats = run_experiment(spec)
     write_trajectories_jsonl(manifest.add(out / "trajectories.jsonl"), stats,
                              manifest.run_id)
     write_aggregate_csv(manifest.add(out / "aggregate.csv"), stats)
@@ -167,15 +166,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.k < 1:
-        return _fail(f"--k must be >= 1, got {args.k}")
-    if args.k > 4:
-        print(f"warning: k={args.k} needs large exact sweeps; expect heavy "
-              "memory and a long run", file=sys.stderr)
+    try:
+        check_sweep_k(args.k)
+    except ValueError as exc:
+        return _fail(str(exc))
     out = _out_dir(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResourceWarning)
-        tables = compute_tables(args.k)
+    tables = compute_tables(args.k)
     manifest = _Manifest(out, "enumerate", {"k": args.k, "engine": ENGINE_TAG})
     with open(manifest.add(out / "tables.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, **tables_to_json(tables)},
@@ -193,8 +189,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.k < 1:
-        return _fail(f"--k must be >= 1, got {args.k}")
+    try:
+        check_sweep_k(args.k)
+    except ValueError as exc:
+        return _fail(str(exc))
     tables = None
     if args.tables:
         path = Path(args.tables)
@@ -209,8 +207,6 @@ def cmd_certify(args) -> int:
             return _fail(str(exc))
         if tables.k != args.k:
             return _fail(f"tables file is for k={tables.k}, not k={args.k}")
-    elif args.no_compute:
-        return _fail("--no-compute requires --tables")
     cert = certify(args.k, tables=tables)
     out = _out_dir(args)
     manifest = _Manifest(out, "certify", {"k": args.k, "engine": ENGINE_TAG})
@@ -275,6 +271,8 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.k < 1:
+        return _fail(f"--k must be >= 1, got {args.k}")
     word = args.window
     if not all(c in "01" for c in word) or len(word) % 2 == 0:
         return _fail("window must be an odd-length binary word")
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--boundary", default="stable-exterior",
                    choices=[b.value for b in Boundary])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--kappa", type=int, default=3)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--p", default=None, help="recoloring law, e.g. 1/2,1/2")
@@ -325,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="contraction certificate")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tables", default=None, help="reuse a prior tables.json")
-    p.add_argument("--no-compute", dest="no_compute", action="store_true",
-                   help="fail instead of computing missing tables")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 

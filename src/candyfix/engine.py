@@ -102,8 +102,11 @@ def _group_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
+SWEEP_BITS = 62  # widest numerator an int64 sweep holds without overflow
+
+
 def _sweep_dtype(max_exp: int):
-    if max_exp <= 62:
+    if max_exp <= SWEEP_BITS:
         return np.int64
     warnings.warn(
         f"exact sweep needs {max_exp}-bit numerators; switching to arbitrary "
@@ -116,7 +119,7 @@ def _sweep_dtype(max_exp: int):
 # --------------------------------------------------------------------------
 
 
-def _backward_level(g_next: np.ndarray, length: int, dtype) -> np.ndarray:
+def _backward_level(g_next: np.ndarray, length: int) -> np.ndarray:
     """One backward step: values on length-(L-4) words -> values on length-L words.
 
     For a word w, the interior [2, L-3] is exactly the region whose stability
@@ -138,7 +141,7 @@ def _backward_level(g_next: np.ndarray, length: int, dtype) -> np.ndarray:
     sorted_masks = unstable_interior[order]
     del unstable_interior
     starts, ends = _group_bounds(sorted_masks)
-    g = np.zeros(size, dtype=dtype)
+    g = np.zeros(size, dtype=np.int64)
     stack = [(0, g_next.reshape((2,) * nint))]
     for s, e in zip(starts, ends):
         mask = int(sorted_masks[s])
@@ -168,20 +171,28 @@ def sweep_exponent(k: int) -> int:
     return sum(4 * r + 1 for r in range(1, k + 1))
 
 
+def check_sweep_k(k: int) -> None:
+    """Raise ValueError unless the shared k-step vector fits the sweep's numerators."""
+    if k < 1:
+        raise ValueError(f"step count must be >= 1, got {k}")
+    if sweep_exponent(k) > SWEEP_BITS:
+        raise ValueError(
+            f"k={k} needs {sweep_exponent(k)}-bit numerators; the exact sweep is "
+            f"limited to {SWEEP_BITS} bits (k <= 4)")
+
+
 def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     """The shared vector g_k over all radius-(2k+2) words, with its exponent.
 
     ``g[w] / 2**exp`` is the exact probability that the origin is unstable
     after k synchronous steps given initial colors w.
     """
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
-    dtype = _sweep_dtype(sweep_exponent(k))
-    g = ((unstable_bits(_all_words(5), 5) >> 2) & 1).astype(dtype)  # g_0 on 5-site words
+    check_sweep_k(k)
+    g = ((unstable_bits(_all_words(5), 5) >> 2) & 1).astype(np.int64)  # g_0 on 5-site words
     exp = 0
     for r in range(1, k + 1):
         length = 4 * r + 5
-        g = _backward_level(g, length, dtype)
+        g = _backward_level(g, length)
         exp += length - 4
     return g, exp
 

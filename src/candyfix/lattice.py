@@ -18,7 +18,7 @@ Boundary policies fix how runs behave at the box edge:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -104,44 +104,22 @@ class Configuration:
         return self.boundary == other.boundary and np.array_equal(self.cells, other.cells)
 
 
-@dataclass(frozen=True, eq=False)
-class StabilityMask:
-    """One boolean per site; True = stable."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool).copy()
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.bits.shape
-
-    def __eq__(self, other):
-        if not isinstance(other, StabilityMask):
-            return NotImplemented
-        return np.array_equal(self.bits, other.bits)
-
-
 _KEY_MIX = 0x9E3779B97F4A7C15  # golden-ratio odd constant, splits (seed, stream) keys
 
 
-@dataclass
+@dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
 
-    Identical (seed, stream) always yields the identical draw sequence and
-    distinct stream ids are independent, regardless of how many draws other
-    streams consumed.  Draws are grouped into per-step blocks: block ``t``
-    starts at Philox counter (0, 0, t, 0), so a step never exhausts its block
-    and trajectories stay reproducible under any trial-level parallelism.
+    ``generator_at(t)`` is a pure function of (seed, stream, t): it starts
+    Philox at counter (0, 0, t, 0), so step ``t`` draws from its own block
+    and never exhausts it.  Identical keys always yield identical draws and
+    distinct stream ids are independent, whatever other streams or steps
+    consumed.
     """
 
     seed: int
     stream: int = 0
-    _block: int = field(default=0, repr=False)
 
     def _key(self) -> np.ndarray:
         k0 = (self.seed * _KEY_MIX + self.stream) & 0xFFFFFFFFFFFFFFFF
@@ -151,11 +129,6 @@ class RngStream:
     def generator_at(self, t: int) -> np.random.Generator:
         counter = np.array([0, 0, t & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=self._key(), counter=counter))
-
-    def next_block(self) -> np.random.Generator:
-        g = self.generator_at(self._block)
-        self._block += 1
-        return g
 
 
 def _validate(config: Configuration, params: ModelParams) -> None:
@@ -200,22 +173,23 @@ def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: boo
     return out
 
 
-def classify_stability(config: Configuration, params: ModelParams) -> StabilityMask:
-    """Mark every site lying on an axis-aligned monochromatic run of >= kappa."""
+def unstable_sites(cells: np.ndarray, kappa: int, periodic: bool) -> np.ndarray:
+    """Sites on an axis-aligned monochromatic run of >= kappa, along any axis."""
+    out = _unstable_along_axis(cells, 0, kappa, periodic)
+    for axis in range(1, cells.ndim):
+        out |= _unstable_along_axis(cells, axis, kappa, periodic)
+    return out
+
+
+def classify_stability(config: Configuration, params: ModelParams) -> np.ndarray:
+    """One boolean per site, True where the site is stable."""
     _validate(config, params)
-    periodic = config.boundary == Boundary.PERIODIC
-    unstable = np.zeros(config.shape, dtype=bool)
-    for axis in range(config.d):
-        unstable |= _unstable_along_axis(config.cells, axis, params.kappa, periodic)
-    return StabilityMask(~unstable)
-
-
-def count_unstable(mask: StabilityMask) -> int:
-    return int((~mask.bits).sum())
+    return ~unstable_sites(config.cells, params.kappa,
+                           config.boundary == Boundary.PERIODIC)
 
 
 def is_stable(config: Configuration, params: ModelParams) -> bool:
-    return count_unstable(classify_stability(config, params)) == 0
+    return bool(classify_stability(config, params).all())
 
 
 def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
@@ -227,15 +201,12 @@ def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.
     return np.searchsorted(cuts, draws, side="right").astype(np.int64)
 
 
-def step(config: Configuration, params: ModelParams, rng: RngStream) -> Configuration:
+def step(config: Configuration, params: ModelParams,
+         gen: np.random.Generator) -> Configuration:
     """One synchronous recoloring: redraw exactly the currently unstable sites."""
-    mask = classify_stability(config, params)
-    unstable = ~mask.bits
-    count = int(unstable.sum())
-    if count == 0:
-        return Configuration(config.cells, config.boundary)
+    unstable = ~classify_stability(config, params)
     new_cells = config.cells.copy()
-    new_cells[unstable] = draw_colors(rng.next_block(), params, count)
+    new_cells[unstable] = draw_colors(gen, params, int(unstable.sum()))
     return Configuration(new_cells, config.boundary)
 
 

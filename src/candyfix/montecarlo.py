@@ -9,16 +9,17 @@ current edge color, so a reveal never creates or extends a chain - the
 exterior stays maximally inert, which is the reading of "stable exterior"
 under which instability still spreads at most two sites per step.
 
-Trials are independent: trial ``i`` draws from the stream (seed, i), with one
-counter block per time step, so results are bit-identical no matter how
-trials are scheduled.
+Every boundary runs through one loop on a plain color array: classify once
+per step, redraw the unstable sites, and under ``stable-exterior`` also check
+the growth bound and reveal exterior sites.  Trials are independent: trial
+``i`` draws step ``t`` from block ``t`` of the stream (seed, i), so a
+trajectory depends only on (spec, i), not on which other trials ran.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
@@ -27,13 +28,11 @@ import numpy as np
 from . import engine as _engine
 from .lattice import (
     Boundary,
-    Configuration,
     ModelParams,
     RngStream,
     _unstable_along_axis,
-    classify_stability,
     draw_colors,
-    step,
+    unstable_sites,
 )
 from .windows import WindowClass
 
@@ -91,8 +90,12 @@ class ExperimentSpec:
             if self.params.d != 1 or self.boundary != Boundary.STABLE_EXTERIOR:
                 raise ValueError(
                     "a random unstable block needs d=1 and the stable-exterior boundary")
-        if isinstance(self.initial, ExplicitWord) and self.params.d != 1:
-            raise ValueError("an explicit word needs d=1")
+        if isinstance(self.initial, ExplicitWord):
+            if self.params.d != 1:
+                raise ValueError("an explicit word needs d=1")
+            if not all(0 <= c < self.params.n for c in self.initial.colors):
+                raise ValueError(
+                    f"explicit word colors must lie in [0, {self.params.n})")
         if isinstance(self.initial, UniformRandomBox):
             if len(self.initial.shape) != self.params.d:
                 raise ValueError("box shape does not match the model dimension")
@@ -136,91 +139,25 @@ def _alternating_pads(count: int, edge_color: int, n: int) -> np.ndarray:
     return pads
 
 
-def _initial_word(spec: ExperimentSpec, stream: RngStream) -> tuple[np.ndarray, int]:
-    """Initial 1-D window content and the absolute coordinate of its left end."""
+def _initial_cells(spec: ExperimentSpec, stream: RngStream) -> np.ndarray:
     init = spec.initial
     if isinstance(init, ExplicitWord):
-        word = np.array(init.colors, dtype=np.int64)
-        return word, -(len(word) // 2)
-    gen = stream.generator_at(_INIT_BLOCK)
-    if isinstance(init, RandomUnstableBlock):
-        size = 2 * init.M + 1
-        return gen.integers(0, spec.params.n, size=size, dtype=np.int64), -init.M
-    size = init.shape[0]
-    return gen.integers(0, spec.params.n, size=size, dtype=np.int64), -(size // 2)
+        return np.array(init.colors, dtype=np.int64)
+    shape = (2 * init.M + 1,) if isinstance(init, RandomUnstableBlock) else init.shape
+    return stream.generator_at(_INIT_BLOCK).integers(
+        0, spec.params.n, size=shape, dtype=np.int64)
 
 
-def _run_growing(spec: ExperimentSpec, trial: int) -> TrajectoryStats:
-    params = spec.params
-    stream = RngStream(spec.seed, trial)
-    word, lo = _initial_word(spec, stream)
-    half = max(abs(lo), abs(lo + len(word) - 1))
-    series: list[int] = []
-    fixation = None
-    ever_lo, ever_hi = None, None
-
-    for t in range(spec.t_max + 1):
-        unstable = _unstable_along_axis(word, 0, params.kappa, periodic=False)
-        count = int(unstable.sum())
-        series.append(count)
-        if count == 0:
-            fixation = t
-            break
-        where = np.nonzero(unstable)[0]
-        a, b = lo + int(where[0]), lo + int(where[-1])
-        if a < -half - 2 * t or b > half + 2 * t:
-            raise RuntimeError(
-                f"growth bound violated at t={t}: unstable span [{a}, {b}] "
-                f"outside [{-half - 2 * t}, {half + 2 * t}]")
-        ever_lo = a if ever_lo is None else min(ever_lo, a)
-        ever_hi = b if ever_hi is None else max(ever_hi, b)
-        if t == spec.t_max:
-            break
-        word[where] = draw_colors(stream.generator_at(t), params, count)
-        # reveal exterior only when instability is within reach of the edge
-        if a - 2 < lo:
-            pads = _alternating_pads(lo - (a - 2), int(word[0]), params.n)
-            word = np.concatenate([pads[::-1], word])
-            lo = a - 2
-        hi = lo + len(word) - 1
-        if b + 2 > hi:
-            pads = _alternating_pads(b + 2 - hi, int(word[-1]), params.n)
-            word = np.concatenate([word, pads])
-    extent = None if ever_lo is None else ((ever_lo, ever_hi),)
-    return TrajectoryStats(trial, fixation, tuple(series), extent, half)
-
-
-def _run_fixed(spec: ExperimentSpec, trial: int) -> TrajectoryStats:
-    params = spec.params
-    stream = RngStream(spec.seed, trial)
-    if isinstance(spec.initial, ExplicitWord):
-        cells = np.array(spec.initial.colors, dtype=np.int64)
-    else:
-        gen = stream.generator_at(_INIT_BLOCK)
-        cells = gen.integers(0, params.n, size=spec.initial.shape, dtype=np.int64)
-    config = Configuration(cells, spec.boundary)
-    series: list[int] = []
-    fixation = None
-    ever_lo = None
-    ever_hi = None
-    for t in range(spec.t_max + 1):
-        unstable = ~classify_stability(config, params).bits
-        count = int(unstable.sum())
-        series.append(count)
-        if count == 0:
-            fixation = t
-            break
-        where = np.nonzero(unstable)
-        lo = tuple(int(w.min()) for w in where)
-        hi = tuple(int(w.max()) for w in where)
-        ever_lo = lo if ever_lo is None else tuple(map(min, ever_lo, lo))
-        ever_hi = hi if ever_hi is None else tuple(map(max, ever_hi, hi))
-        if t == spec.t_max:
-            break
-        config = step(config, params, stream)
-    extent = None if ever_lo is None else tuple(zip(ever_lo, ever_hi))
-    half = max(config.shape) // 2
-    return TrajectoryStats(trial, fixation, tuple(series), extent, half)
+def _reveal(word: np.ndarray, lo: int, a: int, b: int, n: int) -> tuple[np.ndarray, int]:
+    """Grow the window so it covers [a - 2, b + 2]; returns it and its new left end."""
+    if a - 2 < lo:
+        pads = _alternating_pads(lo - (a - 2), int(word[0]), n)
+        word = np.concatenate([pads[::-1], word])
+        lo = a - 2
+    hi = lo + len(word) - 1
+    if b + 2 > hi:
+        word = np.concatenate([word, _alternating_pads(b + 2 - hi, int(word[-1]), n)])
+    return word, lo
 
 
 def run_trajectory(spec: ExperimentSpec, trial: int) -> TrajectoryStats:
@@ -228,28 +165,52 @@ def run_trajectory(spec: ExperimentSpec, trial: int) -> TrajectoryStats:
 
     Stability is absorbing, so the loop halts at the first step with no
     unstable site; hitting t_max without fixation reports fixation_time None.
+    Under ``stable-exterior`` (1-D only) extents are absolute coordinates,
+    the initial window centered on the origin, and the window grows as
+    instability nears its edge; otherwise they are box indices.
     """
-    if spec.boundary == Boundary.STABLE_EXTERIOR and spec.params.d == 1:
-        return _run_growing(spec, trial)
-    return _run_fixed(spec, trial)
+    params = spec.params
+    stream = RngStream(spec.seed, trial)
+    cells = _initial_cells(spec, stream)
+    half = max(cells.shape) // 2
+    periodic = spec.boundary == Boundary.PERIODIC
+    growing = spec.boundary == Boundary.STABLE_EXTERIOR
+    lo = -half  # absolute coordinate of cells[0] in the growing window
+    series: list[int] = []
+    fixation = None
+    ever_lo, ever_hi = None, None
+
+    for t in range(spec.t_max + 1):
+        where = np.nonzero(unstable_sites(cells, params.kappa, periodic))
+        count = len(where[0])
+        series.append(count)
+        if count == 0:
+            fixation = t
+            break
+        first = tuple(int(w.min()) for w in where)
+        last = tuple(int(w.max()) for w in where)
+        if growing:
+            a, b = lo + first[0], lo + last[0]
+            if a < -half - 2 * t or b > half + 2 * t:
+                raise RuntimeError(
+                    f"growth bound violated at t={t}: unstable span [{a}, {b}] "
+                    f"outside [{-half - 2 * t}, {half + 2 * t}]")
+            first, last = (a,), (b,)
+        ever_lo = first if ever_lo is None else tuple(map(min, ever_lo, first))
+        ever_hi = last if ever_hi is None else tuple(map(max, ever_hi, last))
+        if t == spec.t_max:
+            break
+        cells[where] = draw_colors(stream.generator_at(t), params, count)
+        # reveal exterior only when instability is within reach of the edge
+        if growing:
+            cells, lo = _reveal(cells, lo, a, b, params.n)
+    extent = None if ever_lo is None else tuple(zip(ever_lo, ever_hi))
+    return TrajectoryStats(trial, fixation, tuple(series), extent, half)
 
 
-def _trial_range(spec: ExperimentSpec, lo: int, hi: int) -> list[TrajectoryStats]:
-    return [run_trajectory(spec, t) for t in range(lo, hi)]
-
-
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrajectoryStats]:
-    """All trials, optionally in parallel; output is independent of scheduling."""
-    if threads <= 1 or spec.trials < 4:
-        return _trial_range(spec, 0, spec.trials)
-    edges = np.linspace(0, spec.trials, threads + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(_trial_range, *zip(*[(spec, int(a), int(b))
-                                              for a, b in zip(edges, edges[1:])]))
-    out: list[TrajectoryStats] = []
-    for part in parts:
-        out.extend(part)
-    return out
+def run_experiment(spec: ExperimentSpec) -> list[TrajectoryStats]:
+    """All trials in order; trial i reads only the stream (seed, i)."""
+    return [run_trajectory(spec, trial) for trial in range(spec.trials)]
 
 
 def survival_curve(stats: list[TrajectoryStats]) -> list[tuple[int, float]]:

@@ -1,9 +1,12 @@
+import hashlib
 import json
+
+import pytest
 
 from candyfix import __version__
 from candyfix.cli import main
 from candyfix.render import tables_from_json, tables_from_text
-from candyfix.engine import compute_tables
+from candyfix.engine import compute_tables, kstep_vector
 
 
 def run(*argv):
@@ -48,6 +51,37 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert run(*args, "--out", str(tmp_path / "b")) == 0
     for name in ("trajectories.jsonl", "aggregate.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of (trajectories.jsonl, aggregate.csv); any change to the trajectory
+# loop, the stream layout or the output format shows here, and so does a new
+# __version__, which the manifest id in every trajectory line hashes
+PINNED_SIMULATIONS = (
+    (("--init", "block", "--M", "6", "--trials", "25", "--seed", "3"),
+     "9846d1e0eba1833767a9c165c83beddb0bf9b4904da0064e3d74277b5082bdd9",
+     "7b9d1a78f3824feb8bfab6871ce49ef85257d3957cd5236ccc349fad99211305"),
+    (("--init", "word:0001100011000111", "--boundary", "frozen", "--trials", "30",
+      "--seed", "4"),
+     "8823061fe2f53ec43182ef0fc742ca26b3519fd9b5f605661df66eaeb866583f",
+     "a2b44f788899545df4a8a2499f257ee153b571af239dd6bd7d2a9cd4d1edba24"),
+    (("--d", "2", "--init", "box", "--extent", "7,9", "--boundary", "periodic",
+      "--trials", "3", "--t-max", "400", "--seed", "1"),
+     "baea5f7a9a6728f820c48e95ba2b937406bc5d0c9afed1b3cd09042db49ea13c",
+     "213f591fdd499ad43715d51123d1c2a579453885ff7ce68d0e500477eb0cfdd7"),
+    (("--kappa", "4", "--n", "3", "--p", "1/4,1/4,1/2", "--init", "box",
+      "--extent", "41", "--trials", "5"),
+     "221601947a0c09146c47e6c88bf89efcfaa164f85059192f474aaa25276f0753",
+     "e3c39b2d0c33ed79ecf56dba9a4abaeaeed1370a08e95678d4553748ad1aa74a"),
+)
+
+
+def test_simulate_outputs_pinned(tmp_path):
+    for i, (args, traj, agg) in enumerate(PINNED_SIMULATIONS):
+        out = tmp_path / str(i)
+        assert run("simulate", *args, "--out", str(out)) == 0, args
+        for name, digest in (("trajectories.jsonl", traj), ("aggregate.csv", agg)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
+                (args, name)
 
 
 def test_manifest_written_and_referenced(tmp_path):
@@ -100,14 +134,20 @@ def test_certify_reuses_tables_file(tmp_path, capsys):
     assert run("enumerate", "--k", "2", "--out", str(tmp_path)) == 0
     capsys.readouterr()
     assert run("certify", "--k", "2", "--tables", str(tmp_path / "tables.json"),
-               "--no-compute", "--out", str(tmp_path)) == 0
+               "--out", str(tmp_path)) == 0
     assert "c = 121/96" in capsys.readouterr().out
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["c"] == "121/96" and cert["contraction"] is False
 
 
-def test_certify_no_compute_without_tables(tmp_path):
-    assert run("certify", "--k", "2", "--no-compute", "--out", str(tmp_path)) == 2
+def test_sweep_beyond_62_bits_refused(tmp_path, capsys):
+    # k=5 needs 65-bit numerators: refuse at once instead of an object-dtype sweep
+    with pytest.raises(ValueError, match="62 bits"):
+        kstep_vector(5)
+    for command in ("enumerate", "certify"):
+        assert run(command, "--k", "5", "--out", str(tmp_path / command)) == 2, command
+        assert "62 bits" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_certify_tables_engine_mismatch_rejected(tmp_path, capsys):
@@ -206,8 +246,28 @@ def test_probe_window(capsys):
     assert "3/2^3" in capsys.readouterr().out
 
 
+def test_probe_step_count_must_be_positive(capsys):
+    for k in ("0", "-1"):
+        assert run("probe", "--k", k, "110001011") == 2, k
+        assert "--k must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_init_rejected(tmp_path):
     assert run("simulate", "--init", "nonsense", "--out", str(tmp_path)) == 2
+
+
+def test_simulate_word_colors_out_of_range(tmp_path, capsys):
+    for boundary in ("stable-exterior", "frozen", "periodic"):
+        assert run("simulate", "--init", "word:0102", "--boundary", boundary,
+                   "--out", str(tmp_path)) == 2, boundary
+        assert "colors must lie in [0, 2)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_takes_no_threads(tmp_path):
+    # trials run in one loop; no flag selects a worker pool
+    assert run("simulate", "--threads", "2", "--out", str(tmp_path)) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_subcommand_is_usage_error():

@@ -10,7 +10,6 @@ from candyfix.lattice import (
     RngStream,
     classify_stability,
     config_to_word,
-    count_unstable,
     is_stable,
     step,
     word_to_config,
@@ -43,14 +42,14 @@ def test_chessboard_is_stable():
 def test_word_00011_mask():
     # run of three zeros: exactly the three leftmost sites unstable
     m = mask_of("00011")
-    assert m.bits.tolist() == [False, False, False, True, True]
-    assert count_unstable(m) == 3
+    assert m.tolist() == [False, False, False, True, True]
+    assert (~m).sum() == 3
 
 
 def test_2d_monochrome_box_all_unstable():
     config = Configuration(np.zeros((3, 3), dtype=int))
     mask = classify_stability(config, ModelParams(d=2))
-    assert count_unstable(mask) == 9
+    assert mask.shape == (3, 3) and not mask.any()
 
 
 def test_word_00100_stable():
@@ -67,7 +66,7 @@ def test_periodic_wrapping():
     assert is_stable(word_to_config("0110", Boundary.PERIODIC), P)
     # 0010 on a ring wraps 0..0 around the seam into a run of three
     m = mask_of("0010", Boundary.PERIODIC)
-    assert m.bits.tolist() == [False, False, True, False]
+    assert m.tolist() == [False, False, True, False]
     # frozen: the same word is stable
     assert is_stable(word_to_config("0010"), P)
     # a fully monochromatic ring shorter than kappa still wraps onto itself
@@ -96,29 +95,30 @@ def test_stable_configuration_is_fixed_point():
     config = word_to_config("0101001")
     assert is_stable(config, P)
     for seed in range(5):
-        assert step(config, P, RngStream(seed)) == config
+        assert step(config, P, RngStream(seed).generator_at(0)) == config
 
 
 def test_stable_sites_keep_colors():
     config = word_to_config("00011")
     for seed in range(20):
-        out = step(config, P, RngStream(seed))
+        out = step(config, P, RngStream(seed).generator_at(0))
         assert out.cells[3] == 1 and out.cells[4] == 1
 
 
 def test_step_determinism():
     config = word_to_config("0001100010")
-    a = step(config, P, RngStream(7, 3))
-    b = step(config, P, RngStream(7, 3))
+    a = step(config, P, RngStream(7, 3).generator_at(0))
+    b = step(config, P, RngStream(7, 3).generator_at(0))
     assert a == b
-    c = step(config, P, RngStream(7, 4))
+    c = step(config, P, RngStream(7, 4).generator_at(0))
     assert a != c
+    assert step(config, P, RngStream(7, 3).generator_at(1)) != a
 
 
 def test_step_does_not_mutate_input():
     config = word_to_config("000")
     before = config.cells.copy()
-    step(config, P, RngStream(0))
+    step(config, P, RngStream(0).generator_at(0))
     assert np.array_equal(config.cells, before)
 
 
@@ -128,7 +128,7 @@ def test_step_distribution_uniform_over_outcomes():
     n = 100_000
     counts = {}
     for trial in range(n):
-        out = step(config, P, RngStream(11, trial))
+        out = step(config, P, RngStream(11, trial).generator_at(0))
         counts[config_to_word(out)] = counts.get(config_to_word(out), 0) + 1
     assert set(counts) == {f"{w:03b}" for w in range(8)}
     se = (0.125 * 0.875 / n) ** 0.5
@@ -165,7 +165,7 @@ def test_classifier_matches_run_definition():
                     mask = classify_stability(Configuration(cells, boundary), params)
                     expect = unstable_by_definition(
                         cells, kappa, boundary == Boundary.PERIODIC)
-                    assert np.array_equal(~mask.bits, expect), (kappa, boundary, cells)
+                    assert np.array_equal(~mask, expect), (kappa, boundary, cells)
 
 
 def test_locality_of_classification():
@@ -175,11 +175,11 @@ def test_locality_of_classification():
         cells = rng.integers(0, 2, size=17)
         config = Configuration(cells)
         site = 8
-        base = classify_stability(config, P).bits[site]
+        base = classify_stability(config, P)[site]
         far = cells.copy()
         j = rng.choice([i for i in range(17) if abs(i - site) >= P.kappa])
         far[j] ^= 1
-        assert classify_stability(Configuration(far), P).bits[site] == base
+        assert classify_stability(Configuration(far), P)[site] == base
 
 
 def test_classification_symmetries():
@@ -187,10 +187,10 @@ def test_classification_symmetries():
     for _ in range(25):
         cells = rng.integers(0, 2, size=(5, 7))
         params = ModelParams(d=2)
-        base = classify_stability(Configuration(cells), params).bits
-        flipped = classify_stability(Configuration(np.flip(cells, axis=1)), params).bits
+        base = classify_stability(Configuration(cells), params)
+        flipped = classify_stability(Configuration(np.flip(cells, axis=1)), params)
         assert np.array_equal(np.flip(base, axis=1), flipped)
-        relabeled = classify_stability(Configuration(1 - cells), params).bits
+        relabeled = classify_stability(Configuration(1 - cells), params)
         assert np.array_equal(base, relabeled)
 
 
@@ -200,6 +200,12 @@ def test_rng_stream_reproducible_and_split():
     c = RngStream(5, 2).generator_at(3).integers(0, 1 << 32, size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # a step's generator is a pure function of (seed, stream, t)
+    stream = RngStream(5, 1)
+    stream.generator_at(0).integers(0, 1 << 32, size=100)
+    assert np.array_equal(stream.generator_at(3).integers(0, 1 << 32, size=4), a)
+    with pytest.raises(AttributeError):
+        stream.seed = 6
 
 
 def test_word_round_trip():

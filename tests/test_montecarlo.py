@@ -6,8 +6,16 @@ import pytest
 
 from candyfix.dyadic import Dyadic
 from candyfix.engine import certify, compute_tables, kstep_prob
-from candyfix.lattice import Boundary, ModelParams
+from candyfix.lattice import (
+    Boundary,
+    Configuration,
+    ModelParams,
+    RngStream,
+    classify_stability,
+    step,
+)
 from candyfix.montecarlo import (
+    _INIT_BLOCK,
     ExperimentSpec,
     ExplicitWord,
     RandomUnstableBlock,
@@ -98,14 +106,44 @@ def test_survival_curve_monotone():
 
 def test_reproducibility_bit_identical():
     spec = ExperimentSpec(P, RandomUnstableBlock(8), trials=20, seed=99)
-    assert run_experiment(spec) == run_experiment(spec)
+    stats = run_experiment(spec)
+    assert stats == run_experiment(spec)
+    # a trial depends only on (spec, trial), not on the trials run before it
+    for i in (0, 7, 19):
+        assert run_trajectory(spec, i) == stats[i]
     other = ExperimentSpec(P, RandomUnstableBlock(8), trials=20, seed=100)
-    assert run_experiment(other) != run_experiment(spec)
+    assert run_experiment(other) != stats
 
 
-def test_parallel_equals_serial():
-    spec = ExperimentSpec(P, RandomUnstableBlock(6), trials=12, seed=2)
-    assert run_experiment(spec, threads=3) == run_experiment(spec, threads=1)
+def test_box_trajectory_matches_iterated_step():
+    # the trajectory loop against lattice.step fed block t of the same stream
+    for params, boundary, shape in ((ModelParams(d=2), Boundary.FROZEN, (6, 5)),
+                                    (ModelParams(d=2), Boundary.PERIODIC, (4, 7)),
+                                    (ModelParams(kappa=4, n=3, recolor_dist=(
+                                        Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))),
+                                     Boundary.PERIODIC, (13,))):
+        spec = ExperimentSpec(params, UniformRandomBox(shape), boundary=boundary,
+                              trials=3, seed=12, t_max=60)
+        for trial in range(spec.trials):
+            stream = RngStream(spec.seed, trial)
+            cells = stream.generator_at(_INIT_BLOCK).integers(
+                0, params.n, size=shape, dtype=np.int64)
+            config = Configuration(cells, boundary)
+            series = []
+            for t in range(spec.t_max + 1):
+                series.append(int((~classify_stability(config, params)).sum()))
+                if series[-1] == 0 or t == spec.t_max:
+                    break
+                config = step(config, params, stream.generator_at(t))
+            assert run_trajectory(spec, trial).I_series == tuple(series)
+
+
+def test_explicit_word_colors_checked():
+    for boundary in Boundary:
+        with pytest.raises(ValueError, match="colors must lie"):
+            ExperimentSpec(P, ExplicitWord((0, 1, 0, 2)), boundary=boundary)
+        ExperimentSpec(ModelParams(n=3, recolor_dist=(Fraction(1, 3),) * 3),
+                       ExplicitWord((0, 1, 0, 2)), boundary=boundary)
 
 
 def test_jsonl_deterministic(tmp_path):

@@ -26,7 +26,7 @@ def test_unstable_bits_match_lattice_classifier():
             word = int(word)
             bits = "".join(str((word >> i) & 1) for i in range(length))
             mask = classify_stability(word_to_config(bits), params)
-            expect = sum((not s) << i for i, s in enumerate(mask.bits))
+            expect = sum((not s) << i for i, s in enumerate(mask))
             assert int(table[word]) == expect == unstable_bits(word, length)
 
 
