@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import Dyadic
-from .engine import certify, check_sweep_k, compute_tables, kstep_prob
+from .engine import EngineConsistencyError, certify, check_sweep_k, compute_tables, kstep_prob
 from .lattice import Boundary, ModelParams
 from .montecarlo import (
     ExperimentSpec,
@@ -207,7 +206,10 @@ def cmd_certify(args) -> int:
             return _fail(str(exc))
         if tables.k != args.k:
             return _fail(f"tables file is for k={tables.k}, not k={args.k}")
-    cert = certify(args.k, tables=tables)
+    try:
+        cert = certify(args.k, tables=tables)
+    except EngineConsistencyError as exc:
+        return _fail(str(exc), CORRUPT)
     out = _out_dir(args)
     manifest = _Manifest(out, "certify", {"k": args.k, "engine": ENGINE_TAG})
     with open(manifest.add(out / "certificate.json"), "w") as fh:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 
 _PAT_POW2 = re.compile(r"^(-?\d+)/2\^(\d+)$")
 _PAT_RATIO = re.compile(r"^(-?\d+)/(\d+)$")
 _PAT_INT = re.compile(r"^(-?\d+)$")
 
 
+@total_ordering
 class Dyadic:
     """Exact rational ``num / 2**exp`` with arbitrary-precision numerator."""
 
@@ -143,10 +145,6 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def _cmp_key(self, other: "Dyadic"):
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -157,37 +155,11 @@ class Dyadic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a >= b
+        e = max(self.exp, other.exp)
+        return self.num << (e - self.exp) < other.num << (e - other.exp)
 
     def __hash__(self):
         return hash(self.as_fraction())
 
     def __bool__(self):
         return self.num != 0
-
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-HALF = Dyadic(1, 1)

@@ -30,14 +30,12 @@ Each level averages over the unstable sites of every word; words sharing an
 unstable-site mask share one partial sum of the next level's values, and
 those sums are built depth first along the masks' common prefixes.
 
-The tables then come from one classification of the 2^(4k+5) window words:
-``p_unstable`` and ``p_triple`` are maxima of ``g_k`` under two masks, and
-every stable-origin word falls in exactly one gap cell, so a single grouped
-maximum fills the gap table.  :func:`worst_case` answers one conditioning at
-a time, at any radius, through a mask from :mod:`candyfix.windows`; it is the
-independent route the one-pass tables are tested against.  The per-window
-forward program (:func:`kstep_prob`) is kept as an independent implementation
-and cross-checked against the shared sweep in the test suite.
+The tables come straight out of the top level: a group's mask fixes the
+table cell of all its words, so each group's maximum folds into its cell and
+``g_k`` is never stored.  :func:`worst_case` answers one conditioning at a
+time, at any radius, through a mask from :mod:`candyfix.windows`; it is the
+independent route the tables are tested against, as the per-window forward
+program (:func:`kstep_prob`) is for the sweep.
 """
 
 from __future__ import annotations
@@ -78,12 +76,6 @@ def _all_words(length: int) -> np.ndarray:
     return np.arange(1 << length, dtype=np.int32 if length < 32 else np.int64)
 
 
-def _popcounts(arr: np.ndarray) -> np.ndarray:
-    if arr.dtype == object:
-        return np.array([int(x).bit_count() for x in arr], dtype=np.int64)
-    return np.bitwise_count(arr.astype(np.uint64)).astype(np.int64)
-
-
 @lru_cache(maxsize=None)
 def _deposits(mask: int) -> np.ndarray:
     """All placements of free bits onto the set positions of ``mask``."""
@@ -119,14 +111,16 @@ def _sweep_dtype(max_exp: int):
 # --------------------------------------------------------------------------
 
 
-def _backward_level(g_next: np.ndarray, length: int) -> np.ndarray:
-    """One backward step: values on length-(L-4) words -> values on length-L words.
+def _backward_level(g_next: np.ndarray, length: int):
+    """One backward step from values on length-(L-4) words to length-L words.
 
-    For a word w, the interior [2, L-3] is exactly the region whose stability
-    the word determines and the region the next level's words live on.  The
-    value is the average of g_next over the 2^u joint recolorings of w's u
-    unstable interior sites; stored integers pick up a factor 2^(L-4-u) so
-    the whole level shares the exponent increment L-4.
+    Yields ``(mask, words, values)`` for each group of words sharing an
+    unstable interior mask.  For a word w, the interior [2, L-3] is exactly
+    the region whose stability the word determines and the region the next
+    level's words live on.  The value is the average of g_next over the 2^u
+    joint recolorings of w's u unstable interior sites; stored integers pick
+    up a factor 2^(L-4-u) so the whole level shares the exponent increment
+    L-4.
 
     The unstable-mask groups are visited in ascending mask order, which walks
     the trie of high-bit prefixes depth first.  The sum of g_next over the
@@ -135,13 +129,11 @@ def _backward_level(g_next: np.ndarray, length: int) -> np.ndarray:
     path serves every group; it never holds more than g_next's own size.
     """
     nint = length - 4
-    size = 1 << length
     unstable_interior = (unstable_bits(_all_words(length), length) >> 2) & ((1 << nint) - 1)
     order = np.argsort(unstable_interior, kind="stable")
     sorted_masks = unstable_interior[order]
     del unstable_interior
     starts, ends = _group_bounds(sorted_masks)
-    g = np.zeros(size, dtype=np.int64)
     stack = [(0, g_next.reshape((2,) * nint))]
     for s, e in zip(starts, ends):
         mask = int(sorted_masks[s])
@@ -162,47 +154,40 @@ def _backward_level(g_next: np.ndarray, length: int) -> np.ndarray:
         for p in range(nint - 1, -1, -1):
             if not (mask >> p) & 1:
                 v = (v << 1) | ((words >> (p + 2)) & 1)
-        g[words] = flat[v] << (nint - mask.bit_count())
-    return g
-
-
-def sweep_exponent(k: int) -> int:
-    """Exponent of the shared k-step vector: sum of interior sizes per level."""
-    return sum(4 * r + 1 for r in range(1, k + 1))
+        yield mask, words, flat[v] << (nint - mask.bit_count())
 
 
 def check_sweep_k(k: int) -> None:
-    """Raise ValueError unless the shared k-step vector fits the sweep's numerators."""
+    """Raise ValueError unless the shared k-step vector fits the sweep's numerators.
+
+    Level r adds its interior size, 4r+1, to the exponent.
+    """
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    if sweep_exponent(k) > SWEEP_BITS:
-        raise ValueError(
-            f"k={k} needs {sweep_exponent(k)}-bit numerators; the exact sweep is "
-            f"limited to {SWEEP_BITS} bits (k <= 4)")
+    bits = sum(4 * r + 1 for r in range(1, k + 1))
+    if bits > SWEEP_BITS:
+        raise ValueError(f"k={k} needs {bits}-bit numerators; the exact sweep is "
+                         f"limited to {SWEEP_BITS} bits (k <= 4)")
 
 
 def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     """The shared vector g_k over all radius-(2k+2) words, with its exponent.
 
     ``g[w] / 2**exp`` is the exact probability that the origin is unstable
-    after k synchronous steps given initial colors w.
+    after k synchronous steps given initial colors w; k=0 gives the 5-site
+    instability indicator.
     """
-    check_sweep_k(k)
+    if k:
+        check_sweep_k(k)
     g = ((unstable_bits(_all_words(5), 5) >> 2) & 1).astype(np.int64)  # g_0 on 5-site words
     exp = 0
     for r in range(1, k + 1):
         length = 4 * r + 5
-        g = _backward_level(g, length)
+        g_next, g = g, np.zeros(1 << length, dtype=np.int64)
+        for _, words, values in _backward_level(g_next, length):
+            g[words] = values
         exp += length - 4
     return g, exp
-
-
-def masked_max(values: np.ndarray, mask: np.ndarray, conditioning="conditioning") -> int:
-    """Maximum of the (nonnegative) values under a mask; raises if it selects nothing."""
-    best = values.max(where=mask, initial=-1)
-    if best < 0:
-        raise UnrealizableConditioningError(f"{conditioning} selects no window")
-    return int(best)
 
 
 # --------------------------------------------------------------------------
@@ -260,49 +245,49 @@ def worst_case(
     else:
         idx = np.arange(1 << (2 * radius + 1), dtype=np.int64)
         values = g[(idx >> (radius - base)) & ((1 << (2 * base + 1)) - 1)]
-    return Dyadic(masked_max(values, mask, conditioning), exp)
+    best = values.max(where=mask, initial=-1)
+    if best < 0:
+        raise UnrealizableConditioningError(f"{conditioning} selects no window")
+    return Dyadic(int(best), exp)
 
 
 def compute_tables(k: int) -> ProbTables:
     """All worst-case tables for k steps; exact maxima over every window class.
 
-    One classification of the radius-(2k+2) words serves every entry: the two
-    headline probabilities are maxima under a mask, and each stable-origin
-    word lies in exactly one gap cell (n, m), its stable run lengths to the
-    left and right of the origin clipped at 2k, so one grouped maximum fills
-    the whole gap table.
+    Runs the sweep to level k-1 and folds each top-level group's maximum into
+    its cell.  The group's interior mask covers sites -2k..2k with the origin
+    at bit 2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if
+    bits 2k-1..2k+1 are all set; otherwise the cell is the gap (n, m) of the
+    stable runs beside the origin, clipped at 2k.
     """
-    g, exp = kstep_vector(k)
-    radius = 2 * k + 2
-    length = 2 * radius + 1
+    check_sweep_k(k)
+    g, exp = kstep_vector(k - 1)
     sat = 2 * k
-    unstable = unstable_bits(_all_words(length), length)
+    best: dict[Conditioning, int] = {}
+    for mask, _, values in _backward_level(g, 4 * k + 5):
+        if mask >> sat & 1:
+            cells = [UnstableAtOrigin()]
+            if mask >> (sat - 1) & 7 == 7:
+                cells.append(TripleUnstable())
+        else:  # the stable runs are the clear bits just below and above bit 2k
+            left, right = mask & ((1 << sat) - 1), mask >> (sat + 1)
+            n = sat - left.bit_length()
+            m = (right & -right).bit_length() - 1 if right else sat
+            cells = [StableGap(n, m)]
+        top = int(values.max())
+        for cell in cells:
+            best[cell] = max(best.get(cell, -1), top)
+    exp += 4 * k + 1
 
-    def stable(x: int) -> np.ndarray:
-        return (unstable >> (x + radius)) & 1 == 0
+    def entry(cell: Conditioning) -> Dyadic:
+        if cell not in best:
+            raise UnrealizableConditioningError(f"{cell} selects no window")
+        return Dyadic(best[cell], exp)
 
-    origin = stable(0)
-    p_unstable = masked_max(g, ~origin, UnstableAtOrigin())
-    p_triple = masked_max(g, ~(origin | stable(-1) | stable(1)), TripleUnstable())
-
-    def run_length(sign: int) -> np.ndarray:
-        """Stable sites beside a stable origin on one side, clipped at sat."""
-        run = origin.copy()
-        count = np.zeros(run.shape, dtype=np.int16)
-        for d in range(1, sat + 1):
-            run &= stable(sign * d)
-            count += run
-        return count
-
-    cell = (run_length(-1)[origin], run_length(1)[origin])
-    del unstable
-    best = np.full((sat + 1, sat + 1), -1, dtype=g.dtype)
-    np.maximum.at(best, cell, g[origin])
-    if (best < 0).any():
-        n, m = (int(i) for i in np.argwhere(best < 0)[0])
-        raise UnrealizableConditioningError(f"{StableGap(n, m)} selects no window")
-    p_gap = tuple(tuple(Dyadic(int(v), exp) for v in row) for row in best)
-    return ProbTables(k, Dyadic(p_unstable, exp), Dyadic(p_triple, exp), p_gap)
+    p_unstable, p_triple = entry(UnstableAtOrigin()), entry(TripleUnstable())
+    p_gap = tuple(tuple(entry(StableGap(n, m)) for m in range(sat + 1))
+                  for n in range(sat + 1))
+    return ProbTables(k, p_unstable, p_triple, p_gap)
 
 
 # --------------------------------------------------------------------------
@@ -347,8 +332,7 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
             values = state[support]
             unstable = (unstable_bits(support, cur) >> 2) & inner_mask
             bases = ((support >> 2) & inner_mask) & ~unstable
-            counts = _popcounts(unstable)
-            umax = int(counts.max())
+            umax = int(np.bitwise_count(unstable).max())
             order = np.argsort(unstable, kind="stable")
             starts, ends = _group_bounds(unstable[order])
             nxt = np.zeros(1 << nint, dtype=dtype)
@@ -396,7 +380,7 @@ def one_step_oracle(window: WindowClass) -> Dyadic:
 # --------------------------------------------------------------------------
 
 
-def gap_sum(k: int, size: int, tables: ProbTables) -> Dyadic:
+def gap_sum(size: int, tables: ProbTables) -> Dyadic:
     """Expected-instability bound for a bounded stable region of ``size`` sites."""
     if size < 1:
         raise ValueError(f"gap size must be >= 1, got {size}")
@@ -406,17 +390,17 @@ def gap_sum(k: int, size: int, tables: ProbTables) -> Dyadic:
     return total
 
 
-def max_gap_sum(k: int, tables: ProbTables) -> tuple[int, Dyadic]:
+def max_gap_sum(tables: ProbTables) -> tuple[int, Dyadic]:
     """The maximizing gap size in 1..2*sat and its sum (constant beyond that)."""
-    best_size, best = 1, gap_sum(k, 1, tables)
+    best_size, best = 1, gap_sum(1, tables)
     for size in range(2, 2 * tables.sat + 1):
-        s = gap_sum(k, size, tables)
+        s = gap_sum(size, tables)
         if s > best:
             best_size, best = size, s
     return best_size, best
 
 
-def unbounded_sum(k: int, tables: ProbTables) -> Dyadic:
+def unbounded_sum(tables: ProbTables) -> Dyadic:
     """Expected-instability bound for a one-sided-infinite stable region.
 
     Computed as the saturated-column sum; by saturation plus the vanishing of
@@ -427,10 +411,10 @@ def unbounded_sum(k: int, tables: ProbTables) -> Dyadic:
     total = Dyadic(0)
     for i in range(1, sat + 1):
         total = total + tables.p_gap_at(i - 1, sat)
-    full = gap_sum(k, 2 * sat, tables)
+    full = gap_sum(2 * sat, tables)
     if total + total != full:
         raise EngineConsistencyError(
-            f"unbounded-region identity failed at k={k}: {total} doubled != {full}")
+            f"unbounded-region identity failed at k={tables.k}: {total} doubled != {full}")
     return total
 
 
@@ -458,10 +442,15 @@ class Certificate:
 
 
 def certify(k: int, tables: ProbTables | None = None) -> Certificate:
-    """Assemble the contraction certificate for k steps, exactly."""
+    """Assemble the contraction certificate for k steps, exactly.
+
+    Raises :class:`EngineConsistencyError` if the tables break the
+    unbounded-region identity (see :func:`unbounded_sum`).
+    """
     if tables is None:
         tables = compute_tables(k)
-    arg, gap = max_gap_sum(k, tables)
+    unbounded_sum(tables)
+    arg, gap = max_gap_sum(tables)
     term_triple = Fraction(1, 3) * tables.p_triple.as_fraction()
     term_unstable = Fraction(2, 3) * tables.p_unstable.as_fraction()
     term_gap = Fraction(1, 3) * gap.as_fraction()

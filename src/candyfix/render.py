@@ -48,18 +48,37 @@ def tables_to_json(tables: ProbTables) -> dict:
 
 
 class TablesFormatError(ValueError):
-    """A tables document is missing a field or has the wrong shape."""
+    """A tables document is missing a field, has the wrong shape or breaks an invariant."""
 
 
 class EngineMismatchError(ValueError):
     """A tables document was computed for another model than :data:`ENGINE`."""
 
 
+def check_tables(tables: ProbTables) -> ProbTables:
+    """Return the tables unless they break an invariant every computed table holds."""
+    gap, sat = tables.p_gap, tables.sat
+    cells = [(n, m) for n in range(sat + 1) for m in range(sat + 1)]
+    for name, e in [("pI", tables.p_unstable), ("pIII", tables.p_triple)] + [
+            (f"pS[{n}][{m}]", gap[n][m]) for n, m in cells]:
+        if not 0 <= e <= 1:
+            raise TablesFormatError(f"{name} = {e} is not in [0, 1]")
+    for n, m in cells:
+        if gap[n][m] != gap[m][n]:
+            raise TablesFormatError(f"pS is not symmetric: pS[{n}][{m}] != pS[{m}][{n}]")
+    if gap[sat][sat]:
+        raise TablesFormatError(f"pS[{sat}][{sat}] = {gap[sat][sat]}, not 0")
+    if tables.p_triple > tables.p_unstable:
+        raise TablesFormatError(f"pIII = {tables.p_triple} exceeds pI = {tables.p_unstable}")
+    return tables
+
+
 def tables_from_json(obj: dict) -> ProbTables:
     """Parse the JSON schema.
 
-    Refuses a document for another engine (:class:`EngineMismatchError`),
-    and missing fields or a misshapen gap table (:class:`TablesFormatError`).
+    Refuses a document for another engine (:class:`EngineMismatchError`), and
+    missing fields, a misshapen gap table or a table that fails
+    :func:`check_tables` (:class:`TablesFormatError`).
     """
     try:
         k = int(obj["k"])
@@ -79,7 +98,7 @@ def tables_from_json(obj: dict) -> ProbTables:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise TablesFormatError(f"bad tables document: {exc!r}") from exc
-    return ProbTables(k, p_unstable, p_triple, p_gap)
+    return check_tables(ProbTables(k, p_unstable, p_triple, p_gap))
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -148,7 +167,7 @@ def tables_to_text(tables: ProbTables) -> str:
 
 
 def tables_from_text(text: str) -> ProbTables:
-    """Parse the text rendering back into the identical table value."""
+    """Parse the text rendering back into the identical table value (checked)."""
     lines = [ln.strip() for ln in text.splitlines()]
     fields = {}
     for ln in lines:
@@ -174,12 +193,12 @@ def tables_from_text(text: str) -> ProbTables:
         tuple(entries[(min(n, m), max(n, m))] for m in range(sat + 1))
         for n in range(sat + 1)
     )
-    return ProbTables(
+    return check_tables(ProbTables(
         k=k,
         p_unstable=Dyadic.parse(fields["p_unstable"].partition("=")[0]),
         p_triple=Dyadic.parse(fields["p_triple"].partition("=")[0]),
         p_gap=p_gap,
-    )
+    ))
 
 
 def certificate_to_text(cert: Certificate) -> str:

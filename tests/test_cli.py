@@ -5,8 +5,9 @@ import pytest
 
 from candyfix import __version__
 from candyfix.cli import main
+from candyfix.dyadic import Dyadic
+from candyfix.engine import ProbTables, compute_tables, kstep_vector
 from candyfix.render import tables_from_json, tables_from_text
-from candyfix.engine import compute_tables, kstep_vector
 
 
 def run(*argv):
@@ -177,6 +178,45 @@ def test_certify_truncated_tables_is_corrupt(tmp_path, capsys):
         assert run("certify", "--k", "2", "--tables", str(tmp_path / name),
                    "--out", str(tmp_path / "c")) == 3, name
         assert "corrupt tables file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell, value, check", [
+    (("pI",), {"num": -3, "exp": 0}, "pI = -3 is not in [0, 1]"),
+    (("pS", 0, 1), {"num": 1, "exp": 3}, "pS is not symmetric"),
+    (("pS", 2, 2), {"num": 1, "exp": 0}, "pS[2][2] = 1, not 0"),
+])
+def test_certify_doctored_tables_refused(tmp_path, capsys, cell, value, check):
+    # a well-formed file whose table no enumeration could produce
+    assert run("enumerate", "--k", "1", "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "tables.json").read_text())
+    *path, last = cell
+    holder = doc
+    for key in path:
+        holder = holder[key]
+    assert holder[last] != value
+    holder[last] = value
+    (tmp_path / "doctored.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("certify", "--k", "1", "--tables", str(tmp_path / "doctored.json"),
+               "--out", str(tmp_path / "c")) == 3
+    captured = capsys.readouterr()
+    assert "corrupt tables file" in captured.err and check in captured.err
+    assert "c = " not in captured.out
+    assert not (tmp_path / "c" / "certificate.json").exists()
+
+
+def test_certify_inconsistent_tables_refused(tmp_path, capsys, monkeypatch):
+    # tables that break the unbounded-region identity never reach a certificate
+    import candyfix.engine as engine_mod
+
+    good = compute_tables(1)
+    gap = [list(row) for row in good.p_gap]
+    gap[0][2] = Dyadic(1)
+    bad = ProbTables(1, good.p_unstable, good.p_triple, tuple(map(tuple, gap)))
+    monkeypatch.setattr(engine_mod, "compute_tables", lambda k: bad)
+    assert run("certify", "--k", "1", "--out", str(tmp_path)) == 3
+    assert "unbounded-region identity" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_engine_commands_take_no_threads(tmp_path):

@@ -8,10 +8,13 @@ the engine after that oracle, the forward/backward agreement and the Monte
 Carlo harness all converged on them.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 from candyfix.dyadic import Dyadic
 from candyfix.engine import certify, compute_tables, gap_sum, kstep_prob, max_gap_sum
+from candyfix.render import tables_to_json
 from candyfix.windows import StableGap, UnstableAtOrigin, enumerate_windows, reduced_class_key
 
 D = Dyadic.parse
@@ -90,8 +93,8 @@ def test_k1_gap_2_2_all_zero():
 
 def test_k1_gap_sum_and_certificate():
     tables = compute_tables(1)
-    assert gap_sum(1, 1, tables) == D("1/2")
-    arg, best = max_gap_sum(1, tables)
+    assert gap_sum(1, tables) == D("1/2")
+    arg, best = max_gap_sum(tables)
     assert (arg, best) == (4, Dyadic(2))
     cert = certify(1, tables=tables)
     assert cert.c == Fraction(5, 4)
@@ -124,3 +127,10 @@ def test_k4_certificate_exact(tables_k4):
     assert (cert.gap_argmax, cert.gap_max) == (16, D("2371247/2^20"))
     assert cert.c == Fraction(200344049, 201326592)
     assert cert.contraction
+
+
+def test_k4_tables_all_cells_pinned(tables_k4):
+    # every one of the 83 k=4 entries, not only the certificate's terms
+    doc = json.dumps(tables_to_json(tables_k4), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == (
+        "6120f201e1600805a5446d6af7152c81718dfd1b6ef171d4d1a201d8c982e51e")

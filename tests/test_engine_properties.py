@@ -13,7 +13,6 @@ from candyfix.engine import (
     gap_sum,
     kstep_prob,
     kstep_vector,
-    masked_max,
     one_step_oracle,
     unbounded_sum,
     window_sufficiency_check,
@@ -70,16 +69,16 @@ def test_saturation_literal_side_beyond_threshold():
 
 def test_gap_sum_constant_beyond_4k():
     for k, tables in TABLES.items():
-        base = gap_sum(k, 4 * k, tables)
+        base = gap_sum(4 * k, tables)
         for size in (4 * k + 1, 4 * k + 3, 4 * k + 7):
-            assert gap_sum(k, size, tables) == base, (k, size)
+            assert gap_sum(size, tables) == base, (k, size)
 
 
 def test_unbounded_sum_identity():
     for k, tables in TABLES.items():
-        total = unbounded_sum(k, tables)
-        assert total + total == gap_sum(k, 4 * k, tables), k
-    assert unbounded_sum(1, TABLES[1]) == Dyadic(1)
+        total = unbounded_sum(tables)
+        assert total + total == gap_sum(4 * k, tables), k
+    assert unbounded_sum(TABLES[1]) == Dyadic(1)
 
 
 def test_unbounded_sum_identity_violation_is_fatal():
@@ -89,7 +88,7 @@ def test_unbounded_sum_identity_violation_is_fatal():
     bad = ProbTables(tables.k, tables.p_unstable, tables.p_triple,
                      tuple(tuple(r) for r in broken))
     with pytest.raises(EngineConsistencyError):
-        unbounded_sum(1, bad)
+        unbounded_sum(bad)
 
 
 def test_oracle_equivalence_all_k1_windows():
@@ -145,12 +144,6 @@ def test_truncated_radius_fails_sufficiency():
     assert not window_sufficiency_check(1, windows=[WindowClass.from_word(word, 2)])
 
 
-def test_masked_max_empty_reports():
-    g, _ = kstep_vector(1)
-    with pytest.raises(UnrealizableConditioningError):
-        masked_max(g, np.zeros(len(g), dtype=bool))
-
-
 def test_parallel_tables_bit_identical():
     # the tables hold no state between calls, so concurrent calls agree
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -171,8 +164,6 @@ def test_worst_case_empty_reports(monkeypatch):
 def test_tables_empty_gap_cell_reports(monkeypatch):
     import candyfix.engine as engine_mod
 
-    vector = kstep_vector(1)
-    monkeypatch.setattr(engine_mod, "kstep_vector", lambda k: vector)
     # every site unstable: no window has a stable origin, so every gap cell is empty
     monkeypatch.setattr(engine_mod, "unstable_bits",
                         lambda words, length: np.full_like(words, (1 << length) - 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from candyfix.dyadic import Dyadic
-from candyfix.engine import certify, compute_tables, kstep_prob
+from candyfix.engine import certify, kstep_prob
 from candyfix.lattice import (
     Boundary,
     Configuration,
