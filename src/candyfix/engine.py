@@ -28,7 +28,8 @@ is exactly why radius 2k+2 suffices for k steps - a claim
 
 Each level averages over the unstable sites of every word; words sharing an
 unstable-site mask share one partial sum of the next level's values, and
-those sums are built depth first along the masks' common prefixes.
+those sums are built depth first along the masks' common prefixes.  A
+level's per-word work is one key sort and one table-driven index pass.
 
 The tables come straight out of the top level: a group's mask fixes the
 table cell of all its words, so each group's maximum folds into its cell and
@@ -71,11 +72,6 @@ class EngineConsistencyError(AssertionError):
 # --------------------------------------------------------------------------
 
 
-def _all_words(length: int) -> np.ndarray:
-    """Every word of ``length`` sites, in 32 bits while they fit (half the memory)."""
-    return np.arange(1 << length, dtype=np.int32 if length < 32 else np.int64)
-
-
 @lru_cache(maxsize=None)
 def _deposits(mask: int) -> np.ndarray:
     """All placements of free bits onto the set positions of ``mask``."""
@@ -92,6 +88,40 @@ def _group_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.r_[0, cuts]
     ends = np.r_[cuts, len(sorted_vals)]
     return starts, ends
+
+
+_CHUNK = 9  # bits of mask and word one lookup in the pext table covers
+_BLOCK = 1 << 16  # words per pass of a level's whole-array work: small temporaries
+
+
+@lru_cache(maxsize=None)
+def _pext_table() -> np.ndarray:
+    """Entry ``(m << _CHUNK) | w``: w's bits at m's set positions, lowest most significant."""
+    w = np.arange(1 << _CHUNK, dtype=np.int16)
+    rows = [np.zeros_like(w)]
+    for m in range(1, 1 << _CHUNK):  # row m is row m-without-its-top-bit, then that bit
+        top = m.bit_length() - 1
+        rows.append((rows[m ^ (1 << top)] << 1) | ((w >> top) & 1))
+    packed = np.concatenate(rows)
+    packed.setflags(write=False)
+    return packed
+
+
+def _stable_index(masks: np.ndarray, words: np.ndarray, nint: int) -> np.ndarray:
+    """Each word's bits at the clear positions of its unstable interior mask, lowest
+    site most significant: one :func:`_pext_table` lookup per chunk, low chunk first."""
+    table = _pext_table()
+    full, chunk = (1 << nint) - 1, (1 << _CHUNK) - 1
+    out = np.zeros(len(masks), dtype=np.int32)
+    for lo in range(0, len(masks), _BLOCK):
+        stable = ~masks[lo: lo + _BLOCK] & full
+        interior = (words[lo: lo + _BLOCK] >> 2) & full
+        idx = out[lo: lo + _BLOCK]
+        for shift in range(0, nint, _CHUNK):
+            sc = (stable >> shift) & chunk
+            idx <<= np.bitwise_count(sc)
+            idx |= table[(sc << _CHUNK) | ((interior >> shift) & chunk)]
+    return out
 
 
 SWEEP_BITS = 62  # widest numerator an int64 sweep holds without overflow
@@ -122,21 +152,34 @@ def _backward_level(g_next: np.ndarray, length: int):
     up a factor 2^(L-4-u) so the whole level shares the exponent increment
     L-4.
 
-    The unstable-mask groups are visited in ascending mask order, which walks
-    the trie of high-bit prefixes depth first.  The sum of g_next over the
-    axes of mask U is the sum for U without its lowest set bit, summed over
-    that bit's axis, so a stack of partial sums along the current root-to-leaf
-    path serves every group; it never holds more than g_next's own size.
+    One in-place sort of int64 keys ``(mask << L) | word`` orders the level
+    by mask, then word, and walks the trie of high-bit mask prefixes depth
+    first.  The sum of g_next over the axes of mask U is the sum for U
+    without its lowest set bit, summed over that bit's axis, so a stack of
+    partial sums along the current root-to-leaf path serves every group; it
+    never holds more than g_next's own size.  Interior site p lies on axis p,
+    so the frequent low-site sums add outer halves, and a partial sum's flat
+    index is the word's stable interior bits packed lowest site first, which
+    :func:`_stable_index` computes for the whole level in one pass.
     """
     nint = length - 4
-    unstable_interior = (unstable_bits(_all_words(length), length) >> 2) & ((1 << nint) - 1)
-    order = np.argsort(unstable_interior, kind="stable")
-    sorted_masks = unstable_interior[order]
-    del unstable_interior
-    starts, ends = _group_bounds(sorted_masks)
-    stack = [(0, g_next.reshape((2,) * nint))]
+    full = (1 << nint) - 1
+    keys = np.empty(1 << length, dtype=np.int64)
+    for lo in range(0, len(keys), _BLOCK):
+        words = np.arange(lo, min(lo + _BLOCK, len(keys)), dtype=np.int32)
+        unstable = ((unstable_bits(words, length) >> 2) & full).astype(np.int64)
+        keys[lo: lo + _BLOCK] = (unstable << length) | words
+    keys.sort()
+    words = keys.astype(np.int32)  # the low 32 bits; the mask's bits cleared next
+    words &= (1 << length) - 1
+    keys >>= length
+    masks = keys.astype(np.int32)
+    del keys  # frees 8 bytes a word while the groups run; no view of it may remain
+    index = _stable_index(masks, words, nint)
+    starts, ends = _group_bounds(masks)
+    stack = [(0, np.ascontiguousarray(g_next.reshape((2,) * nint).transpose()))]
     for s, e in zip(starts, ends):
-        mask = int(sorted_masks[s])
+        mask = int(masks[s])
         # pop every partial sum whose mask is not a high-bit prefix of this one
         while mask & -(stack[-1][0] & -stack[-1][0]) != stack[-1][0]:
             stack.pop()
@@ -145,16 +188,10 @@ def _backward_level(g_next: np.ndarray, length: int):
         while rest:
             p = rest.bit_length() - 1
             rest ^= 1 << p
-            summed = summed.sum(axis=nint - 1 - p, keepdims=True)
+            summed = summed.sum(axis=p, keepdims=True)
             prefix |= 1 << p
             stack.append((prefix, summed))
-        flat = summed.ravel()
-        words = order[s:e]
-        v = np.zeros(words.shape, dtype=np.int64)
-        for p in range(nint - 1, -1, -1):
-            if not (mask >> p) & 1:
-                v = (v << 1) | ((words >> (p + 2)) & 1)
-        yield mask, words, flat[v] << (nint - mask.bit_count())
+        yield mask, words[s:e], summed.ravel()[index[s:e]] << (nint - mask.bit_count())
 
 
 def check_sweep_k(k: int) -> None:
@@ -179,7 +216,7 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     """
     if k:
         check_sweep_k(k)
-    g = ((unstable_bits(_all_words(5), 5) >> 2) & 1).astype(np.int64)  # g_0 on 5-site words
+    g = ((unstable_bits(np.arange(32), 5) >> 2) & 1).astype(np.int64)  # g_0 on 5-site words
     exp = 0
     for r in range(1, k + 1):
         length = 4 * r + 5

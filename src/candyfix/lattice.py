@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -60,18 +61,22 @@ class ModelParams:
     def uniform_two_color(self) -> bool:
         return self.n == 2 and self.recolor_dist == (Fraction(1, 2), Fraction(1, 2))
 
+    @cached_property
     def sampling_cuts(self) -> np.ndarray:
         """Cumulative thresholds on a 64-bit draw for inversion sampling.
 
         Exact whenever every cumulative probability has a denominator dividing
         2**64 (all dyadic distributions); otherwise accurate to 2**-64.
+        Computed once per instance and read-only, since every draw shares it.
         """
         cuts = []
         acc = Fraction(0)
         for p in self.recolor_dist[:-1]:
             acc += p
             cuts.append((acc.numerator << 64) // acc.denominator)
-        return np.array(cuts, dtype=np.uint64)
+        cuts = np.array(cuts, dtype=np.uint64)
+        cuts.setflags(write=False)
+        return cuts
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +156,8 @@ def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: boo
     axis outermost is processed along its long inner axis throughout.
     """
     out = np.zeros(cells.shape, dtype=bool)
-    a = np.moveaxis(cells, axis, -1)
+    last = axis == cells.ndim - 1
+    a = cells if last else np.moveaxis(cells, axis, -1)
     length = a.shape[-1]
     if periodic:
         a = np.take(a, np.arange(length + kappa - 1) % length, axis=-1)
@@ -164,7 +170,7 @@ def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: boo
     start = eq[..., :starts]
     for j in range(1, kappa - 1):
         start = start & eq[..., j: j + starts]
-    line = np.moveaxis(out, axis, -1)  # a view: writes land in out
+    line = out if last else np.moveaxis(out, axis, -1)  # a view: writes land in out
     for j in range(kappa):
         if periodic:
             line |= np.roll(start, j, axis=-1)
@@ -197,8 +203,7 @@ def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.
     if size == 0:
         return np.zeros(0, dtype=np.int64)
     draws = gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
-    cuts = params.sampling_cuts()
-    return np.searchsorted(cuts, draws, side="right").astype(np.int64)
+    return np.searchsorted(params.sampling_cuts, draws, side="right").astype(np.int64)
 
 
 def step(config: Configuration, params: ModelParams,

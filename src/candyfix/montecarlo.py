@@ -242,6 +242,16 @@ class EstimatedProb:
     trials: int
 
 
+def _coins(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """``gen.integers(0, 2, shape, dtype=np.int8)``, read straight off the raw stream:
+    numpy takes each such coin as the top bit of the next (little-endian) byte."""
+    size = shape[0] * shape[1]
+    raw = gen.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
+    coins = raw.view(np.uint8)[:size]
+    coins >>= 7
+    return coins.view(np.int8).reshape(shape)
+
+
 def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> EstimatedProb:
     """Empirical frequency of an unstable origin after k steps, with its SE.
 
@@ -262,7 +272,7 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
     for t in range(k):
         unstable = _unstable_along_axis(words, 0, 3, periodic=False)
         # drawn trials x sites: trial i, site j reads the stream as it always has
-        draws = stream.generator_at(t).integers(0, 2, size=(trials, len(colors)), dtype=np.int8)
+        draws = _coins(stream.generator_at(t), (trials, len(colors)))
         words = np.where(unstable, draws.T, words)
     # the origin's flag reads only the five sites around it
     near = words[window.radius - 2: window.radius + 3]

@@ -12,8 +12,11 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from candyfix.dyadic import Dyadic
-from candyfix.engine import certify, compute_tables, gap_sum, kstep_prob, max_gap_sum
+from candyfix.engine import (
+    certify, compute_tables, gap_sum, kstep_prob, kstep_vector, max_gap_sum)
 from candyfix.render import tables_to_json
 from candyfix.windows import StableGap, UnstableAtOrigin, enumerate_windows, reduced_class_key
 
@@ -134,3 +137,19 @@ def test_k4_tables_all_cells_pinned(tables_k4):
     doc = json.dumps(tables_to_json(tables_k4), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == (
         "6120f201e1600805a5446d6af7152c81718dfd1b6ef171d4d1a201d8c982e51e")
+
+
+def test_kstep_vectors_pinned():
+    # every value of g_0..g_4, so any change to the sweep's arithmetic or
+    # scatter order shows here, not only in the tables' maxima
+    expect = {
+        0: (0, "964064ac75ecad53939b98d37e72e3d8d305b9210486fa237937a28190fad864"),
+        1: (5, "c103da6b23f9f3b9b0a8641fe5f0a200f893f194c6e8223815c3e1a6ba806564"),
+        2: (14, "d732207021a18df9c6721644a29b4c3a81789a83c2dc7960a9fcfa6bedc558b4"),
+        3: (27, "388fbd81d89d3a08d5d3c67e6901017b654927aa5aaab4e7f33899508337a8a0"),
+        4: (44, "3a116a80b793319cb68e8df8508844cea25447fd5c727c10ef53f4717d4e95cd"),
+    }
+    for k, (exp, digest) in expect.items():
+        g, e = kstep_vector(k)
+        assert g.dtype == np.int64 and g.shape == (1 << (4 * k + 5),), k
+        assert (e, hashlib.sha256(g.tobytes()).hexdigest()) == (exp, digest), k

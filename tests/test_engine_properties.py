@@ -8,6 +8,9 @@ import pytest
 from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     EngineConsistencyError,
+    _backward_level,
+    _deposits,
+    _stable_index,
     ProbTables,
     compute_tables,
     gap_sum,
@@ -25,6 +28,7 @@ from candyfix.windows import (
     UnstableAtOrigin,
     WindowClass,
     enumerate_windows,
+    unstable_bits,
 )
 
 TABLES = {k: compute_tables(k) for k in (1, 2)}
@@ -190,3 +194,42 @@ def test_enumerate_windows_probabilities_realize_table_maxima():
     tables = TABLES[1]
     wins = enumerate_windows(1, StableGap(0, 1))
     assert max(kstep_prob(w, 1) for w in wins) == tables.p_gap[0][1]
+
+
+def test_stable_index_matches_bitwise_pext():
+    # the table-driven index against the bit-by-bit definition: the stable
+    # interior bits of the word, lowest site most significant; more pairs
+    # than one block, and masks whose stable runs straddle the 9-bit chunks
+    rng = np.random.default_rng(7)
+    for nint in (5, 9, 13, 17, 21):
+        full = (1 << nint) - 1
+        masks = rng.integers(0, 1 << nint, size=70_000).astype(np.int32)
+        straddle = [full ^ (0b111 << 7), 0b111 << 7, full ^ (1 << 8), 1 << 9,
+                    0b1111 << 15, full ^ (0b1111 << 16), 0, full]
+        masks[:len(straddle)] = [m & full for m in straddle]
+        words = rng.integers(0, 1 << (nint + 4), size=len(masks)).astype(np.int32)
+        expect = np.zeros(len(masks), dtype=np.int64)
+        for p in range(nint):
+            stable = (masks >> p) & 1 == 0
+            expect[stable] = (expect[stable] << 1) | ((words[stable] >> (p + 2)) & 1)
+        assert np.array_equal(_stable_index(masks, words, nint), expect), nint
+
+
+def test_backward_level_order_and_values():
+    # groups in ascending mask order, words ascending within a group, every
+    # word once, and each value the average of arbitrary next-level values
+    # over the recolorings of the word's unstable interior sites
+    rng = np.random.default_rng(8)
+    for length in (9, 13):
+        nint = length - 4
+        g_next = rng.integers(0, 1 << 20, size=1 << nint)
+        seen, last_mask = [], -1
+        for mask, words, values in _backward_level(g_next, length):
+            assert mask > last_mask and np.all(np.diff(words) > 0)
+            last_mask = mask
+            assert np.all((unstable_bits(words, length) >> 2) & ((1 << nint) - 1) == mask)
+            base = (words.astype(np.int64) >> 2) & ((1 << nint) - 1) & ~mask
+            sums = g_next[base[:, None] | _deposits(mask)[None, :]].sum(axis=1)
+            assert np.array_equal(values, sums << (nint - mask.bit_count())), (length, mask)
+            seen.append(words)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(1 << length))

@@ -16,6 +16,7 @@ from candyfix.lattice import (
 )
 from candyfix.montecarlo import (
     _INIT_BLOCK,
+    _coins,
     ExperimentSpec,
     ExplicitWord,
     RandomUnstableBlock,
@@ -188,6 +189,17 @@ def test_estimate_matches_exact_table_rows():
     for window, p in ((row_38, 0.375), (row_58, 0.625)):
         est = estimate_kstep_prob(window, 1, 100_000, seed=5)
         assert abs(est.freq - p) <= 4 * sqrt(p * (1 - p) / est.trials)
+
+
+def test_coins_match_generator_integers():
+    # the estimator's coins come from the raw stream; they must be exactly the
+    # draws numpy's bounded int8 sampler gives, so estimates keep their values
+    for shape in ((100_000, 21), (7, 3), (5, 1), (3, 5)):
+        for seed, t in ((0, 0), (5, 3)):
+            expect = RngStream(seed, 0).generator_at(t).integers(
+                0, 2, size=shape, dtype=np.int8)
+            got = _coins(RngStream(seed, 0).generator_at(t), shape)
+            assert got.dtype == np.int8 and np.array_equal(got, expect), (shape, seed)
 
 
 def test_estimate_fully_stable_window_exactly_zero():
