@@ -28,6 +28,7 @@ from . import __version__
 from .engine import EngineConsistencyError, certify, check_sweep_k, compute_tables, kstep_prob
 from .lattice import Boundary, ModelParams
 from .montecarlo import (
+    WORD_BITS,
     ExperimentSpec,
     ExplicitWord,
     RandomUnstableBlock,
@@ -234,6 +235,9 @@ def cmd_crosscheck(args) -> int:
         return _fail(f"--windows must be >= 1, got {args.windows}")
     radius = 2 * args.k + 2
     length = 2 * radius + 1
+    if length > WORD_BITS:
+        return _fail(f"--k {args.k} needs {length}-site windows; the estimator's "
+                     f"words hold at most {WORD_BITS} sites (k <= {(WORD_BITS - 5) // 4})")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     words = [int(w) for w in gen.integers(0, 1 << length, size=args.windows)]
 

@@ -72,17 +72,6 @@ class EngineConsistencyError(AssertionError):
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _deposits(mask: int) -> np.ndarray:
-    """All placements of free bits onto the set positions of ``mask``."""
-    positions = [p for p in range(mask.bit_length()) if (mask >> p) & 1]
-    j = np.arange(1 << len(positions), dtype=np.int64)
-    out = np.zeros_like(j)
-    for i, p in enumerate(positions):
-        out |= ((j >> i) & 1) << p
-    return out
-
-
 def _group_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cuts = np.nonzero(np.diff(sorted_vals))[0] + 1
     starts = np.r_[0, cuts]
@@ -300,29 +289,29 @@ def compute_tables(k: int) -> ProbTables:
     check_sweep_k(k)
     g, exp = kstep_vector(k - 1)
     sat = 2 * k
-    best: dict[Conditioning, int] = {}
+    unstable = triple = -1  # running maxima; -1 while a cell has no window
+    gap = [[-1] * (sat + 1) for _ in range(sat + 1)]
     for mask, _, values in _backward_level(g, 4 * k + 5):
+        top = int(values.max())
         if mask >> sat & 1:
-            cells = [UnstableAtOrigin()]
+            unstable = max(unstable, top)
             if mask >> (sat - 1) & 7 == 7:
-                cells.append(TripleUnstable())
+                triple = max(triple, top)
         else:  # the stable runs are the clear bits just below and above bit 2k
             left, right = mask & ((1 << sat) - 1), mask >> (sat + 1)
             n = sat - left.bit_length()
             m = (right & -right).bit_length() - 1 if right else sat
-            cells = [StableGap(n, m)]
-        top = int(values.max())
-        for cell in cells:
-            best[cell] = max(best.get(cell, -1), top)
+            gap[n][m] = max(gap[n][m], top)
     exp += 4 * k + 1
 
-    def entry(cell: Conditioning) -> Dyadic:
-        if cell not in best:
+    def entry(best: int, cell: Conditioning) -> Dyadic:
+        if best < 0:
             raise UnrealizableConditioningError(f"{cell} selects no window")
-        return Dyadic(best[cell], exp)
+        return Dyadic(best, exp)
 
-    p_unstable, p_triple = entry(UnstableAtOrigin()), entry(TripleUnstable())
-    p_gap = tuple(tuple(entry(StableGap(n, m)) for m in range(sat + 1))
+    p_unstable = entry(unstable, UnstableAtOrigin())
+    p_triple = entry(triple, TripleUnstable())
+    p_gap = tuple(tuple(entry(gap[n][m], StableGap(n, m)) for m in range(sat + 1))
                   for n in range(sat + 1))
     return ProbTables(k, p_unstable, p_triple, p_gap)
 
@@ -341,6 +330,13 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     adding their masses.  Works for any radius >= 2k+2; with a larger radius
     the extra margin is carried along, which is what makes
     :func:`window_sufficiency_check` informative.
+
+    Each step groups the support by unstable interior mask.  A group's
+    masses land at their stable bases in one dense buffer over the next
+    words, which is then spread densely: read as a ``(2,)*nint`` tensor at
+    index 0 on the group's unstable axes and broadcast over them.  A step
+    thus holds two dense arrays over the next words, whatever the groups'
+    sizes.
     """
     length = 2 * window.radius + 1
     if window.radius < 2 * k + 2:
@@ -350,45 +346,36 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     max_exp = sum(length - 4 * j - 4 for j in range(k))
     dtype = _sweep_dtype(max_exp)
 
-    state = None  # dense over current-length words, or None before step 1
-    word = window.word
+    support = np.array([window.word], dtype=np.int64)
+    values = np.ones(1, dtype=dtype)
     exp = 0
     cur = length
     for _ in range(k):
         nint = cur - 4
         inner_mask = (1 << nint) - 1
-        if state is None:
-            unstable = (unstable_bits(word, cur) >> 2) & inner_mask
-            base = ((word >> 2) & inner_mask) & ~unstable
-            dep = _deposits(int(unstable))
-            state = np.zeros(1 << nint, dtype=dtype)
-            state[base | dep] = 1
-            exp += int(unstable).bit_count()
-        else:
-            support = np.nonzero(state)[0]
-            values = state[support]
-            unstable = (unstable_bits(support, cur) >> 2) & inner_mask
-            bases = ((support >> 2) & inner_mask) & ~unstable
-            umax = int(np.bitwise_count(unstable).max())
-            order = np.argsort(unstable, kind="stable")
-            starts, ends = _group_bounds(unstable[order])
-            nxt = np.zeros(1 << nint, dtype=dtype)
-            for s, e in zip(starts, ends):
-                rows = order[s:e]
-                mask = int(unstable[rows[0]])
-                dep = _deposits(mask)
-                shift = umax - mask.bit_count()
-                targets = (bases[rows][:, None] | dep[None, :]).ravel()
-                contrib = np.broadcast_to(
-                    (values[rows] << shift)[:, None], (len(rows), len(dep))).ravel()
-                np.add.at(nxt, targets, contrib)
-            state = nxt
-            exp += umax
+        unstable = (unstable_bits(support, cur) >> 2) & inner_mask
+        bases = ((support >> 2) & inner_mask) & ~unstable
+        umax = int(np.bitwise_count(unstable).max())
+        order = np.argsort(unstable, kind="stable")
+        starts, ends = _group_bounds(unstable[order])
+        nxt = np.zeros((2,) * nint, dtype=dtype)  # flat bit p is axis nint-1-p
+        buf = np.zeros(1 << nint, dtype=dtype)
+        for s, e in zip(starts, ends):
+            rows = order[s:e]
+            mask, at = int(unstable[rows[0]]), bases[rows]
+            np.add.at(buf, at, values[rows] << (umax - mask.bit_count()))
+            nxt += buf.reshape(nxt.shape)[tuple(
+                slice(1) if mask >> (nint - 1 - a) & 1 else slice(None)
+                for a in range(nint))]
+            buf[at] = 0
+        nxt = nxt.ravel()
+        support = np.nonzero(nxt)[0]
+        values = nxt[support]
+        exp += umax
         cur = nint
     origin = (cur - 1) // 2
-    support = np.nonzero(state)[0]
     hit = (unstable_bits(support, cur) >> origin) & 1
-    return Dyadic(int(state[support][hit == 1].sum()), exp)
+    return Dyadic(int(values[hit == 1].sum()), exp)
 
 
 def one_step_oracle(window: WindowClass) -> Dyadic:

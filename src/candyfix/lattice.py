@@ -199,11 +199,17 @@ def is_stable(config: Configuration, params: ModelParams) -> bool:
 
 
 def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
-    """Rejection-free inversion sampling of `size` colors on a 64-bit draw."""
-    if size == 0:
-        return np.zeros(0, dtype=np.int64)
-    draws = gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
-    return np.searchsorted(params.sampling_cuts, draws, side="right").astype(np.int64)
+    """Rejection-free inversion sampling of `size` colors on a 64-bit draw.
+
+    The draws are the raw Philox output, which is what
+    ``gen.integers(0, 2**64, size, dtype=np.uint64)`` returns; a draw's
+    color is the number of cuts at or below it.
+    """
+    draws = gen.bit_generator.random_raw(size)
+    colors = np.zeros(size, dtype=np.int64)
+    for cut in params.sampling_cuts:
+        colors += draws >= cut
+    return colors
 
 
 def step(config: Configuration, params: ModelParams,

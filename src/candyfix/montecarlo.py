@@ -30,11 +30,10 @@ from .lattice import (
     Boundary,
     ModelParams,
     RngStream,
-    _unstable_along_axis,
     draw_colors,
     unstable_sites,
 )
-from .windows import WindowClass
+from .windows import WindowClass, unstable_bits
 
 _INIT_BLOCK = 1 << 62  # RNG block reserved for drawing initial content
 
@@ -242,41 +241,57 @@ class EstimatedProb:
     trials: int
 
 
-def _coins(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """``gen.integers(0, 2, shape, dtype=np.int8)``, read straight off the raw stream:
-    numpy takes each such coin as the top bit of the next (little-endian) byte."""
-    size = shape[0] * shape[1]
+WORD_BITS = 25  # longest window whose coins one unaligned 4-byte read holds
+
+
+def _coin_words(gen: np.random.Generator, trials: int, length: int) -> np.ndarray:
+    """One ``length``-bit word of coins per trial, read straight off the raw stream.
+
+    Bit j of word i is the coin ``gen.integers(0, 2, (trials, length),
+    dtype=np.int8)`` gives trial i at site j: numpy takes each such coin as
+    the top bit of the next (little-endian) raw byte.  The top bits are
+    packed flat, so word i sits at bit offset ``i * length``; it is read with
+    one 4-byte load at its byte offset, shifted by the bit offset within, so
+    ``length`` must not exceed ``WORD_BITS``.
+    """
+    size = trials * length
     raw = gen.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
-    coins = raw.view(np.uint8)[:size]
-    coins >>= 7
-    return coins.view(np.int8).reshape(shape)
+    packed = np.packbits(raw.view(np.uint8)[:size] >= 128, bitorder="little")
+    packed = np.concatenate([packed, np.zeros(3, dtype=np.uint8)])  # the last load's tail
+    loads = np.ndarray(len(packed) - 3, dtype="<i4", buffer=packed, strides=(1,))
+    offset = np.arange(trials, dtype=np.int64) * length
+    words = np.take(loads, offset >> 3)  # a set top bit is shifted out or masked off
+    words >>= offset & 7
+    words &= (1 << length) - 1
+    return words
 
 
 def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> EstimatedProb:
     """Empirical frequency of an unstable origin after k steps, with its SE.
 
     Simulates the window under the theorem model (kappa=3, uniform two-color
-    recoloring) as a batch of trials under clipped runs.  Sites whose
-    classification the window cannot determine are simulated with the clipped
-    view; their recolorings never reach the origin's shrinking information
-    cone within k steps, so the origin frequency is unbiased.
+    recoloring) as a batch of trials under clipped runs, one window word per
+    trial: each step classifies the batch with
+    :func:`candyfix.windows.unstable_bits` and takes the coin word's bits at
+    the unstable sites.  Sites whose classification the window cannot
+    determine are simulated with the clipped view; their recolorings never
+    reach the origin's shrinking information cone within k steps, so the
+    origin frequency is unbiased.  The origin's flag reads only the five
+    sites around it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if window.radius < 2 * k + 2:
         raise ValueError(f"radius {window.radius} cannot determine k={k}")
+    length = len(window.colors)
+    if length > WORD_BITS:
+        raise ValueError(f"a {length}-site window does not fit a {WORD_BITS}-bit word")
     stream = RngStream(seed, 0)
-    # sites x trials, so every classifier pass runs along the long trial axis
-    colors = np.array(window.colors, dtype=np.int8)
-    words = np.repeat(colors[:, None], trials, axis=1)
+    words = np.full(trials, window.word, dtype=np.int32)
     for t in range(k):
-        unstable = _unstable_along_axis(words, 0, 3, periodic=False)
-        # drawn trials x sites: trial i, site j reads the stream as it always has
-        draws = _coins(stream.generator_at(t), (trials, len(colors)))
-        words = np.where(unstable, draws.T, words)
-    # the origin's flag reads only the five sites around it
-    near = words[window.radius - 2: window.radius + 3]
-    hit = _unstable_along_axis(near, 0, 3, periodic=False)[2]
+        unstable = unstable_bits(words, length)
+        words ^= (words ^ _coin_words(stream.generator_at(t), trials, length)) & unstable
+    hit = (unstable_bits(words, length) >> window.radius) & 1
     freq = float(hit.sum()) / trials
     return EstimatedProb(freq, sqrt(freq * (1.0 - freq) / trials), trials)
 

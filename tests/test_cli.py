@@ -257,6 +257,15 @@ def test_crosscheck_zero_samples_rejected(tmp_path):
                "--out", str(tmp_path)) == 2
 
 
+def test_crosscheck_k_beyond_estimator_word_refused(tmp_path, capsys):
+    # k=6 windows have 29 sites, more than the estimator's words hold; the
+    # refusal comes before any exact or Monte Carlo work
+    assert run("crosscheck", "--k", "6", "--windows", "1", "--samples", "10",
+               "--out", str(tmp_path)) == 2
+    assert "29-site windows" in capsys.readouterr().err
+    assert not (tmp_path / "crosscheck.json").exists()
+
+
 def test_crosscheck_rejects_engine_flags(tmp_path):
     # crosscheck runs the theorem engine only; a law flag must not pass silently
     for flag, value in (("--kappa", "4"), ("--n", "3"), ("--p", "1/2,1/2"),
@@ -279,6 +288,25 @@ def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path))
     assert code == 1
     assert "BREACH" in capsys.readouterr().out
+
+
+# sha256 of crosscheck.json: the exact values, every estimated frequency to
+# the last digit and the manifest id; any change to the estimator's stream
+# layout, its classifier or the forward program's arithmetic shows here
+PINNED_CROSSCHECKS = (
+    (("--k", "2", "--samples", "20000", "--windows", "6", "--seed", "3"),
+     "283553118b2d4a40e7d73b2d01b90837ee24afd5b4443db6024089438dcf4359"),
+    (("--k", "4", "--samples", "5000", "--windows", "3", "--seed", "0"),
+     "3bd1c07641d33dfdacbec7c58949d796c1dff351d03acf47ca9941454add2961"),
+)
+
+
+def test_crosscheck_outputs_pinned(tmp_path):
+    for i, (args, digest) in enumerate(PINNED_CROSSCHECKS):
+        out = tmp_path / str(i)
+        assert run("crosscheck", *args, "--out", str(out)) == 0, args
+        data = (out / "crosscheck.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, args
 
 
 def test_probe_window(capsys):

@@ -1,5 +1,6 @@
 """Structural invariants of the exact engine, independent of golden values."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +10,6 @@ from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     EngineConsistencyError,
     _backward_level,
-    _deposits,
     _stable_index,
     ProbTables,
     compute_tables,
@@ -32,6 +32,24 @@ from candyfix.windows import (
 )
 
 TABLES = {k: compute_tables(k) for k in (1, 2)}
+
+# a long stable run between two unstable blocks: one step recolors many sites
+# of many words, and scattering each word over its 2^u recolorings takes 247 MiB
+HEAVY_K4 = "000000001110000011111"
+
+
+def window_from_string(colors: str) -> WindowClass:
+    return WindowClass.from_word(int(colors[::-1], 2), (len(colors) - 1) // 2)
+
+
+def deposits(mask: int) -> np.ndarray:
+    """All placements of free bits onto the set positions of ``mask``."""
+    positions = [p for p in range(mask.bit_length()) if (mask >> p) & 1]
+    j = np.arange(1 << len(positions), dtype=np.int64)
+    out = np.zeros_like(j)
+    for i, p in enumerate(positions):
+        out |= ((j >> i) & 1) << p
+    return out
 
 
 def test_gap_symmetry():
@@ -115,6 +133,21 @@ def test_forward_matches_shared_vector():
             word = int(word)
             assert kstep_prob(WindowClass.from_word(word, radius), k) == Dyadic(
                 int(g[word]), exp), (k, word)
+    heavy = window_from_string(HEAVY_K4)
+    assert str(heavy) == HEAVY_K4
+    assert kstep_prob(heavy, 4) == Dyadic(int(g[heavy.word]), exp) == Dyadic(1482647401, 33)
+
+
+def test_forward_program_memory_bounded():
+    # each group spreads through one dense buffer, not a rows x 2^u scatter
+    window = window_from_string(HEAVY_K4)
+    tracemalloc.start()
+    try:
+        kstep_prob(window, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak / 2**20
 
 
 def test_symmetry_reductions_are_safe():
@@ -229,7 +262,7 @@ def test_backward_level_order_and_values():
             last_mask = mask
             assert np.all((unstable_bits(words, length) >> 2) & ((1 << nint) - 1) == mask)
             base = (words.astype(np.int64) >> 2) & ((1 << nint) - 1) & ~mask
-            sums = g_next[base[:, None] | _deposits(mask)[None, :]].sum(axis=1)
+            sums = g_next[base[:, None] | deposits(mask)[None, :]].sum(axis=1)
             assert np.array_equal(values, sums << (nint - mask.bit_count())), (length, mask)
             seen.append(words)
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(1 << length))

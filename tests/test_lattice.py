@@ -10,6 +10,7 @@ from candyfix.lattice import (
     RngStream,
     classify_stability,
     config_to_word,
+    draw_colors,
     is_stable,
     step,
     word_to_config,
@@ -128,12 +129,30 @@ def test_step_distribution_uniform_over_outcomes():
     n = 100_000
     counts = {}
     for trial in range(n):
-        out = step(config, P, RngStream(11, trial).generator_at(0))
-        counts[config_to_word(out)] = counts.get(config_to_word(out), 0) + 1
+        word = config_to_word(step(config, P, RngStream(11, trial).generator_at(0)))
+        counts[word] = counts.get(word, 0) + 1
     assert set(counts) == {f"{w:03b}" for w in range(8)}
     se = (0.125 * 0.875 / n) ** 0.5
     for word, c in counts.items():
         assert abs(c / n - 0.125) <= 4 * se, (word, c / n)
+
+
+def test_draw_colors_match_bounded_draws_and_cut_search():
+    # the raw-stream sampler against full-range integer draws and a binary
+    # search of the cuts, which it replaces: identical colors, draw for draw
+    laws = [(Fraction(1, 2),) * 2,
+            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+            (Fraction(1, 3), Fraction(2, 3)),
+            (Fraction(1, 5),) * 5]
+    for dist in laws:
+        params = ModelParams(n=len(dist), recolor_dist=dist)
+        for size in (0, 1, 7, 100_001):
+            for seed, t in ((0, 0), (2, 1 << 62)):
+                draws = RngStream(seed).generator_at(t).integers(
+                    0, 1 << 64, size=size, dtype=np.uint64)
+                expect = np.searchsorted(params.sampling_cuts, draws, side="right")
+                got = draw_colors(RngStream(seed).generator_at(t), params, size)
+                assert got.dtype == np.int64 and np.array_equal(got, expect), (dist, size)
 
 
 def unstable_by_definition(cells, kappa, periodic):

@@ -16,7 +16,8 @@ from candyfix.lattice import (
 )
 from candyfix.montecarlo import (
     _INIT_BLOCK,
-    _coins,
+    WORD_BITS,
+    _coin_words,
     ExperimentSpec,
     ExplicitWord,
     RandomUnstableBlock,
@@ -191,15 +192,28 @@ def test_estimate_matches_exact_table_rows():
         assert abs(est.freq - p) <= 4 * sqrt(p * (1 - p) / est.trials)
 
 
-def test_coins_match_generator_integers():
-    # the estimator's coins come from the raw stream; they must be exactly the
-    # draws numpy's bounded int8 sampler gives, so estimates keep their values
-    for shape in ((100_000, 21), (7, 3), (5, 1), (3, 5)):
+def test_coin_words_match_generator_integers():
+    # the estimator's coins come from the raw stream; bit j of trial i's word
+    # must be exactly the draw numpy's bounded int8 sampler gives at (i, j), so
+    # estimates keep their values; odd lengths over trial counts that are not
+    # multiples of 8 read every bit phase, 25 sites the widest word
+    shapes = ((100_000, 21), (7, 3), (5, 1), (3, 5),
+              (1001, 9), (13, 17), (99_999, 25), (1, 25))
+    for trials, length in shapes:
         for seed, t in ((0, 0), (5, 3)):
-            expect = RngStream(seed, 0).generator_at(t).integers(
-                0, 2, size=shape, dtype=np.int8)
-            got = _coins(RngStream(seed, 0).generator_at(t), shape)
-            assert got.dtype == np.int8 and np.array_equal(got, expect), (shape, seed)
+            coins = RngStream(seed, 0).generator_at(t).integers(
+                0, 2, size=(trials, length), dtype=np.int8)
+            expect = (coins.astype(np.int64) << np.arange(length)).sum(axis=1)
+            got = _coin_words(RngStream(seed, 0).generator_at(t), trials, length)
+            assert np.array_equal(got, expect), (trials, length, seed)
+
+
+def test_estimate_window_too_long_for_word_refused():
+    radius = (WORD_BITS + 1) // 2  # the shortest window longer than a word
+    window = WindowClass.from_word(0, radius)
+    with pytest.raises(ValueError, match="does not fit"):
+        estimate_kstep_prob(window, 1, 10)
+    estimate_kstep_prob(WindowClass.from_word(0, radius - 1), 1, 10)
 
 
 def test_estimate_fully_stable_window_exactly_zero():
