@@ -1,15 +1,14 @@
 """candyfix: the match-three recoloring automaton, simulated and certified.
 
-Three layers:
-
-* :mod:`candyfix.lattice`     - configurations, chain stability, one update step.
-* :mod:`candyfix.engine`      - exact k-step probability tables and the
-  expected-instability contraction certificate of the theorem model (1-D,
-  kappa=3, two colors, uniform recoloring; dyadic arithmetic throughout).
-* :mod:`candyfix.montecarlo`  - trajectory experiments, fixation statistics
-  and empirical cross-validation of the exact engine.
-
-The command-line front end lives in :mod:`candyfix.cli`.
+* :mod:`candyfix.lattice`    - color arrays: chain stability, recoloring draws.
+* :mod:`candyfix.montecarlo` - the trajectory loop, fixation statistics and
+  Monte Carlo estimates checked against the exact engine.
+* :mod:`candyfix.windows`    - origin windows as bit-packed words, their classes.
+* :mod:`candyfix.engine`     - exact k-step tables and the contraction
+  certificate of the theorem model (1-D, kappa=3, two colors, uniform).
+* :mod:`candyfix.dyadic`     - Fractions with a power-of-two denominator.
+* :mod:`candyfix.render`     - JSON and text forms of tables and certificates.
+* :mod:`candyfix.cli`        - the command-line front end.
 """
 
 __version__ = "0.1.0"
@@ -29,15 +28,7 @@ from .engine import (
     window_sufficiency_check,
     worst_case,
 )
-from .lattice import (
-    Boundary,
-    Configuration,
-    ModelParams,
-    RngStream,
-    classify_stability,
-    is_stable,
-    step,
-)
+from .lattice import Boundary, ModelParams, RngStream
 from .montecarlo import (
     ExperimentSpec,
     ExplicitWord,
@@ -61,7 +52,6 @@ from .windows import (
 __all__ = [
     "Boundary",
     "Certificate",
-    "Configuration",
     "Dyadic",
     "ExperimentSpec",
     "ExplicitWord",
@@ -76,12 +66,10 @@ __all__ = [
     "UnstableAtOrigin",
     "WindowClass",
     "certify",
-    "classify_stability",
     "compute_tables",
     "enumerate_windows",
     "estimate_kstep_prob",
     "gap_sum",
-    "is_stable",
     "kstep_prob",
     "kstep_vector",
     "max_gap_sum",
@@ -89,7 +77,6 @@ __all__ = [
     "reduced_classes",
     "run_experiment",
     "run_trajectory",
-    "step",
     "survival_curve",
     "unbounded_sum",
     "window_sufficiency_check",

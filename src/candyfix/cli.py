@@ -8,7 +8,8 @@ probability).  Every successful run writes result files plus a manifest into
 the output directory; the manifest stream is append-only and each result
 file names the manifest that produced it.
 
-Exit codes: 0 success, 1 check failure, 2 argument error, 3 corrupt input file.
+Exit codes: 0 success, 1 check failure, 2 argument or file-system error,
+3 corrupt input file.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ OK, CHECK_FAILED, USAGE, CORRUPT = 0, 1, 2, 3
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("CANDYFIX_OUT") or "runs"
-    path = Path(out)
+    """The output directory, made if missing; an OSError reaches :func:`main`."""
+    path = Path(args.out or os.environ.get("CANDYFIX_OUT") or "runs")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -195,14 +196,11 @@ def cmd_certify(args) -> int:
         return _fail(str(exc))
     tables = None
     if args.tables:
-        path = Path(args.tables)
-        if not path.exists():
-            return _fail(f"tables file not found: {path}")
         try:
-            with open(path) as fh:
+            with open(args.tables) as fh:
                 tables = tables_from_json(json.load(fh))
         except (UnicodeDecodeError, json.JSONDecodeError, TablesFormatError) as exc:
-            return _fail(f"corrupt tables file {path}: {exc}", CORRUPT)
+            return _fail(f"corrupt tables file {args.tables}: {exc}", CORRUPT)
         except EngineMismatchError as exc:
             return _fail(str(exc))
         if tables.k != args.k:
@@ -353,7 +351,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable input or an unusable output path
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Exact k-step instability probabilities, worst-case tables and certificates.
 
 The engine computes one model, the theorem's: 1-D, kappa=3, two colors,
-uniform recoloring.  Everything here is exact integer arithmetic.  A
-probability is held as an integer numerator at a power-of-two exponent (see
-:class:`candyfix.dyadic.Dyadic`); nothing else is needed because every branch
+uniform recoloring.  Everything here is exact integer arithmetic.  The sweep
+holds probabilities as integer numerators over one power-of-two denominator,
+and hands them out as :class:`candyfix.dyadic.Dyadic` - a Fraction whose
+denominator is a power of two; nothing else is needed because every branch
 weight is 1/2.
 
 Core quantities:
@@ -408,10 +409,8 @@ def gap_sum(size: int, tables: ProbTables) -> Dyadic:
     """Expected-instability bound for a bounded stable region of ``size`` sites."""
     if size < 1:
         raise ValueError(f"gap size must be >= 1, got {size}")
-    total = Dyadic(0)
-    for i in range(1, size + 1):
-        total = total + tables.p_gap_at(i - 1, size - i)
-    return total
+    return Dyadic.from_fraction(
+        sum(tables.p_gap_at(i - 1, size - i) for i in range(1, size + 1)))
 
 
 def max_gap_sum(tables: ProbTables) -> tuple[int, Dyadic]:
@@ -432,11 +431,9 @@ def unbounded_sum(tables: ProbTables) -> Dyadic:
     violation means the enumeration itself is broken, so it is fatal.
     """
     sat = tables.sat
-    total = Dyadic(0)
-    for i in range(1, sat + 1):
-        total = total + tables.p_gap_at(i - 1, sat)
+    total = Dyadic.from_fraction(sum(tables.p_gap_at(i - 1, sat) for i in range(1, sat + 1)))
     full = gap_sum(2 * sat, tables)
-    if total + total != full:
+    if 2 * total != full:
         raise EngineConsistencyError(
             f"unbounded-region identity failed at k={tables.k}: {total} doubled != {full}")
     return total
@@ -475,9 +472,9 @@ def certify(k: int, tables: ProbTables | None = None) -> Certificate:
         tables = compute_tables(k)
     unbounded_sum(tables)
     arg, gap = max_gap_sum(tables)
-    term_triple = Fraction(1, 3) * tables.p_triple.as_fraction()
-    term_unstable = Fraction(2, 3) * tables.p_unstable.as_fraction()
-    term_gap = Fraction(1, 3) * gap.as_fraction()
+    term_triple = Fraction(1, 3) * tables.p_triple
+    term_unstable = Fraction(2, 3) * tables.p_unstable
+    term_gap = Fraction(1, 3) * gap
     c = term_triple + term_unstable + term_gap
     return Certificate(
         k=k,

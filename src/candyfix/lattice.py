@@ -1,11 +1,11 @@
-"""Finite lattice windows, chain stability and the synchronous recoloring step.
+"""Color arrays on finite lattice boxes: chain stability and recoloring draws.
 
-A configuration assigns a color id in [0, n) to every site of a finite
+A lattice state is a plain integer array of color ids in [0, n) over a finite
 d-dimensional box.  A site is unstable when it lies on an axis-aligned run of
-at least ``kappa`` equal colors; one update step redraws every unstable site
-independently from the recoloring distribution while stable sites keep their
-color.  The mask is always computed from the pre-step configuration, so the
-update is genuinely synchronous.
+at least ``kappa`` equal colors (:func:`unstable_sites`); one synchronous
+update redraws every unstable site independently from the recoloring
+distribution (:func:`draw_colors`) while stable sites keep their color.  The
+trajectory loop that applies it is :func:`candyfix.montecarlo.run_trajectory`.
 
 Boundary policies fix how runs behave at the box edge:
 
@@ -79,36 +79,6 @@ class ModelParams:
         return cuts
 
 
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """Immutable array of color ids on a finite box plus its boundary policy."""
-
-    cells: np.ndarray
-    boundary: Boundary = Boundary.FROZEN
-
-    def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
-        if cells.ndim < 1 or any(s < 1 for s in cells.shape):
-            raise ValueError(f"every extent must be >= 1, got shape {cells.shape}")
-        cells = cells.copy()
-        cells.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "boundary", Boundary(self.boundary))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.cells.shape
-
-    @property
-    def d(self) -> int:
-        return self.cells.ndim
-
-    def __eq__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.boundary == other.boundary and np.array_equal(self.cells, other.cells)
-
-
 _KEY_MIX = 0x9E3779B97F4A7C15  # golden-ratio odd constant, splits (seed, stream) keys
 
 
@@ -134,13 +104,6 @@ class RngStream:
     def generator_at(self, t: int) -> np.random.Generator:
         counter = np.array([0, 0, t & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=self._key(), counter=counter))
-
-
-def _validate(config: Configuration, params: ModelParams) -> None:
-    if config.d != params.d:
-        raise ValueError(f"configuration is {config.d}-dimensional, params say d={params.d}")
-    if config.cells.size and (config.cells.min() < 0 or config.cells.max() >= params.n):
-        raise ValueError(f"color ids must lie in [0, {params.n})")
 
 
 def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: bool) -> np.ndarray:
@@ -187,17 +150,6 @@ def unstable_sites(cells: np.ndarray, kappa: int, periodic: bool) -> np.ndarray:
     return out
 
 
-def classify_stability(config: Configuration, params: ModelParams) -> np.ndarray:
-    """One boolean per site, True where the site is stable."""
-    _validate(config, params)
-    return ~unstable_sites(config.cells, params.kappa,
-                           config.boundary == Boundary.PERIODIC)
-
-
-def is_stable(config: Configuration, params: ModelParams) -> bool:
-    return bool(classify_stability(config, params).all())
-
-
 def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
     """Rejection-free inversion sampling of `size` colors on a 64-bit draw.
 
@@ -210,27 +162,3 @@ def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.
     for cut in params.sampling_cuts:
         colors += draws >= cut
     return colors
-
-
-def step(config: Configuration, params: ModelParams,
-         gen: np.random.Generator) -> Configuration:
-    """One synchronous recoloring: redraw exactly the currently unstable sites."""
-    unstable = ~classify_stability(config, params)
-    new_cells = config.cells.copy()
-    new_cells[unstable] = draw_colors(gen, params, int(unstable.sum()))
-    return Configuration(new_cells, config.boundary)
-
-
-def word_to_config(word: str, boundary: Boundary = Boundary.FROZEN) -> Configuration:
-    """Compact 1-D form: the color word as a digit string, e.g. '00011'."""
-    if not word or not word.isdigit():
-        raise ValueError(f"color word must be a nonempty digit string, got {word!r}")
-    return Configuration(np.array([int(c) for c in word], dtype=np.int64), boundary)
-
-
-def config_to_word(config: Configuration) -> str:
-    if config.d != 1:
-        raise ValueError("color-word form exists only for d=1")
-    if config.cells.max(initial=0) > 9:
-        raise ValueError("color-word form needs single-digit color ids")
-    return "".join(str(int(c)) for c in config.cells)

@@ -77,23 +77,34 @@ def tables_from_json(obj: dict) -> ProbTables:
     """Parse the JSON schema.
 
     Refuses a document for another engine (:class:`EngineMismatchError`), and
-    missing fields, a misshapen gap table or a table that fails
+    missing fields, a field that is not a JSON integer, an exponent outside
+    the sweep's 0..2k^2+3k, a misshapen gap table or a table that fails
     :func:`check_tables` (:class:`TablesFormatError`).
     """
     try:
-        k = int(obj["k"])
+        k = obj["k"]
+        if type(k) is not int:
+            raise TypeError(f"k must be an integer, got {k!r}")
         if obj["engine"] != ENGINE:
             raise EngineMismatchError(
                 f"tables file is for engine {json.dumps(obj['engine'])}, "
                 f"not {json.dumps(ENGINE)}")
-        p_unstable = Dyadic.from_json(obj["pI"])
-        p_triple = Dyadic.from_json(obj["pIII"])
+        max_exp = 2 * k * k + 3 * k
+
+        def entry(e: dict) -> Dyadic:
+            exp = e["exp"]  # bounded before Dyadic shifts by it
+            if type(exp) is int and not 0 <= exp <= max_exp:
+                raise TablesFormatError(f"exponent {exp} outside [0, {max_exp}]")
+            return Dyadic.from_json(e)
+
+        p_unstable = entry(obj["pI"])
+        p_triple = entry(obj["pIII"])
         rows = obj["pS"]
         side = 2 * k + 1
         if not (isinstance(rows, list) and len(rows) == side
                 and all(isinstance(row, list) and len(row) == side for row in rows)):
             raise TablesFormatError(f"pS must be a {side}x{side} table for k={k}")
-        p_gap = tuple(tuple(Dyadic.from_json(e) for e in row) for row in rows)
+        p_gap = tuple(tuple(entry(e) for e in row) for row in rows)
     except (TablesFormatError, EngineMismatchError):
         raise
     except (KeyError, TypeError, ValueError) as exc:

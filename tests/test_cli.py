@@ -205,6 +205,55 @@ def test_certify_doctored_tables_refused(tmp_path, capsys, cell, value, check):
     assert not (tmp_path / "c" / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("cell, value", [
+    (("k",), 1.0), (("k",), "1"), (("k",), True),
+    (("pI", "num"), 5.9), (("pI", "num"), "5"), (("pIII", "num"), True),
+    (("pS", 0, 1, "exp"), 2.0), (("pS", 0, 1, "exp"), "2"), (("pIII", "exp"), True),
+    (("pIII", "exp"), -1), (("pIII", "exp"), 6), (("pIII", "exp"), 1 << 36),
+])
+def test_certify_tables_numbers_checked(tmp_path, capsys, cell, value):
+    # k, num and exp must be JSON integers, and exp lie in the k=1 sweep's 0..5.
+    # Each non-integer reads as the field's true value under int(), so only the
+    # type check refuses it; 2^36 is too big an exponent to shift by.
+    assert run("enumerate", "--k", "1", "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "tables.json").read_text())
+    *path, last = cell
+    holder = doc
+    for key in path:
+        holder = holder[key]
+    holder[last] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("certify", "--k", "1", "--tables", str(tmp_path / "bad.json"),
+               "--out", str(tmp_path / "c")) == 3
+    captured = capsys.readouterr()
+    assert "corrupt tables file" in captured.err and "c = " not in captured.out
+    assert not (tmp_path / "c" / "certificate.json").exists()
+
+
+def test_certify_unreadable_tables_path(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing.json"):
+        assert run("certify", "--k", "1", "--tables", str(path),
+                   "--out", str(tmp_path / "c")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "c = " not in captured.out
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--init", "word:0101"),
+    ("enumerate", "--k", "1"),
+    ("certify", "--k", "1"),
+    ("crosscheck", "--k", "1", "--samples", "10", "--windows", "1"),
+])
+def test_out_path_that_is_a_file(tmp_path, capsys, argv):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert run(*argv, "--out", str(blocker)) == 2
+    assert "error: " in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 def test_certify_inconsistent_tables_refused(tmp_path, capsys, monkeypatch):
     # tables that break the unbounded-region identity never reach a certificate
     import candyfix.engine as engine_mod

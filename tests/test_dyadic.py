@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,9 @@ def test_ordering_and_str():
     assert str(Dyadic(5, 3)) == "5/2^3"
     assert Dyadic(5, 3).ratio_str() == "5/8"
     assert str(Dyadic(3)) == "3"
+    # Fraction compares with a float through cls.from_float
+    assert Dyadic(1, 1) == 0.5 and Dyadic(1, 2) != 0.5
+    assert Dyadic(1, 2) < 0.3 < Dyadic(5, 3) and Dyadic(-7, 2) <= -1.75
 
 
 def test_parse_all_forms():
@@ -59,16 +64,34 @@ def test_fraction_round_trip():
 def test_json_round_trip():
     d = Dyadic(200344049, 26)
     assert Dyadic.from_json(d.as_json()) == d
+    for bad in ({"num": 5.9, "exp": 3}, {"num": 5, "exp": "3"}, {"num": True, "exp": 0}):
+        with pytest.raises(TypeError):
+            Dyadic.from_json(bad)
+
+
+def test_copies_keep_the_value():
+    # Fraction rebuilds copies as cls(numerator, denominator); a Dyadic's
+    # second argument is an exponent, so it must rebuild from (num, exp)
+    d = Dyadic(5, 3)
+    for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert type(clone) is Dyadic and (clone.num, clone.exp) == (5, 3)
+
+
+def canonical(d):
+    return d.exp >= 0 and (d.num % 2 == 1 or d.exp == 0)
 
 
 @given(dyadics, dyadics)
 def test_add_matches_fractions(a, b):
-    assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
+    # arithmetic is the Fraction's; wrapping a sum back keeps the canonical fields
+    s = Dyadic.from_fraction(a + b)
+    assert canonical(s) and Fraction(s.num, 1 << s.exp) == a.as_fraction() + b.as_fraction()
 
 
 @given(dyadics, dyadics)
 def test_mul_matches_fractions(a, b):
-    assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
+    p = Dyadic.from_fraction(a * b)
+    assert canonical(p) and Fraction(p.num, 1 << p.exp) == a.as_fraction() * b.as_fraction()
 
 
 @given(dyadics, dyadics)

@@ -3,24 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from candyfix.lattice import (
-    Boundary,
-    Configuration,
-    ModelParams,
-    RngStream,
-    classify_stability,
-    config_to_word,
-    draw_colors,
-    is_stable,
-    step,
-    word_to_config,
-)
+from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors, unstable_sites
+from candyfix.montecarlo import ExperimentSpec, ExplicitWord, run_trajectory
 
 P = ModelParams()
 
 
-def mask_of(word, boundary=Boundary.FROZEN, params=P):
-    return classify_stability(word_to_config(word, boundary), params)
+def cells_of(word):
+    return np.array([int(c) for c in word], dtype=np.int64)
+
+
+def unstable_of(word, kappa=3, periodic=False):
+    return unstable_sites(cells_of(word), kappa, periodic)
+
+
+def is_stable(cells, kappa=3, periodic=False):
+    return not unstable_sites(np.asarray(cells), kappa, periodic).any()
 
 
 def test_params_validation():
@@ -35,101 +33,79 @@ def test_params_validation():
 
 
 def test_chessboard_is_stable():
-    assert is_stable(word_to_config("0101010"), P)
+    assert is_stable(cells_of("0101010"))
     board = np.indices((6, 6)).sum(axis=0) % 2
-    assert is_stable(Configuration(board), ModelParams(d=2))
+    assert is_stable(board)
 
 
 def test_word_00011_mask():
     # run of three zeros: exactly the three leftmost sites unstable
-    m = mask_of("00011")
-    assert m.tolist() == [False, False, False, True, True]
-    assert (~m).sum() == 3
+    m = unstable_of("00011")
+    assert m.tolist() == [True, True, True, False, False]
+    assert m.sum() == 3
 
 
 def test_2d_monochrome_box_all_unstable():
-    config = Configuration(np.zeros((3, 3), dtype=int))
-    mask = classify_stability(config, ModelParams(d=2))
-    assert mask.shape == (3, 3) and not mask.any()
+    mask = unstable_sites(np.zeros((3, 3), dtype=np.int64), 3, False)
+    assert mask.shape == (3, 3) and mask.all()
 
 
 def test_word_00100_stable():
     # no run of length >= 3 anywhere
-    assert is_stable(word_to_config("00100"), P)
+    assert is_stable(cells_of("00100"))
 
 
 def test_single_color_word_of_length_kappa_unstable():
-    assert not is_stable(word_to_config("000"), P)
+    assert not is_stable(cells_of("000"))
 
 
 def test_periodic_wrapping():
     # runs wrap: 0110 on a ring has a 0-run of length 2 only -> stable
-    assert is_stable(word_to_config("0110", Boundary.PERIODIC), P)
+    assert is_stable(cells_of("0110"), periodic=True)
     # 0010 on a ring wraps 0..0 around the seam into a run of three
-    m = mask_of("0010", Boundary.PERIODIC)
-    assert m.tolist() == [False, False, True, False]
+    assert unstable_of("0010", periodic=True).tolist() == [True, True, False, True]
     # frozen: the same word is stable
-    assert is_stable(word_to_config("0010"), P)
+    assert is_stable(cells_of("0010"))
     # a fully monochromatic ring shorter than kappa still wraps onto itself
-    assert not is_stable(word_to_config("00", Boundary.PERIODIC), P)
+    assert not is_stable(cells_of("00"), periodic=True)
 
 
 def test_periodic_2d():
     cells = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
-    assert is_stable(Configuration(cells, Boundary.PERIODIC), ModelParams(d=2))
+    assert is_stable(cells, periodic=True)
 
 
 def test_kappa_generalizes():
-    p4 = ModelParams(kappa=4)
-    assert is_stable(word_to_config("000111"), p4)
-    assert not is_stable(word_to_config("0000"), p4)
-
-
-def test_invalid_colors_rejected():
-    with pytest.raises(ValueError):
-        classify_stability(word_to_config("0102"), P)
-    with pytest.raises(ValueError):
-        Configuration(np.zeros((0,), dtype=int))
+    assert is_stable(cells_of("000111"), kappa=4)
+    assert not is_stable(cells_of("0000"), kappa=4)
 
 
 def test_stable_configuration_is_fixed_point():
-    config = word_to_config("0101001")
-    assert is_stable(config, P)
-    for seed in range(5):
-        assert step(config, P, RngStream(seed).generator_at(0)) == config
-
-
-def test_stable_sites_keep_colors():
-    config = word_to_config("00011")
-    for seed in range(20):
-        out = step(config, P, RngStream(seed).generator_at(0))
-        assert out.cells[3] == 1 and out.cells[4] == 1
+    # the update loop stops at once on a stable word, whatever the boundary
+    for boundary in Boundary:
+        spec = ExperimentSpec(P, ExplicitWord((0, 1, 0, 1, 0, 0, 1)), boundary=boundary)
+        assert run_trajectory(spec, 0).I_series == (0,), boundary
 
 
 def test_step_determinism():
-    config = word_to_config("0001100010")
-    a = step(config, P, RngStream(7, 3).generator_at(0))
-    b = step(config, P, RngStream(7, 3).generator_at(0))
-    assert a == b
-    c = step(config, P, RngStream(7, 4).generator_at(0))
-    assert a != c
-    assert step(config, P, RngStream(7, 3).generator_at(1)) != a
+    # a step's draws are a pure function of (seed, stream, t)
+    def draws(seed, stream, t):
+        return draw_colors(RngStream(seed, stream).generator_at(t), P, 10)
 
-
-def test_step_does_not_mutate_input():
-    config = word_to_config("000")
-    before = config.cells.copy()
-    step(config, P, RngStream(0).generator_at(0))
-    assert np.array_equal(config.cells, before)
+    a = draws(7, 3, 0)
+    assert np.array_equal(a, draws(7, 3, 0))
+    assert not np.array_equal(a, draws(7, 4, 0))
+    assert not np.array_equal(a, draws(7, 3, 1))
 
 
 def test_step_distribution_uniform_over_outcomes():
-    # all three sites unstable: 8 equally likely outcome words
-    config = word_to_config("000")
+    # all three sites of 000 unstable: the step redraws all of them, so its
+    # outcome is three draws, 8 equally likely words
+    assert unstable_of("000").all()
     n = 100_000
     counts = {}
     for trial in range(n):
-        word = config_to_word(step(config, P, RngStream(11, trial).generator_at(0)))
+        word = "".join(map(str, draw_colors(RngStream(11, trial).generator_at(0), P, 3)))
         counts[word] = counts.get(word, 0) + 1
     assert set(counts) == {f"{w:03b}" for w in range(8)}
     se = (0.125 * 0.875 / n) ** 0.5
@@ -176,15 +152,13 @@ def test_classifier_matches_run_definition():
     rng = np.random.default_rng(5)
     shapes = [(n,) for n in range(1, 9)] + [(1, 4), (3, 7), (6, 2), (5, 5)]
     for kappa in (2, 3, 4, 5):
-        for boundary in (Boundary.FROZEN, Boundary.PERIODIC):
+        for periodic in (False, True):
             for shape in shapes:
-                params = ModelParams(d=len(shape), kappa=kappa)
                 for bias in (0.5, 0.2, 0.05):  # skewed draws make long runs common
                     cells = (rng.random(shape) < bias).astype(np.int64)
-                    mask = classify_stability(Configuration(cells, boundary), params)
-                    expect = unstable_by_definition(
-                        cells, kappa, boundary == Boundary.PERIODIC)
-                    assert np.array_equal(~mask, expect), (kappa, boundary, cells)
+                    expect = unstable_by_definition(cells, kappa, periodic)
+                    assert np.array_equal(unstable_sites(cells, kappa, periodic), expect), (
+                        kappa, periodic, cells)
 
 
 def test_locality_of_classification():
@@ -192,24 +166,22 @@ def test_locality_of_classification():
     rng = np.random.default_rng(3)
     for _ in range(50):
         cells = rng.integers(0, 2, size=17)
-        config = Configuration(cells)
         site = 8
-        base = classify_stability(config, P)[site]
+        base = unstable_sites(cells, P.kappa, False)[site]
         far = cells.copy()
         j = rng.choice([i for i in range(17) if abs(i - site) >= P.kappa])
         far[j] ^= 1
-        assert classify_stability(Configuration(far), P)[site] == base
+        assert unstable_sites(far, P.kappa, False)[site] == base
 
 
 def test_classification_symmetries():
     rng = np.random.default_rng(4)
     for _ in range(25):
         cells = rng.integers(0, 2, size=(5, 7))
-        params = ModelParams(d=2)
-        base = classify_stability(Configuration(cells), params)
-        flipped = classify_stability(Configuration(np.flip(cells, axis=1)), params)
+        base = unstable_sites(cells, 3, False)
+        flipped = unstable_sites(np.flip(cells, axis=1), 3, False)
         assert np.array_equal(np.flip(base, axis=1), flipped)
-        relabeled = classify_stability(Configuration(1 - cells), params)
+        relabeled = unstable_sites(1 - cells, 3, False)
         assert np.array_equal(base, relabeled)
 
 
@@ -225,9 +197,3 @@ def test_rng_stream_reproducible_and_split():
     assert np.array_equal(stream.generator_at(3).integers(0, 1 << 32, size=4), a)
     with pytest.raises(AttributeError):
         stream.seed = 6
-
-
-def test_word_round_trip():
-    assert config_to_word(word_to_config("00101")) == "00101"
-    with pytest.raises(ValueError):
-        word_to_config("")

@@ -6,14 +6,7 @@ import pytest
 
 from candyfix.dyadic import Dyadic
 from candyfix.engine import certify, kstep_prob
-from candyfix.lattice import (
-    Boundary,
-    Configuration,
-    ModelParams,
-    RngStream,
-    classify_stability,
-    step,
-)
+from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors
 from candyfix.montecarlo import (
     _INIT_BLOCK,
     WORD_BITS,
@@ -31,6 +24,7 @@ from candyfix.montecarlo import (
     write_trajectories_jsonl,
 )
 from candyfix.windows import WindowClass
+from test_lattice import unstable_by_definition
 
 P = ModelParams()
 
@@ -51,6 +45,8 @@ def test_spec_validation():
         ExperimentSpec(P, ExplicitWord((0, 1)), trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(P, UniformRandomBox((4, 4)))  # d mismatch
+    with pytest.raises(ValueError, match="extents must be >= 1"):
+        UniformRandomBox((0,))
     with pytest.raises(ValueError):
         ExperimentSpec(ModelParams(d=2), UniformRandomBox((4, 4)),
                        boundary=Boundary.STABLE_EXTERIOR)
@@ -118,7 +114,8 @@ def test_reproducibility_bit_identical():
 
 
 def test_box_trajectory_matches_iterated_step():
-    # the trajectory loop against lattice.step fed block t of the same stream
+    # the trajectory loop against a reference update fed block t of the same
+    # stream, which finds unstable sites by the run definition, not the classifier
     for params, boundary, shape in ((ModelParams(d=2), Boundary.FROZEN, (6, 5)),
                                     (ModelParams(d=2), Boundary.PERIODIC, (4, 7)),
                                     (ModelParams(kappa=4, n=3, recolor_dist=(
@@ -130,13 +127,14 @@ def test_box_trajectory_matches_iterated_step():
             stream = RngStream(spec.seed, trial)
             cells = stream.generator_at(_INIT_BLOCK).integers(
                 0, params.n, size=shape, dtype=np.int64)
-            config = Configuration(cells, boundary)
             series = []
             for t in range(spec.t_max + 1):
-                series.append(int((~classify_stability(config, params)).sum()))
+                unstable = unstable_by_definition(cells, params.kappa,
+                                                  boundary == Boundary.PERIODIC)
+                series.append(int(unstable.sum()))
                 if series[-1] == 0 or t == spec.t_max:
                     break
-                config = step(config, params, stream.generator_at(t))
+                cells[unstable] = draw_colors(stream.generator_at(t), params, series[-1])
             assert run_trajectory(spec, trial).I_series == tuple(series)
 
 

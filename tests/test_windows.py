@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from candyfix.lattice import ModelParams, classify_stability, word_to_config
+from candyfix.lattice import unstable_sites
 from candyfix.windows import (
     StableGap,
     TripleUnstable,
@@ -17,16 +17,14 @@ from candyfix.windows import (
 
 
 def test_unstable_bits_match_lattice_classifier():
-    params = ModelParams()
     rng = np.random.default_rng(0)
     for length in (5, 9, 13, 21):
         table = unstable_bits(np.arange(1 << length, dtype=np.int32), length)
         assert table.dtype == np.int32  # word arrays keep their 32-bit width
         for word in rng.integers(0, 1 << length, size=200):
             word = int(word)
-            bits = "".join(str((word >> i) & 1) for i in range(length))
-            mask = classify_stability(word_to_config(bits), params)
-            expect = sum((not s) << i for i, s in enumerate(mask))
+            cells = np.array([(word >> i) & 1 for i in range(length)])
+            expect = sum(int(u) << i for i, u in enumerate(unstable_sites(cells, 3, False)))
             assert int(table[word]) == expect == unstable_bits(word, length)
 
 
