@@ -6,7 +6,9 @@ parameters); ``enumerate`` (exact probability tables) and ``certify``
 (Monte Carlo versus exact engine) and ``probe`` (one window's exact
 probability).  Every successful run writes result files plus a manifest into
 the output directory; the manifest stream is append-only and each result
-file names the manifest that produced it.
+file names the manifest that produced it.  A manifest records the run's
+``seconds`` and ``peak_rss_mib``, and for ``enumerate``/``certify`` the
+``checks`` that ran with their verdicts.
 
 Exit codes: 0 success, 1 check failure, 2 argument or file-system error,
 3 corrupt input file.
@@ -19,14 +21,23 @@ import datetime
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .engine import EngineConsistencyError, certify, check_sweep_k, compute_tables, kstep_prob
+from .engine import (
+    EngineConsistencyError,
+    certify,
+    check_sweep_k,
+    compute_tables,
+    kstep_prob,
+    unbounded_sum,
+)
 from .lattice import Boundary, ModelParams
 from .montecarlo import (
     WORD_BITS,
@@ -68,9 +79,17 @@ def _run_id(command: str, payload: dict) -> str:
 
 
 class _Manifest:
-    def __init__(self, out: Path, command: str, payload: dict, exploratory: bool = False):
-        self.out = out
+    """The record of one run, made when the run starts and written when it ends.
+
+    Besides the parameters and outputs it holds the run's wall time, the
+    process's peak resident memory and, for the engine commands, each check
+    that ran with its verdict; a failed check ends the run before any output,
+    so every recorded verdict is "pass".
+    """
+
+    def __init__(self, command: str, payload: dict, exploratory: bool = False):
         self.run_id = _run_id(command, payload)
+        self.clock = time.perf_counter()
         self.record = {
             "run_id": self.run_id,
             "command": command,
@@ -85,11 +104,18 @@ class _Manifest:
         self.record["outputs"].append(path.name)
         return path
 
-    def close(self) -> None:
+    def passed(self, check: str) -> None:
+        self.record.setdefault("checks", []).append({"name": check, "verdict": "pass"})
+
+    def close(self, out: Path) -> None:
         self.record["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        with open(self.out / f"manifest-{self.run_id}.json", "w") as fh:
+        self.record["seconds"] = round(time.perf_counter() - self.clock, 6)
+        # ru_maxrss is in KiB on Linux
+        self.record["peak_rss_mib"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        with open(out / f"manifest-{self.run_id}.json", "w") as fh:
             json.dump(self.record, fh, indent=1, sort_keys=True)
-        with open(self.out / "manifests.jsonl", "a") as fh:
+        with open(out / "manifests.jsonl", "a") as fh:
             fh.write(json.dumps(self.record, sort_keys=True) + "\n")
 
 
@@ -143,13 +169,12 @@ def cmd_simulate(args) -> int:
         "boundary": spec.boundary.value, "t_max": spec.t_max,
         "trials": spec.trials, "seed": spec.seed,
     }
-    manifest = _Manifest(out, "simulate", payload,
-                         exploratory=not spec.theorem_setting)
+    manifest = _Manifest("simulate", payload, exploratory=not spec.theorem_setting)
     stats = run_experiment(spec)
     write_trajectories_jsonl(manifest.add(out / "trajectories.jsonl"), stats,
                              manifest.run_id)
     write_aggregate_csv(manifest.add(out / "aggregate.csv"), stats)
-    manifest.close()
+    manifest.close(out)
     fixated = sum(1 for s in stats if s.fixation_time is not None)
     times = [s.fixation_time for s in stats if s.fixation_time is not None]
     print(f"trials {spec.trials}, fixated {fixated}")
@@ -172,14 +197,19 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     out = _out_dir(args)
+    manifest = _Manifest("enumerate", {"k": args.k, "engine": ENGINE_TAG})
     tables = compute_tables(args.k)
-    manifest = _Manifest(out, "enumerate", {"k": args.k, "engine": ENGINE_TAG})
+    try:
+        unbounded_sum(tables)
+    except EngineConsistencyError as exc:
+        return _fail(str(exc), CHECK_FAILED)
+    manifest.passed("unbounded-sum-identity")
     with open(manifest.add(out / "tables.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, **tables_to_json(tables)},
                   fh, indent=1, sort_keys=True)
     text = tables_to_text(tables)
     (manifest.add(out / "tables.txt")).write_text(text)
-    manifest.close()
+    manifest.close(out)
     print(text)
     return OK
 
@@ -194,6 +224,7 @@ def cmd_certify(args) -> int:
         check_sweep_k(args.k)
     except ValueError as exc:
         return _fail(str(exc))
+    manifest = _Manifest("certify", {"k": args.k, "engine": ENGINE_TAG})
     tables = None
     if args.tables:
         try:
@@ -203,18 +234,20 @@ def cmd_certify(args) -> int:
             return _fail(f"corrupt tables file {args.tables}: {exc}", CORRUPT)
         except EngineMismatchError as exc:
             return _fail(str(exc))
+        manifest.passed("tables-file")  # schema, engine, exponent bounds, check_tables
         if tables.k != args.k:
             return _fail(f"tables file is for k={tables.k}, not k={args.k}")
+        manifest.passed("tables-k")
     try:
         cert = certify(args.k, tables=tables)
     except EngineConsistencyError as exc:
         return _fail(str(exc), CORRUPT)
+    manifest.passed("unbounded-sum-identity")
     out = _out_dir(args)
-    manifest = _Manifest(out, "certify", {"k": args.k, "engine": ENGINE_TAG})
     with open(manifest.add(out / "certificate.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, **certificate_to_json(cert)},
                   fh, indent=1, sort_keys=True)
-    manifest.close()
+    manifest.close(out)
     print(certificate_to_text(cert))
     return OK
 
@@ -236,6 +269,9 @@ def cmd_crosscheck(args) -> int:
     if length > WORD_BITS:
         return _fail(f"--k {args.k} needs {length}-site windows; the estimator's "
                      f"words hold at most {WORD_BITS} sites (k <= {(WORD_BITS - 5) // 4})")
+    payload = {"k": args.k, "samples": args.samples, "windows": str(args.windows),
+               "seed": args.seed}
+    manifest = _Manifest("crosscheck", payload)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     words = [int(w) for w in gen.integers(0, 1 << length, size=args.windows)]
 
@@ -257,13 +293,10 @@ def cmd_crosscheck(args) -> int:
             print(f"BREACH window {window} exact {res.exact:.6f} "
                   f"freq {res.freq:.6f} tol {res.tolerance:.6f}")
     out = _out_dir(args)
-    payload = {"k": args.k, "samples": args.samples, "windows": str(args.windows),
-               "seed": args.seed}
-    manifest = _Manifest(out, "crosscheck", payload)
     with open(manifest.add(out / "crosscheck.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, "failures": failures,
                    "checks": report}, fh, indent=1, sort_keys=True)
-    manifest.close()
+    manifest.close(out)
     checked = len(report)
     print(f"checked {checked} windows at k={args.k}, failures {failures}")
     return OK if failures == 0 else CHECK_FAILED

@@ -34,8 +34,18 @@ level's per-word work is one key sort and one table-driven index pass.
 
 The tables come straight out of the top level: a group's mask fixes the
 table cell of all its words, so each group's maximum folds into its cell and
-``g_k`` is never stored.  :func:`worst_case` answers one conditioning at a
-time, at any radius, through a mask from :mod:`candyfix.windows`; it is the
+``g_k`` is never stored.  The model's two symmetries let that level visit
+about a quarter of the words and half of the groups.  Complementing every
+color keeps a word's unstable sites and its probability, so only words whose
+top site has color 0 are visited.  Reflection maps the words of mask U onto
+those of the mirrored mask rev(U), value for value, so only masks with
+U <= rev(U) are visited, and each group's maximum also fills the cell of
+rev(U) (the gap (m, n) beside (n, m)).  Every cell is still the exact
+maximum over all of its windows.
+
+:func:`kstep_vector`, :func:`worst_case` and the masks of
+:mod:`candyfix.windows` use neither symmetry: :func:`worst_case` answers one
+conditioning at a time, at any radius, over every word, and is the
 independent route the tables are tested against, as the per-window forward
 program (:func:`kstep_prob`) is for the sweep.
 """
@@ -114,6 +124,35 @@ def _stable_index(masks: np.ndarray, words: np.ndarray, nint: int) -> np.ndarray
     return out
 
 
+def _mirrors(nbits: int) -> np.ndarray:
+    """Entry U: the ``nbits``-bit mask U mirrored, bit p to bit nbits-1-p.
+
+    The table over b+1 bits interleaves the one over b bits with itself
+    plus bit b: U's low bit becomes the top bit of its mirror.
+    """
+    rev = np.zeros(1, dtype=np.int32)
+    for b in range(nbits):
+        rev = np.stack([rev, rev | (1 << b)], axis=-1).ravel()
+    return rev
+
+
+def _representatives(length: int) -> np.ndarray:
+    """The length-L words the tables' top level evaluates, in ascending order.
+
+    The complement keeps a word's mask and value, so only words whose top
+    site has color 0 are kept.  The reflection maps the words of mask U onto
+    those of rev(U) with the same values, so only masks with U <= rev(U) are
+    kept; the groups of the other masks are the mirrors of kept ones.
+    """
+    nint = length - 4
+    lower = np.arange(1 << nint) <= _mirrors(nint)  # indexed by mask
+    kept = []
+    for lo in range(0, 1 << (length - 1), _BLOCK):
+        words = np.arange(lo, min(lo + _BLOCK, 1 << (length - 1)), dtype=np.int32)
+        kept.append(words[lower[(unstable_bits(words, length) >> 2) & ((1 << nint) - 1)]])
+    return np.concatenate(kept)
+
+
 SWEEP_BITS = 62  # widest numerator an int64 sweep holds without overflow
 
 
@@ -131,18 +170,19 @@ def _sweep_dtype(max_exp: int):
 # --------------------------------------------------------------------------
 
 
-def _backward_level(g_next: np.ndarray, length: int):
-    """One backward step from values on length-(L-4) words to length-L words.
+def _backward_level(g_next: np.ndarray, length: int, words: np.ndarray):
+    """One backward step from values on length-(L-4) words to the given length-L words.
 
-    Yields ``(mask, words, values)`` for each group of words sharing an
-    unstable interior mask.  For a word w, the interior [2, L-3] is exactly
-    the region whose stability the word determines and the region the next
-    level's words live on.  The value is the average of g_next over the 2^u
-    joint recolorings of w's u unstable interior sites; stored integers pick
-    up a factor 2^(L-4-u) so the whole level shares the exponent increment
-    L-4.
+    Yields ``(mask, words, sums)`` for each group of ``words`` (an int32
+    array, each word once) sharing an unstable interior mask.  For a word w,
+    the interior [2, L-3] is exactly the region whose stability the word
+    determines and the region the next level's words live on.  The sum is
+    g_next summed over the 2^u joint recolorings of w's u unstable interior
+    sites; the word's value is that sum over 2^u, which the caller holds as
+    the integer ``sums << (L-4-u)`` so the whole level shares the exponent
+    increment L-4.
 
-    One in-place sort of int64 keys ``(mask << L) | word`` orders the level
+    One in-place sort of int64 keys ``(mask << L) | word`` orders the words
     by mask, then word, and walks the trie of high-bit mask prefixes depth
     first.  The sum of g_next over the axes of mask U is the sum for U
     without its lowest set bit, summed over that bit's axis, so a stack of
@@ -150,15 +190,15 @@ def _backward_level(g_next: np.ndarray, length: int):
     never holds more than g_next's own size.  Interior site p lies on axis p,
     so the frequent low-site sums add outer halves, and a partial sum's flat
     index is the word's stable interior bits packed lowest site first, which
-    :func:`_stable_index` computes for the whole level in one pass.
+    :func:`_stable_index` computes for all the words in one pass.
     """
     nint = length - 4
     full = (1 << nint) - 1
-    keys = np.empty(1 << length, dtype=np.int64)
+    keys = np.empty(len(words), dtype=np.int64)
     for lo in range(0, len(keys), _BLOCK):
-        words = np.arange(lo, min(lo + _BLOCK, len(keys)), dtype=np.int32)
-        unstable = ((unstable_bits(words, length) >> 2) & full).astype(np.int64)
-        keys[lo: lo + _BLOCK] = (unstable << length) | words
+        block = words[lo: lo + _BLOCK]
+        unstable = ((unstable_bits(block, length) >> 2) & full).astype(np.int64)
+        keys[lo: lo + _BLOCK] = (unstable << length) | block
     keys.sort()
     words = keys.astype(np.int32)  # the low 32 bits; the mask's bits cleared next
     words &= (1 << length) - 1
@@ -181,7 +221,7 @@ def _backward_level(g_next: np.ndarray, length: int):
             summed = summed.sum(axis=p, keepdims=True)
             prefix |= 1 << p
             stack.append((prefix, summed))
-        yield mask, words[s:e], summed.ravel()[index[s:e]] << (nint - mask.bit_count())
+        yield mask, words[s:e], summed.ravel()[index[s:e]]
 
 
 def check_sweep_k(k: int) -> None:
@@ -211,8 +251,9 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     for r in range(1, k + 1):
         length = 4 * r + 5
         g_next, g = g, np.zeros(1 << length, dtype=np.int64)
-        for _, words, values in _backward_level(g_next, length):
-            g[words] = values
+        every = np.arange(1 << length, dtype=np.int32)
+        for mask, words, sums in _backward_level(g_next, length, every):
+            g[words] = sums << (length - 4 - mask.bit_count())
         exp += length - 4
     return g, exp
 
@@ -281,19 +322,26 @@ def worst_case(
 def compute_tables(k: int) -> ProbTables:
     """All worst-case tables for k steps; exact maxima over every window class.
 
-    Runs the sweep to level k-1 and folds each top-level group's maximum into
-    its cell.  The group's interior mask covers sites -2k..2k with the origin
-    at bit 2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if
-    bits 2k-1..2k+1 are all set; otherwise the cell is the gap (n, m) of the
-    stable runs beside the origin, clipped at 2k.
+    Runs the sweep to level k-1, then evaluates the top level on the
+    :func:`_representatives` only, about a quarter of the words: one per
+    complement pair, and of each pair of mirrored masks only the lower.
+    Each group's maximum (taken before the level's shift) is exactly the
+    maximum over its mirrored group and over both complements, so it folds
+    into the cells of its mask and of the mirrored mask.
+
+    The group's interior mask covers sites -2k..2k with the origin at bit
+    2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if bits
+    2k-1..2k+1 are all set; the mirror keeps both.  Otherwise the cell is the
+    gap (n, m) of the stable runs beside the origin, clipped at 2k, and the
+    mirror's cell is (m, n).
     """
     check_sweep_k(k)
     g, exp = kstep_vector(k - 1)
-    sat = 2 * k
+    length, sat = 4 * k + 5, 2 * k
     unstable = triple = -1  # running maxima; -1 while a cell has no window
     gap = [[-1] * (sat + 1) for _ in range(sat + 1)]
-    for mask, _, values in _backward_level(g, 4 * k + 5):
-        top = int(values.max())
+    for mask, _, sums in _backward_level(g, length, _representatives(length)):
+        top = int(sums.max()) << (length - 4 - mask.bit_count())
         if mask >> sat & 1:
             unstable = max(unstable, top)
             if mask >> (sat - 1) & 7 == 7:
@@ -303,6 +351,7 @@ def compute_tables(k: int) -> ProbTables:
             n = sat - left.bit_length()
             m = (right & -right).bit_length() - 1 if right else sat
             gap[n][m] = max(gap[n][m], top)
+            gap[m][n] = max(gap[m][n], top)
     exp += 4 * k + 1
 
     def entry(best: int, cell: Conditioning) -> Dyadic:

@@ -86,24 +86,35 @@ _KEY_MIX = 0x9E3779B97F4A7C15  # golden-ratio odd constant, splits (seed, stream
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
 
-    ``generator_at(t)`` is a pure function of (seed, stream, t): it starts
-    Philox at counter (0, 0, t, 0), so step ``t`` draws from its own block
-    and never exhausts it.  Identical keys always yield identical draws and
-    distinct stream ids are independent, whatever other streams or steps
-    consumed.
+    ``generator_at(t)`` depends only on (seed, stream, t): it starts Philox
+    at counter (0, 0, t, 0), so step ``t`` draws from its own block and never
+    exhausts it.  Identical keys always yield identical draws and distinct
+    stream ids are independent, whatever other streams or steps consumed.
+
+    A stream owns one generator, built without OS entropy on first use, and
+    each call restarts it at the step's counter; a generator from an earlier
+    call on the same stream is therefore moved along with it.
     """
 
     seed: int
     stream: int = 0
 
-    def _key(self) -> np.ndarray:
+    @cached_property
+    def _fresh(self) -> tuple[np.random.Generator, dict]:
+        """The stream's one generator and its keyed state at counter 0; no OS entropy."""
         k0 = (self.seed * _KEY_MIX + self.stream) & 0xFFFFFFFFFFFFFFFF
         k1 = (self.stream * _KEY_MIX + 0x1234567) & 0xFFFFFFFFFFFFFFFF
-        return np.array([k0, k1], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(0))  # a fixed seed; the key replaces it
+        state = {**gen.bit_generator.state, "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([k0, k1], dtype=np.uint64)}}
+        return gen, state
 
     def generator_at(self, t: int) -> np.random.Generator:
-        counter = np.array([0, 0, t & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=self._key(), counter=counter))
+        gen, state = self._fresh
+        state["state"]["counter"][2] = t & 0xFFFFFFFFFFFFFFFF
+        gen.bit_generator.state = state  # copies the arrays, buffer and position included
+        return gen
 
 
 def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: bool) -> np.ndarray:

@@ -55,6 +55,14 @@ class EngineMismatchError(ValueError):
     """A tables document was computed for another model than :data:`ENGINE`."""
 
 
+def _bounded_exp(exp: int, k: int) -> int:
+    """A read exponent, checked against the sweep's 0..2k^2+3k before anything shifts by it."""
+    max_exp = 2 * k * k + 3 * k
+    if not 0 <= exp <= max_exp:
+        raise TablesFormatError(f"exponent {exp} outside [0, {max_exp}]")
+    return exp
+
+
 def check_tables(tables: ProbTables) -> ProbTables:
     """Return the tables unless they break an invariant every computed table holds."""
     gap, sat = tables.p_gap, tables.sat
@@ -89,12 +97,10 @@ def tables_from_json(obj: dict) -> ProbTables:
             raise EngineMismatchError(
                 f"tables file is for engine {json.dumps(obj['engine'])}, "
                 f"not {json.dumps(ENGINE)}")
-        max_exp = 2 * k * k + 3 * k
 
         def entry(e: dict) -> Dyadic:
-            exp = e["exp"]  # bounded before Dyadic shifts by it
-            if type(exp) is int and not 0 <= exp <= max_exp:
-                raise TablesFormatError(f"exponent {exp} outside [0, {max_exp}]")
+            if type(e["exp"]) is int:
+                _bounded_exp(e["exp"], k)
             return Dyadic.from_json(e)
 
         p_unstable = entry(obj["pI"])
@@ -178,38 +184,53 @@ def tables_to_text(tables: ProbTables) -> str:
 
 
 def tables_from_text(text: str) -> ProbTables:
-    """Parse the text rendering back into the identical table value (checked)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    fields = {}
-    for ln in lines:
-        if "=" in ln and not ln.startswith(("n=", "m=", "denom")):
-            key, _, val = ln.partition("=")
-            fields[key.strip()] = val.strip()
-    k = int(fields["k"])
-    if fields["engine"] != ENGINE_TAG:
-        raise EngineMismatchError(
-            f"tables text is for engine {fields['engine']}, not {ENGINE_TAG}")
-    sat = 2 * k
+    """Parse the text rendering back into the identical table value (checked).
 
-    start = lines.index("numerators (column denominator in the second header line):")
-    denoms = lines[start + 2].split()
-    col_exp = [int(tok[2:]) for tok in denoms[1:]]
-    entries: dict[tuple[int, int], Dyadic] = {}
-    for m, ln in enumerate(lines[start + 3: start + 3 + sat + 1]):
-        toks = ln.split()
-        assert toks[0] == f"m={m}"
-        for n, tok in enumerate(toks[1:]):
-            entries[(n, m)] = Dyadic(int(tok), col_exp[n])
-    p_gap = tuple(
-        tuple(entries[(min(n, m), max(n, m))] for m in range(sat + 1))
-        for n in range(sat + 1)
-    )
-    return check_tables(ProbTables(
-        k=k,
-        p_unstable=Dyadic.parse(fields["p_unstable"].partition("=")[0]),
-        p_triple=Dyadic.parse(fields["p_triple"].partition("=")[0]),
-        p_gap=p_gap,
-    ))
+    Refuses another engine (:class:`EngineMismatchError`); a missing or
+    malformed line, a row out of place or an exponent outside the sweep's
+    0..2k^2+3k raises :class:`TablesFormatError`.
+    """
+    try:
+        lines = [ln.strip() for ln in text.splitlines()]
+        fields = {}
+        for ln in lines:
+            if "=" in ln and not ln.startswith(("n=", "m=", "denom")):
+                key, _, val = ln.partition("=")
+                fields[key.strip()] = val.strip()
+        k = int(fields["k"])
+        if k < 1:
+            raise TablesFormatError(f"k must be >= 1, got {k}")
+        if fields["engine"] != ENGINE_TAG:
+            raise EngineMismatchError(
+                f"tables text is for engine {fields['engine']}, not {ENGINE_TAG}")
+        sat = 2 * k
+
+        def field(name: str) -> Dyadic:  # "num/2^exp", or "num" when exp is 0
+            num, _, exp = fields[name].partition("=")[0].strip().partition("/2^")
+            return Dyadic(int(num), _bounded_exp(int(exp), k) if exp else 0)
+
+        start = lines.index("numerators (column denominator in the second header line):")
+        denoms = lines[start + 2].split()
+        if denoms[0] != "denom" or not all(tok.startswith("2^") for tok in denoms[1:]):
+            raise TablesFormatError(f"bad denominator line {lines[start + 2]!r}")
+        col_exp = [_bounded_exp(int(tok[2:]), k) for tok in denoms[1:]]
+        entries: dict[tuple[int, int], Dyadic] = {}
+        for m, ln in enumerate(lines[start + 3: start + 3 + sat + 1]):
+            toks = ln.split()
+            if toks[0] != f"m={m}":
+                raise TablesFormatError(f"numerator row {m} starts {toks[0]!r}, not 'm={m}'")
+            for n, tok in enumerate(toks[1:]):
+                entries[(n, m)] = Dyadic(int(tok), col_exp[n])
+        p_gap = tuple(
+            tuple(entries[(min(n, m), max(n, m))] for m in range(sat + 1))
+            for n in range(sat + 1)
+        )
+        tables = ProbTables(k, field("p_unstable"), field("p_triple"), p_gap)
+    except (TablesFormatError, EngineMismatchError):
+        raise
+    except (KeyError, IndexError, ValueError) as exc:
+        raise TablesFormatError(f"bad tables text: {exc!r}") from exc
+    return check_tables(tables)
 
 
 def certificate_to_text(cert: Certificate) -> str:

@@ -100,6 +100,37 @@ def test_manifest_written_and_referenced(tmp_path):
     assert (tmp_path / "manifests.jsonl").read_text().count('"run_id"') == 1
 
 
+def test_engine_manifests_explain_the_run(tmp_path):
+    # wall time, peak memory and every check that ran, in both the manifest
+    # file and its manifests.jsonl line; the id the results name is unchanged
+    assert run("enumerate", "--k", "2", "--out", str(tmp_path / "e")) == 0
+    assert run("certify", "--k", "2", "--tables", str(tmp_path / "e" / "tables.json"),
+               "--out", str(tmp_path / "c")) == 0
+    expect = {"e": ("tables.json", ["unbounded-sum-identity"]),
+              "c": ("certificate.json", ["tables-file", "tables-k", "unbounded-sum-identity"])}
+    for sub, (result, checks) in expect.items():
+        path, = (tmp_path / sub).glob("manifest-*.json")
+        manifest = json.loads(path.read_text())
+        assert manifest == json.loads((tmp_path / sub / "manifests.jsonl").read_text())
+        assert 0 < manifest["seconds"] < 60 and manifest["peak_rss_mib"] > 1
+        assert manifest["checks"] == [{"name": c, "verdict": "pass"} for c in checks]
+        assert json.loads((tmp_path / sub / result).read_text())["manifest"] == \
+            manifest["run_id"] == path.stem.removeprefix("manifest-")
+
+
+def test_enumerate_broken_identity_fails_check(tmp_path, monkeypatch, capsys):
+    import candyfix.cli as cli_mod
+
+    tables = compute_tables(1)
+    gap = [list(row) for row in tables.p_gap]
+    gap[0][2] = Dyadic(1)  # the saturated column no longer halves the full sum
+    broken = ProbTables(1, tables.p_unstable, tables.p_triple, tuple(map(tuple, gap)))
+    monkeypatch.setattr(cli_mod, "compute_tables", lambda k: broken)
+    assert run("enumerate", "--k", "1", "--out", str(tmp_path)) == 1
+    assert "unbounded-region identity failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_marks_exploratory_parameters(tmp_path):
     assert run("simulate", "--init", "word:000", "--kappa", "4", "--trials", "1",
                "--out", str(tmp_path)) == 0

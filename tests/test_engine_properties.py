@@ -10,6 +10,8 @@ from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     EngineConsistencyError,
     _backward_level,
+    _mirrors,
+    _representatives,
     _stable_index,
     ProbTables,
     compute_tables,
@@ -53,7 +55,9 @@ def deposits(mask: int) -> np.ndarray:
 
 
 def test_gap_symmetry():
-    # both triangles are computed independently, so this is a real check
+    # the fold fills both triangles from each mirrored pair of groups, so this
+    # holds by construction; test_tables_match_per_conditioning_worst_case
+    # checks each triangle against its own conditioning over every word
     for k, tables in TABLES.items():
         sat = tables.sat
         for n in range(sat + 1):
@@ -150,20 +154,46 @@ def test_forward_program_memory_bounded():
     assert peak < 32 << 20, peak / 2**20
 
 
+def mirrored(words: np.ndarray, length: int) -> np.ndarray:
+    """Each word read right to left, bit by bit."""
+    out = np.zeros_like(words)
+    for b in range(length):
+        out |= ((words >> b) & 1) << (length - 1 - b)
+    return out
+
+
 def test_symmetry_reductions_are_safe():
-    # complement and reflection leave every window probability unchanged, so
-    # the origin-color normalization in enumerate_windows cannot bias maxima
-    for k in (1, 2):
+    # complement and reflection leave every window probability unchanged:
+    # the origin-color normalization in enumerate_windows and the table
+    # fold over symmetry representatives cannot bias maxima
+    for k in (1, 2, 3):
         g, exp = kstep_vector(k)
         length = 4 * k + 5
         idx = np.arange(1 << length)
-        complement = idx ^ ((1 << length) - 1)
-        assert np.array_equal(g, g[complement])
-        rng = np.random.default_rng(k)
-        for word in rng.integers(0, 1 << length, size=500):
-            word = int(word)
-            mirrored = int(f"{word:0{length}b}"[::-1], 2)
-            assert g[word] == g[mirrored]
+        assert np.array_equal(g, g[idx ^ ((1 << length) - 1)]), k
+        assert np.array_equal(g, g[mirrored(idx, length)]), k
+
+
+def test_mirror_table_matches_bitwise_mirror():
+    for nbits in (1, 5, 9, 17):
+        masks = np.arange(1 << nbits)
+        assert np.array_equal(_mirrors(nbits), mirrored(masks, nbits)), nbits
+
+
+def test_representatives_cover_every_mask():
+    # top color 0 and U <= rev(U): every mask of the level is kept or is the
+    # mirror of a kept one, and the k=4 top level keeps about a quarter
+    counts = {}
+    for length in (9, 13, 17, 21):
+        nint, full = length - 4, (1 << (length - 4)) - 1
+        reps = _representatives(length)
+        assert np.all(np.diff(reps) > 0) and reps.max() < 1 << (length - 1)
+        kept = np.unique((unstable_bits(reps, length) >> 2) & full)
+        assert np.all(kept <= mirrored(kept, nint))
+        every = np.unique((unstable_bits(np.arange(1 << length), length) >> 2) & full)
+        assert np.array_equal(np.union1d(kept, mirrored(kept, nint)), every), length
+        counts[length] = (len(reps), len(kept), len(every))
+    assert counts[21] == (547_836, 2_781, 5_473)
 
 
 def test_window_sufficiency_exhaustive_k1():
@@ -250,19 +280,23 @@ def test_stable_index_matches_bitwise_pext():
 
 def test_backward_level_order_and_values():
     # groups in ascending mask order, words ascending within a group, every
-    # word once, and each value the average of arbitrary next-level values
-    # over the recolorings of the word's unstable interior sites
+    # given word once, and each sum that of arbitrary next-level values over
+    # the recolorings of the word's unstable interior sites; for all words,
+    # a random third of them, and the table fold's representatives
     rng = np.random.default_rng(8)
     for length in (9, 13):
         nint = length - 4
         g_next = rng.integers(0, 1 << 20, size=1 << nint)
-        seen, last_mask = [], -1
-        for mask, words, values in _backward_level(g_next, length):
-            assert mask > last_mask and np.all(np.diff(words) > 0)
-            last_mask = mask
-            assert np.all((unstable_bits(words, length) >> 2) & ((1 << nint) - 1) == mask)
-            base = (words.astype(np.int64) >> 2) & ((1 << nint) - 1) & ~mask
-            sums = g_next[base[:, None] | deposits(mask)[None, :]].sum(axis=1)
-            assert np.array_equal(values, sums << (nint - mask.bit_count())), (length, mask)
-            seen.append(words)
-        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(1 << length))
+        every = np.arange(1 << length, dtype=np.int32)
+        for given in (every, np.sort(rng.choice(every, size=len(every) // 3, replace=False)),
+                      _representatives(length)):
+            seen, last_mask = [], -1
+            for mask, words, sums in _backward_level(g_next, length, given):
+                assert mask > last_mask and np.all(np.diff(words) > 0)
+                last_mask = mask
+                assert np.all((unstable_bits(words, length) >> 2) & ((1 << nint) - 1) == mask)
+                base = (words.astype(np.int64) >> 2) & ((1 << nint) - 1) & ~mask
+                expect = g_next[base[:, None] | deposits(mask)[None, :]].sum(axis=1)
+                assert np.array_equal(sums, expect), (length, mask)
+                seen.append(words)
+            assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(given)), length

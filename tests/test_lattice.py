@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors, unstable_sites
-from candyfix.montecarlo import ExperimentSpec, ExplicitWord, run_trajectory
+from candyfix.montecarlo import _INIT_BLOCK, ExperimentSpec, ExplicitWord, run_trajectory
 
 P = ModelParams()
 
@@ -197,3 +197,22 @@ def test_rng_stream_reproducible_and_split():
     assert np.array_equal(stream.generator_at(3).integers(0, 1 << 32, size=4), a)
     with pytest.raises(AttributeError):
         stream.seed = 6
+
+
+def test_rng_stream_draws_pinned_to_philox():
+    # each step restarts the stream's one generator, buffered half-words
+    # included, at the counter a fresh Philox(key, counter) would start from
+    mix = 0x9E3779B97F4A7C15
+    for seed, stream_id in ((0, 0), (5, 1), (2**40 + 3, 7)):
+        stream = RngStream(seed, stream_id)
+        key = np.array([(seed * mix + stream_id) % 2**64,
+                        (stream_id * mix + 0x1234567) % 2**64], dtype=np.uint64)
+        for t in (0, 1, 7, _INIT_BLOCK, 0, 2**64 - 1):
+            gen = stream.generator_at(t)
+            fresh = np.random.Generator(np.random.Philox(
+                key=key, counter=np.array([0, 0, t, 0], dtype=np.uint64)))
+            # three half-words leave one buffered, which the next step must drop
+            assert np.array_equal(gen.integers(0, 1 << 32, size=3, dtype=np.uint32),
+                                  fresh.integers(0, 1 << 32, size=3, dtype=np.uint32))
+            assert np.array_equal(gen.bit_generator.random_raw(9),
+                                  fresh.bit_generator.random_raw(9)), (seed, t)

@@ -6,6 +6,7 @@ import pytest
 from candyfix.engine import certify, compute_tables
 from candyfix.render import (
     EngineMismatchError,
+    TablesFormatError,
     certificate_to_json,
     certificate_to_text,
     format_fraction,
@@ -42,6 +43,24 @@ def test_tables_text_other_engine_refused():
     text = tables_to_text(compute_tables(1)).replace("kappa=3", "kappa=4")
     with pytest.raises(EngineMismatchError, match="kappa=4"):
         tables_from_text(text)
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("denom  2^2", "denom  2^68719476736", "exponent 68719476736 outside"),
+    ("denom  2^2", "denom  2^-1", "exponent -1 outside"),
+    ("denom  2^2", "denom  4", "bad denominator line"),
+    ("p_unstable = 5/2^3", "p_unstable = 5/2^68719476736", "exponent 68719476736 outside"),
+    ("p_triple = 1/2^1", "p_triple = 1/2^99", "exponent 99 outside"),
+    ("m=1    3    1", "m=7    3    1", "row 1 starts 'm=7'"),
+    ("m=1    3    1", "m=1    x    1", "bad tables text"),
+    ("k = 1", "k = 0", "k must be >= 1"),
+])
+def test_tables_text_doctored_refused(old, new, match):
+    # every exponent is bounded by 2k^2+3k before anything shifts by it
+    text = tables_to_text(compute_tables(1))
+    assert old in text
+    with pytest.raises(TablesFormatError, match=match):
+        tables_from_text(text.replace(old, new, 1))
 
 
 def test_k1_text_shows_reduced_entries():
