@@ -313,6 +313,9 @@ def cmd_probe(args) -> int:
     word = args.window
     if not all(c in "01" for c in word) or len(word) % 2 == 0:
         return _fail("window must be an odd-length binary word")
+    if len(word) > WORD_BITS:  # the forward program's buffers hold 2^(sites-4) entries
+        return _fail(f"window has {len(word)} sites; the limit is {WORD_BITS} "
+                     f"(radius {WORD_BITS // 2})")
     radius = len(word) // 2
     if radius < 2 * args.k + 2:
         return _fail(f"window radius {radius} too small for k={args.k}")
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="exact k-step probability of one window")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("window", help="binary color word, odd length >= 4k+5")
+    p.add_argument("window", help=f"binary color word, odd length 4k+5..{WORD_BITS}")
     p.set_defaults(func=cmd_probe)
     return parser
 

@@ -12,12 +12,8 @@ Canonical form: ``num`` is odd or zero, ``exp >= 0``, and zero is ``0/2^0``.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import index
-
-_PAT_POW2 = re.compile(r"^(-?\d+)/2\^(\d+)$")
-_PAT_RATIO = re.compile(r"^-?\d+(/\d+)?$")
 
 
 class Dyadic(Fraction):
@@ -46,17 +42,6 @@ class Dyadic(Fraction):
         if f.denominator != 1 << e:
             raise ValueError(f"{f} is not dyadic: its denominator is not a power of 2")
         return cls(f.numerator, e)
-
-    @classmethod
-    def parse(cls, s: str) -> "Dyadic":
-        """Parse 'a/2^e', a ratio 'a/b' with b a power of two, or 'a'."""
-        s = s.strip()
-        m = _PAT_POW2.match(s)
-        if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        if _PAT_RATIO.match(s):
-            return cls.from_fraction(Fraction(s))
-        raise ValueError(f"cannot parse dyadic rational from {s!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dyadic":

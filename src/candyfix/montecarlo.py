@@ -212,21 +212,14 @@ def run_experiment(spec: ExperimentSpec) -> list[TrajectoryStats]:
     return [run_trajectory(spec, trial) for trial in range(spec.trials)]
 
 
-def survival_curve(stats: list[TrajectoryStats]) -> list[tuple[int, float]]:
-    """Per-step fraction of trials still carrying instability (nonincreasing)."""
-    horizon = max(len(s.I_series) for s in stats) - 1
-    trials = len(stats)
-    curve = []
-    for t in range(horizon + 1):
-        alive = sum(
-            1 for s in stats if t < len(s.I_series) and s.I_series[t] >= 1)
-        curve.append((t, alive / trials))
-    return curve
-
-
 def mean_instability(stats: list[TrajectoryStats], t: int) -> float:
     """Mean unstable-site count at time t; fixated trajectories count zero."""
     return sum(s.I_series[t] if t < len(s.I_series) else 0 for s in stats) / len(stats)
+
+
+def survivors(stats: list[TrajectoryStats], t: int) -> int:
+    """Number of trials still carrying instability at time t (nonincreasing in t)."""
+    return sum(1 for s in stats if t < len(s.I_series) and s.I_series[t] >= 1)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +230,6 @@ def mean_instability(stats: list[TrajectoryStats], t: int) -> float:
 @dataclass(frozen=True)
 class EstimatedProb:
     freq: float
-    se: float
     trials: int
 
 
@@ -267,7 +259,7 @@ def _coin_words(gen: np.random.Generator, trials: int, length: int) -> np.ndarra
 
 
 def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> EstimatedProb:
-    """Empirical frequency of an unstable origin after k steps, with its SE.
+    """Empirical frequency of an unstable origin after k steps.
 
     Simulates the window under the theorem model (kappa=3, uniform two-color
     recoloring) as a batch of trials under clipped runs, one window word per
@@ -293,12 +285,11 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
         words ^= (words ^ _coin_words(stream.generator_at(t), trials, length)) & unstable
     hit = (unstable_bits(words, length) >> window.radius) & 1
     freq = float(hit.sum()) / trials
-    return EstimatedProb(freq, sqrt(freq * (1.0 - freq) / trials), trials)
+    return EstimatedProb(freq, trials)
 
 
 @dataclass(frozen=True)
 class WindowCheck:
-    window: WindowClass
     exact: float
     freq: float
     tolerance: float
@@ -317,7 +308,7 @@ def check_window_estimate(
     est = estimate_kstep_prob(window, k, trials, seed)
     tol = 4.0 * sqrt(exact * (1.0 - exact) / trials)
     ok = abs(est.freq - exact) <= tol
-    return WindowCheck(window, exact, est.freq, tol, ok)
+    return WindowCheck(exact, est.freq, tol, ok)
 
 
 # --------------------------------------------------------------------------
@@ -338,5 +329,4 @@ def write_aggregate_csv(path, stats: list[TrajectoryStats]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["t", "survivors", "mean_I"])
         for t in range(horizon + 1):
-            alive = sum(1 for s in stats if t < len(s.I_series) and s.I_series[t] >= 1)
-            writer.writerow([t, alive, repr(mean_instability(stats, t))])
+            writer.writerow([t, survivors(stats, t), repr(mean_instability(stats, t))])

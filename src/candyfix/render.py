@@ -1,4 +1,4 @@
-"""Wire formats for tables and certificates: JSON, text tables, parsing.
+"""Wire formats for tables and certificates: JSON, text tables, JSON parsing.
 
 The JSON schema is the external contract::
 
@@ -8,15 +8,14 @@ The JSON schema is the external contract::
 The text table prints the gap matrix twice: once as exact reduced dyadics
 and once as integer numerators over one shared power-of-two denominator per
 column (lower triangle only; the matrix is symmetric).  The numerator block
-plus the header lines carry the full exact content, so parsing the text form
-reproduces the identical table value.
+plus the header lines carry the full exact content.  Only the JSON form is
+read back (``certify --tables``); the text form is for people.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from fractions import Fraction
 
 from .dyadic import Dyadic
 from .engine import Certificate, ProbTables
@@ -24,12 +23,6 @@ from .engine import Certificate, ProbTables
 # The model every table is computed for, as the tables JSON and text name it.
 ENGINE = {"kappa": 3, "n": 2, "p": ["1/2", "1/2"]}
 ENGINE_TAG = "kappa=3,n=2,p=1/2,1/2"
-
-
-def format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 # --------------------------------------------------------------------------
@@ -125,10 +118,10 @@ def certificate_to_json(cert: Certificate) -> dict:
         "pIII": cert.p_triple.as_json(),
         "gap_max": cert.gap_max.as_json(),
         "gap_argmax": cert.gap_argmax,
-        "term_III": format_fraction(cert.term_triple),
-        "term_I": format_fraction(cert.term_unstable),
-        "term_gap": format_fraction(cert.term_gap),
-        "c": format_fraction(cert.c),
+        "term_III": str(cert.term_triple),
+        "term_I": str(cert.term_unstable),
+        "term_gap": str(cert.term_gap),
+        "c": str(cert.c),
         "contraction": cert.contraction,
     }
 
@@ -183,66 +176,16 @@ def tables_to_text(tables: ProbTables) -> str:
     return "\n".join(lines)
 
 
-def tables_from_text(text: str) -> ProbTables:
-    """Parse the text rendering back into the identical table value (checked).
-
-    Refuses another engine (:class:`EngineMismatchError`); a missing or
-    malformed line, a row out of place or an exponent outside the sweep's
-    0..2k^2+3k raises :class:`TablesFormatError`.
-    """
-    try:
-        lines = [ln.strip() for ln in text.splitlines()]
-        fields = {}
-        for ln in lines:
-            if "=" in ln and not ln.startswith(("n=", "m=", "denom")):
-                key, _, val = ln.partition("=")
-                fields[key.strip()] = val.strip()
-        k = int(fields["k"])
-        if k < 1:
-            raise TablesFormatError(f"k must be >= 1, got {k}")
-        if fields["engine"] != ENGINE_TAG:
-            raise EngineMismatchError(
-                f"tables text is for engine {fields['engine']}, not {ENGINE_TAG}")
-        sat = 2 * k
-
-        def field(name: str) -> Dyadic:  # "num/2^exp", or "num" when exp is 0
-            num, _, exp = fields[name].partition("=")[0].strip().partition("/2^")
-            return Dyadic(int(num), _bounded_exp(int(exp), k) if exp else 0)
-
-        start = lines.index("numerators (column denominator in the second header line):")
-        denoms = lines[start + 2].split()
-        if denoms[0] != "denom" or not all(tok.startswith("2^") for tok in denoms[1:]):
-            raise TablesFormatError(f"bad denominator line {lines[start + 2]!r}")
-        col_exp = [_bounded_exp(int(tok[2:]), k) for tok in denoms[1:]]
-        entries: dict[tuple[int, int], Dyadic] = {}
-        for m, ln in enumerate(lines[start + 3: start + 3 + sat + 1]):
-            toks = ln.split()
-            if toks[0] != f"m={m}":
-                raise TablesFormatError(f"numerator row {m} starts {toks[0]!r}, not 'm={m}'")
-            for n, tok in enumerate(toks[1:]):
-                entries[(n, m)] = Dyadic(int(tok), col_exp[n])
-        p_gap = tuple(
-            tuple(entries[(min(n, m), max(n, m))] for m in range(sat + 1))
-            for n in range(sat + 1)
-        )
-        tables = ProbTables(k, field("p_unstable"), field("p_triple"), p_gap)
-    except (TablesFormatError, EngineMismatchError):
-        raise
-    except (KeyError, IndexError, ValueError) as exc:
-        raise TablesFormatError(f"bad tables text: {exc!r}") from exc
-    return check_tables(tables)
-
-
 def certificate_to_text(cert: Certificate) -> str:
     lines = [
         f"k = {cert.k}",
         f"p_unstable = {cert.p_unstable}  (worst unstable-site recurrence)",
         f"p_triple = {cert.p_triple}  (worst run-interior recurrence)",
         f"gap_max = {cert.gap_max}  (worst bounded stable region, size {cert.gap_argmax})",
-        f"term_triple = {format_fraction(cert.term_triple)}",
-        f"term_unstable = {format_fraction(cert.term_unstable)}",
-        f"term_gap = {format_fraction(cert.term_gap)}",
-        f"c = {format_fraction(cert.c)}",
+        f"term_triple = {cert.term_triple}",
+        f"term_unstable = {cert.term_unstable}",
+        f"term_gap = {cert.term_gap}",
+        f"c = {cert.c}",
     ]
     if cert.contraction:
         lines.append("CONTRACTION")

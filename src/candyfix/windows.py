@@ -1,12 +1,15 @@
-"""1-D window classes: the enumeration unit behind the exact engine.
+"""1-D windows as bit-packed words: their stability flags and conditionings.
 
 A window is a two-color word on sites [-B, B] encoded as an integer (bit
 ``x + B`` holds the color of site ``x``).  Stability flags are derivable only
 on the interior [-B+2, B-2], where a site's full radius-2 neighborhood lies
 inside the window; everything here works on those derived flags.
+:func:`unstable_bits` classifies words for the engine's sweep and the Monte
+Carlo estimator alike; :class:`WindowClass` is one window with its flags, as
+the forward program and the estimator take it.
 
 The three conditioning descriptors select the windows whose worst case
-defines each probability table:
+defines each probability table (:func:`conditioning_mask`):
 
 * ``UnstableAtOrigin``  - sigma(0) = 0.
 * ``TripleUnstable``    - sigma(-1) = sigma(0) = sigma(1) = 0.
@@ -32,16 +35,12 @@ class UnrealizableConditioningError(ValueError):
 
 @dataclass(frozen=True)
 class UnstableAtOrigin:
-    reflection_symmetric = True
-
     def __str__(self):
         return "unstable-origin"
 
 
 @dataclass(frozen=True)
 class TripleUnstable:
-    reflection_symmetric = True
-
     def __str__(self):
         return "triple-unstable"
 
@@ -54,10 +53,6 @@ class StableGap:
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise ValueError(f"gap sides must be nonnegative, got ({self.n}, {self.m})")
-
-    @property
-    def reflection_symmetric(self):
-        return self.n == self.m
 
     def __str__(self):
         return f"stable-gap({self.n},{self.m})"
@@ -136,7 +131,6 @@ class WindowClass:
     radius: int
     colors: tuple[int, ...]
     flags: tuple[int, ...]  # sigma on [-(radius-2), radius-2]; 1 = stable
-    conditioning: Conditioning | None = None
 
     def __post_init__(self):
         if self.radius < 2:
@@ -147,12 +141,12 @@ class WindowClass:
             raise ValueError("flags must cover [-(radius-2), radius-2]")
 
     @classmethod
-    def from_word(cls, word: int, radius: int, conditioning: Conditioning | None = None):
+    def from_word(cls, word: int, radius: int):
         length = 2 * radius + 1
         unstable = unstable_bits(word, length)
         colors = tuple((word >> i) & 1 for i in range(length))
         flags = tuple(1 - ((unstable >> i) & 1) for i in range(2, length - 2))
-        return cls(radius, colors, flags, conditioning)
+        return cls(radius, colors, flags)
 
     @property
     def word(self) -> int:
@@ -166,56 +160,3 @@ class WindowClass:
 
     def __str__(self):
         return "".join(str(c) for c in self.colors)
-
-
-def enumerate_windows(
-    k: int,
-    conditioning: Conditioning,
-    radius: int | None = None,
-    fix_origin_color: bool = True,
-) -> list[WindowClass]:
-    """All windows of the given radius satisfying the conditioning.
-
-    ``fix_origin_color`` halves the enumeration by the global color
-    complement, pinning color(0) = 0; the uniform recoloring law makes the
-    complement probability-preserving.  An empty result raises rather than
-    silently standing in for zero.
-    """
-    if radius is None:
-        radius = default_radius(k, conditioning)
-    mask = conditioning_mask(k, conditioning, radius)
-    idx = np.nonzero(mask)[0]
-    if fix_origin_color:
-        idx = idx[(idx >> radius) & 1 == 0]
-    if idx.size == 0:
-        raise UnrealizableConditioningError(
-            f"no radius-{radius} window satisfies {conditioning} at k={k}"
-        )
-    return [WindowClass.from_word(int(w), radius, conditioning) for w in idx]
-
-
-def reduced_class_key(window: WindowClass, k: int) -> tuple:
-    """Projection of a window onto the classification radius [-2k, 2k].
-
-    Keeps the derived flags and only the colors of stable sites (an unstable
-    site is redrawn before its color is ever read, so its color cannot affect
-    any k-step probability).  Windows mapping to one key are equivalent.
-    """
-    span = range(-2 * k, 2 * k + 1)
-    flags = tuple(window.flag_at(x) for x in span)
-    colors = tuple(
-        window.color_at(x) if window.flag_at(x) else None for x in span
-    )
-    return flags, colors
-
-
-def reduced_classes(windows: list[WindowClass], k: int) -> set[tuple]:
-    """Distinct reduced classes, folding reflections when the conditioning allows."""
-    out = set()
-    for w in windows:
-        key = reduced_class_key(w, k)
-        if w.conditioning is not None and w.conditioning.reflection_symmetric:
-            mirrored = (tuple(reversed(key[0])), tuple(reversed(key[1])))
-            key = min(key, mirrored)
-        out.add(key)
-    return out

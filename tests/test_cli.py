@@ -7,7 +7,7 @@ from candyfix import __version__
 from candyfix.cli import main
 from candyfix.dyadic import Dyadic
 from candyfix.engine import ProbTables, compute_tables, kstep_vector
-from candyfix.render import tables_from_json, tables_from_text
+from candyfix.render import tables_from_json, tables_to_text
 
 
 def run(*argv):
@@ -145,8 +145,7 @@ def test_enumerate_k1_text_and_json(tmp_path, capsys):
         assert token in out
     tables = tables_from_json(json.loads((tmp_path / "tables.json").read_text()))
     assert tables == compute_tables(1)
-    round_tripped = tables_from_text((tmp_path / "tables.txt").read_text())
-    assert round_tripped == tables
+    assert (tmp_path / "tables.txt").read_text() == tables_to_text(tables)
 
 
 def test_enumerate_k0_rejected(tmp_path):
@@ -361,7 +360,7 @@ def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
     from candyfix.montecarlo import WindowCheck
 
     def broken(window, k, trials, seed=0):
-        return WindowCheck(window, 0.5, 0.0, 0.001, False)
+        return WindowCheck(0.5, 0.0, 0.001, False)
 
     monkeypatch.setattr(cli_mod, "check_window_estimate", broken)
     code = run("crosscheck", "--k", "1", "--windows", "3", "--samples", "10",
@@ -392,6 +391,16 @@ def test_crosscheck_outputs_pinned(tmp_path):
 def test_probe_window(capsys):
     assert run("probe", "--k", "1", "110001011") == 0
     assert "3/2^3" in capsys.readouterr().out
+
+
+def test_probe_window_width_bounded(capsys):
+    # the forward program holds two dense buffers of 2^(sites-4) entries, so a
+    # window beyond the 25-site limit is refused before anything is allocated
+    assert run("probe", "--k", "1", "001011001110011001110010110") == 2
+    err = capsys.readouterr().err
+    assert "window has 27 sites; the limit is 25" in err and "Traceback" not in err
+    assert run("probe", "--k", "4", "0010110011100110011100101") == 0
+    assert capsys.readouterr().out == "2181245/2^23 = 2181245/8388608\n"
 
 
 def test_probe_step_count_must_be_positive(capsys):

@@ -44,17 +44,6 @@ def test_ordering_and_str():
     assert Dyadic(1, 2) < 0.3 < Dyadic(5, 3) and Dyadic(-7, 2) <= -1.75
 
 
-def test_parse_all_forms():
-    assert Dyadic.parse("5/2^3") == Dyadic(5, 3)
-    assert Dyadic.parse("5/8") == Dyadic(5, 3)
-    assert Dyadic.parse("-7/2^2") == Dyadic(-7, 2)
-    assert Dyadic.parse("0") == Dyadic(0)
-    with pytest.raises(ValueError):
-        Dyadic.parse("1/3")
-    with pytest.raises(ValueError):
-        Dyadic.parse("abc")
-
-
 def test_fraction_round_trip():
     assert Dyadic.from_fraction(Fraction(179, 1024)) == Dyadic(179, 10)
     with pytest.raises(ValueError):

@@ -18,9 +18,22 @@ from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     certify, compute_tables, gap_sum, kstep_prob, kstep_vector, max_gap_sum)
 from candyfix.render import tables_to_json
-from candyfix.windows import StableGap, UnstableAtOrigin, enumerate_windows, reduced_class_key
+from candyfix.windows import StableGap, UnstableAtOrigin, WindowClass, conditioning_mask
 
-D = Dyadic.parse
+
+def k1_windows(cond):
+    """The radius-4 windows of a k=1 conditioning with origin color 0 (the
+    complement keeps every probability)."""
+    words = np.flatnonzero(conditioning_mask(1, cond, 4))
+    return [WindowClass.from_word(int(w), 4) for w in words if (w >> 4) & 1 == 0]
+
+
+def reduced_key(window, k):
+    """The window on [-2k, 2k]: its flags and the colors of its stable sites only
+    (an unstable site is redrawn before its color is read)."""
+    span = range(-2 * k, 2 * k + 1)
+    return (tuple(window.flag_at(x) for x in span),
+            tuple(window.color_at(x) if window.flag_at(x) else None for x in span))
 
 
 def canonical(key):
@@ -30,20 +43,21 @@ def canonical(key):
 
 def test_k1_headline_values():
     tables = compute_tables(1)
-    assert tables.p_unstable == D("5/8")
-    assert tables.p_triple == D("1/2")
+    assert tables.p_unstable == Fraction(5, 8)
+    assert tables.p_triple == Fraction(1, 2)
 
 
 def test_k1_gap_table():
     tables = compute_tables(1)
+    half, three_quarters = Fraction(1, 2), Fraction(3, 4)
     expect = [
-        ["1/2", "3/4", "1/2"],
-        ["3/4", "1/2", "1/2"],
-        ["1/2", "1/2", "0"],
+        [half, three_quarters, half],
+        [three_quarters, half, half],
+        [half, half, 0],
     ]
     for n in range(3):
         for m in range(3):
-            assert tables.p_gap[n][m] == D(expect[n][m]), (n, m)
+            assert tables.p_gap[n][m] == expect[n][m], (n, m)
 
 
 def test_k1_unstable_origin_classes_and_rows():
@@ -52,51 +66,49 @@ def test_k1_unstable_origin_classes_and_rows():
     Keys are (flags on [-2,2], colors at stable sites); colors of unstable
     sites are erased because the update never reads them.
     """
-    wins = enumerate_windows(1, UnstableAtOrigin())
     got = {}
-    for w in wins:
-        key = canonical(reduced_class_key(w, 1))
+    for w in k1_windows(UnstableAtOrigin()):
+        key = canonical(reduced_key(w, 1))
         prob = kstep_prob(w, 1)
         assert got.setdefault(key, prob) == prob, "class probability not constant"
     x = None
     expect = {
-        ((0, 0, 0, 0, 0), (x, x, x, x, x)): D("1/2"),
-        ((0, 0, 0, 0, 1), (x, x, x, x, 1)): D("1/2"),
-        ((0, 0, 0, 1, 0), (x, x, x, 1, x)): D("1/2"),
-        ((0, 0, 0, 1, 1), (x, x, x, 1, 0)): D("3/8"),
-        ((0, 0, 0, 1, 1), (x, x, x, 1, 1)): D("5/8"),
-        ((1, 0, 0, 0, 1), (1, x, x, x, 1)): D("1/2"),
+        ((0, 0, 0, 0, 0), (x, x, x, x, x)): Fraction(1, 2),
+        ((0, 0, 0, 0, 1), (x, x, x, x, 1)): Fraction(1, 2),
+        ((0, 0, 0, 1, 0), (x, x, x, 1, x)): Fraction(1, 2),
+        ((0, 0, 0, 1, 1), (x, x, x, 1, 0)): Fraction(3, 8),
+        ((0, 0, 0, 1, 1), (x, x, x, 1, 1)): Fraction(5, 8),
+        ((1, 0, 0, 0, 1), (1, x, x, x, 1)): Fraction(1, 2),
     }
     assert got == {canonical(k): v for k, v in expect.items()}
 
 
 def test_k1_gap_1_2_classes_and_rows():
-    wins = enumerate_windows(1, StableGap(1, 2))
     got = {}
-    for w in wins:
-        key = reduced_class_key(w, 1)
+    for w in k1_windows(StableGap(1, 2)):
+        key = reduced_key(w, 1)
         prob = kstep_prob(w, 1)
         assert got.setdefault(key, prob) == prob
     x = None
     flags = (0, 1, 1, 1, 1)
     expect = {
-        (flags, (x, 1, 0, 0, 1)): D("0"),
-        (flags, (x, 1, 0, 1, 0)): D("0"),
-        (flags, (x, 1, 0, 1, 1)): D("0"),
-        (flags, (x, 0, 0, 1, 0)): D("1/2"),
-        (flags, (x, 0, 0, 1, 1)): D("1/2"),
+        (flags, (x, 1, 0, 0, 1)): 0,
+        (flags, (x, 1, 0, 1, 0)): 0,
+        (flags, (x, 1, 0, 1, 1)): 0,
+        (flags, (x, 0, 0, 1, 0)): Fraction(1, 2),
+        (flags, (x, 0, 0, 1, 1)): Fraction(1, 2),
     }
     assert got == expect
 
 
 def test_k1_gap_2_2_all_zero():
-    for w in enumerate_windows(1, StableGap(2, 2)):
+    for w in k1_windows(StableGap(2, 2)):
         assert kstep_prob(w, 1) == Dyadic(0)
 
 
 def test_k1_gap_sum_and_certificate():
     tables = compute_tables(1)
-    assert gap_sum(1, tables) == D("1/2")
+    assert gap_sum(1, tables) == Fraction(1, 2)
     arg, best = max_gap_sum(tables)
     assert (arg, best) == (4, Dyadic(2))
     cert = certify(1, tables=tables)
@@ -106,18 +118,18 @@ def test_k1_gap_sum_and_certificate():
 
 def test_k2_certificate_exact():
     cert = certify(2)
-    assert cert.p_triple == D("29/64")
-    assert cert.p_unstable == D("61/128")
-    assert cert.gap_max == D("19/8")
+    assert cert.p_triple == Fraction(29, 64)
+    assert cert.p_unstable == Fraction(61, 128)
+    assert cert.gap_max == Fraction(19, 8)
     assert cert.c == Fraction(121, 96)
     assert not cert.contraction
 
 
 def test_k3_certificate_exact():
     cert = certify(3)
-    assert cert.p_triple == D("5037/16384")
-    assert cert.p_unstable == D("2687/8192")
-    assert cert.gap_max == D("2495/1024")
+    assert cert.p_triple == Fraction(5037, 16384)
+    assert cert.p_unstable == Fraction(2687, 8192)
+    assert cert.gap_max == Fraction(2495, 1024)
     assert cert.c == Fraction(55705, 49152)
     assert not cert.contraction
 
@@ -125,9 +137,9 @@ def test_k3_certificate_exact():
 def test_k4_certificate_exact(tables_k4):
     # the contraction the fixation argument rests on
     cert = certify(4, tables=tables_k4)
-    assert cert.p_unstable == D("518955/2^21")
-    assert cert.p_triple == D("15371121/2^26")
-    assert (cert.gap_argmax, cert.gap_max) == (16, D("2371247/2^20"))
+    assert cert.p_unstable == Dyadic(518955, 21)
+    assert cert.p_triple == Dyadic(15371121, 26)
+    assert (cert.gap_argmax, cert.gap_max) == (16, Dyadic(2371247, 20))
     assert cert.c == Fraction(200344049, 201326592)
     assert cert.contraction
 

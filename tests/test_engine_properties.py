@@ -29,7 +29,7 @@ from candyfix.windows import (
     UnrealizableConditioningError,
     UnstableAtOrigin,
     WindowClass,
-    enumerate_windows,
+    conditioning_mask,
     unstable_bits,
 )
 
@@ -164,7 +164,7 @@ def mirrored(words: np.ndarray, length: int) -> np.ndarray:
 
 def test_symmetry_reductions_are_safe():
     # complement and reflection leave every window probability unchanged:
-    # the origin-color normalization in enumerate_windows and the table
+    # the origin-color normalization of the golden k=1 classes and the table
     # fold over symmetry representatives cannot bias maxima
     for k in (1, 2, 3):
         g, exp = kstep_vector(k)
@@ -255,8 +255,9 @@ def test_tables_match_per_conditioning_worst_case():
 
 def test_enumerate_windows_probabilities_realize_table_maxima():
     tables = TABLES[1]
-    wins = enumerate_windows(1, StableGap(0, 1))
-    assert max(kstep_prob(w, 1) for w in wins) == tables.p_gap[0][1]
+    wins = np.flatnonzero(conditioning_mask(1, StableGap(0, 1), 4))
+    assert max(kstep_prob(WindowClass.from_word(int(w), 4), 1)
+               for w in wins) == tables.p_gap[0][1]
 
 
 def test_stable_index_matches_bitwise_pext():

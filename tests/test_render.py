@@ -1,17 +1,11 @@
+import hashlib
 import json
-from fractions import Fraction
-
-import pytest
 
 from candyfix.engine import certify, compute_tables
 from candyfix.render import (
-    EngineMismatchError,
-    TablesFormatError,
     certificate_to_json,
     certificate_to_text,
-    format_fraction,
     tables_from_json,
-    tables_from_text,
     tables_to_json,
     tables_to_text,
 )
@@ -33,34 +27,20 @@ def test_tables_json_schema():
     assert len(obj["pS"]) == 3 and all(len(row) == 3 for row in obj["pS"])
 
 
-def test_tables_text_round_trip():
-    for k in (1, 2):
-        tables = compute_tables(k)
-        assert tables_from_text(tables_to_text(tables)) == tables
+# sha256 of tables_to_text: the exact values a tables.txt carries, since no
+# command parses the text form back
+PINNED_TEXT = {
+    1: "8402a7862f4aab25100e39aa98203aa151fab10ee9c522da7d6824747e235d11",
+    2: "80bb72e3054f4a82b5a73765f3d39938b30df7f19910faaa06c40c4fe3aa4529",
+    3: "c319deed332957048313fb41bda01e7c5fac31da6d3b7d6e6c7ca12bacca0b22",
+    4: "9f2da47f33060a6f9ff2d6a60d59ff2d50e2873afb8399e4edb69959fd1b5a5b",
+}
 
 
-def test_tables_text_other_engine_refused():
-    text = tables_to_text(compute_tables(1)).replace("kappa=3", "kappa=4")
-    with pytest.raises(EngineMismatchError, match="kappa=4"):
-        tables_from_text(text)
-
-
-@pytest.mark.parametrize("old, new, match", [
-    ("denom  2^2", "denom  2^68719476736", "exponent 68719476736 outside"),
-    ("denom  2^2", "denom  2^-1", "exponent -1 outside"),
-    ("denom  2^2", "denom  4", "bad denominator line"),
-    ("p_unstable = 5/2^3", "p_unstable = 5/2^68719476736", "exponent 68719476736 outside"),
-    ("p_triple = 1/2^1", "p_triple = 1/2^99", "exponent 99 outside"),
-    ("m=1    3    1", "m=7    3    1", "row 1 starts 'm=7'"),
-    ("m=1    3    1", "m=1    x    1", "bad tables text"),
-    ("k = 1", "k = 0", "k must be >= 1"),
-])
-def test_tables_text_doctored_refused(old, new, match):
-    # every exponent is bounded by 2k^2+3k before anything shifts by it
-    text = tables_to_text(compute_tables(1))
-    assert old in text
-    with pytest.raises(TablesFormatError, match=match):
-        tables_from_text(text.replace(old, new, 1))
+def test_tables_text_pinned(tables_k4):
+    for k, digest in PINNED_TEXT.items():
+        tables = tables_k4 if k == 4 else compute_tables(k)
+        assert hashlib.sha256(tables_to_text(tables).encode()).hexdigest() == digest, k
 
 
 def test_k1_text_shows_reduced_entries():
@@ -85,8 +65,3 @@ def test_certificate_json_contract():
 
 def test_certificate_text_contraction_line():
     assert "CONTRACTION" not in certificate_to_text(certify(1))
-
-
-def test_format_fraction():
-    assert format_fraction(Fraction(5, 4)) == "5/4"
-    assert format_fraction(Fraction(2)) == "2"

@@ -1,0 +1,78 @@
+"""The package ships only what runs: no unused import, no public name nobody calls.
+
+A top-level public function or class of ``src/candyfix`` must be referenced
+from outside its own definition by some module of ``src/candyfix`` or of
+``perfbench/`` (the benchmark names its targets as strings, so a dotted name
+in a string constant counts).  What only tests call belongs in the tests.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "candyfix"
+
+# Reference implementations that tests compare the engine against; they are
+# kept beside the code they check so both read the same window types.
+TEST_ORACLES = {
+    ("engine", "one_step_oracle"):
+        "exhausts one step's recolorings; the independent check of kstep_prob at k=1",
+    ("engine", "window_sufficiency_check"):
+        "extends windows by one site; the check that radius 2k+2 determines k steps",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _parsed(paths):
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def _references(node) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and _DOTTED.fullmatch(sub.value):
+            names.update(sub.value.split("."))
+    return names
+
+
+def test_every_import_and_public_name_is_used():
+    package = _parsed(sorted(PACKAGE.glob("*.py")))
+    bench = _parsed(sorted((ROOT / "perfbench").glob("*.py")))
+    problems = []
+
+    for path, tree in package.items():
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "__future__":
+                continue
+            if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                for alias in sub.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        problems.append(f"{path.name}:{sub.lineno} imports {bound} unused")
+
+    # each top-level statement's references, so a definition's own body is
+    # not counted as a use of it
+    referenced = [(node, _references(node))
+                  for tree in [*package.values(), *bench.values()] for node in tree.body]
+    oracles = set()
+    for path, tree in package.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            if (path.stem, node.name) in TEST_ORACLES:
+                oracles.add((path.stem, node.name))
+            elif not any(node.name in names for other, names in referenced if other is not node):
+                problems.append(f"{path.name}:{node.lineno} {node.name} has no caller "
+                                "in src/candyfix or perfbench")
+    assert problems == []
+    assert oracles == set(TEST_ORACLES)  # every named exception still exists

@@ -5,13 +5,10 @@ from candyfix.lattice import unstable_sites
 from candyfix.windows import (
     StableGap,
     TripleUnstable,
-    UnrealizableConditioningError,
     UnstableAtOrigin,
     WindowClass,
     conditioning_mask,
     default_radius,
-    enumerate_windows,
-    reduced_classes,
     unstable_bits,
 )
 
@@ -43,37 +40,6 @@ def test_default_radius():
     assert default_radius(2, TripleUnstable()) == 6
 
 
-def test_enumerate_counts_k1():
-    # paper-table sizes at k=1: six reduced classes conditioned on an unstable
-    # origin, five for the (1,2) stable gap
-    wins = enumerate_windows(1, UnstableAtOrigin())
-    assert len(reduced_classes(wins, 1)) == 6
-    wins = enumerate_windows(1, StableGap(1, 2))
-    assert len(reduced_classes(wins, 1)) == 5
-
-
-def test_gap_2_2_windows_exist():
-    wins = enumerate_windows(1, StableGap(2, 2))
-    assert wins  # nonempty; each member evaluates to zero (engine tests)
-
-
-def test_origin_color_fixed_by_default():
-    wins = enumerate_windows(1, UnstableAtOrigin())
-    assert all(w.color_at(0) == 0 for w in wins)
-    full = enumerate_windows(1, UnstableAtOrigin(), fix_origin_color=False)
-    assert len(full) == 2 * len(wins)
-
-
-def test_unrealizable_conditioning_reported(monkeypatch):
-    import candyfix.windows as windows_mod
-
-    monkeypatch.setattr(
-        windows_mod, "conditioning_mask",
-        lambda k, cond, radius: np.zeros(1 << (2 * radius + 1), dtype=bool))
-    with pytest.raises(UnrealizableConditioningError):
-        windows_mod.enumerate_windows(1, UnstableAtOrigin())
-
-
 def test_conditioning_mask_flag_range_guard():
     with pytest.raises(ValueError):
         conditioning_mask(1, StableGap(3, 0), radius=4)  # flag at -4 not derivable
@@ -86,9 +52,3 @@ def test_conditioning_mask_flag_range_guard():
 def test_stable_gap_validation():
     with pytest.raises(ValueError):
         StableGap(-1, 0)
-
-
-def test_reflection_symmetry_flag():
-    assert UnstableAtOrigin().reflection_symmetric
-    assert StableGap(2, 2).reflection_symmetric
-    assert not StableGap(1, 2).reflection_symmetric
