@@ -7,8 +7,9 @@ parameters); ``enumerate`` (exact probability tables) and ``certify``
 probability).  Every successful run writes result files plus a manifest into
 the output directory; the manifest stream is append-only and each result
 file names the manifest that produced it.  A manifest records the run's
-``seconds`` and ``peak_rss_mib``, and for ``enumerate``/``certify`` the
-``checks`` that ran with their verdicts.
+``seconds`` and ``peak_rss_mib``, for ``enumerate``/``certify`` the
+``checks`` that ran with their verdicts, and for ``crosscheck`` the
+``timings`` of the forward program and the estimator summed over windows.
 
 Exit codes: 0 success, 1 check failure, 2 argument or file-system error,
 3 corrupt input file.
@@ -264,6 +265,8 @@ def cmd_crosscheck(args) -> int:
         return _fail(f"--samples must be >= 1, got {args.samples}")
     if args.windows < 1:
         return _fail(f"--windows must be >= 1, got {args.windows}")
+    if not 0 <= args.seed < 1 << 64:  # the Philox key that draws the windows
+        return _fail(f"--seed must lie in [0, 2^64), got {args.seed}")
     radius = 2 * args.k + 2
     length = 2 * radius + 1
     if length > WORD_BITS:
@@ -277,10 +280,13 @@ def cmd_crosscheck(args) -> int:
 
     report = []
     failures = 0
+    forward_s = estimate_s = 0.0
     for i, word in enumerate(words):
         window = WindowClass.from_word(word, radius)
         res = check_window_estimate(window, args.k, args.samples,
                                     seed=args.seed + 1 + i)
+        forward_s += res.forward_s
+        estimate_s += res.estimate_s
         report.append({
             "window": str(window),
             "exact": res.exact,
@@ -296,6 +302,8 @@ def cmd_crosscheck(args) -> int:
     with open(manifest.add(out / "crosscheck.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, "failures": failures,
                    "checks": report}, fh, indent=1, sort_keys=True)
+    manifest.record["timings"] = {"forward_s": round(forward_s, 6),
+                                  "estimate_s": round(estimate_s, 6)}
     manifest.close(out)
     checked = len(report)
     print(f"checked {checked} windows at k={args.k}, failures {failures}")

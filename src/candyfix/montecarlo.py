@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass
 from math import sqrt
 
@@ -234,6 +235,7 @@ class EstimatedProb:
 
 
 WORD_BITS = 25  # longest window whose coins one unaligned 4-byte read holds
+COIN_BLOCK = 8192  # trials whose coins are drawn and packed together; a multiple of 8
 
 
 def _coin_words(gen: np.random.Generator, trials: int, length: int) -> np.ndarray:
@@ -241,20 +243,32 @@ def _coin_words(gen: np.random.Generator, trials: int, length: int) -> np.ndarra
 
     Bit j of word i is the coin ``gen.integers(0, 2, (trials, length),
     dtype=np.int8)`` gives trial i at site j: numpy takes each such coin as
-    the top bit of the next (little-endian) raw byte.  The top bits are
-    packed flat, so word i sits at bit offset ``i * length``; it is read with
-    one 4-byte load at its byte offset, shifted by the bit offset within, so
-    ``length`` must not exceed ``WORD_BITS``.
+    the top bit of the next (little-endian) raw byte.  The trials go in
+    blocks of ``COIN_BLOCK``, each one ``random_raw`` call whose temporaries
+    stay in cache.  As the block size is a multiple of 8, a full block's
+    ``COIN_BLOCK * length`` coin bytes are whole 8-byte raw draws, so the
+    next block's call continues the stream exactly where one call for all
+    trials would.  Within a block the top bits are packed flat, so a word
+    sits at bit offset ``i * length`` from the block's start; it is read
+    with one 4-byte load at its byte offset, shifted by the bit offset
+    within, so ``length`` must not exceed ``WORD_BITS``.
     """
-    size = trials * length
-    raw = gen.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
-    packed = np.packbits(raw.view(np.uint8)[:size] >= 128, bitorder="little")
-    packed = np.concatenate([packed, np.zeros(3, dtype=np.uint8)])  # the last load's tail
+    offset = np.arange(min(trials, COIN_BLOCK), dtype=np.int64) * length
+    at, shift = offset >> 3, (offset & 7).astype(np.int32)
+    packed = np.zeros(-(-len(offset) * length // 8) + 3, dtype=np.uint8)  # the last load's tail
     loads = np.ndarray(len(packed) - 3, dtype="<i4", buffer=packed, strides=(1,))
-    offset = np.arange(trials, dtype=np.int64) * length
-    words = np.take(loads, offset >> 3)  # a set top bit is shifted out or masked off
-    words >>= offset & 7
-    words &= (1 << length) - 1
+    words = np.empty(trials, dtype=np.int32)
+    for start in range(0, trials, COIN_BLOCK):
+        block = words[start:start + COIN_BLOCK]
+        size = len(block) * length
+        raw = gen.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
+        top = np.packbits(raw.view(np.uint8)[:size] >= 128, bitorder="little")
+        packed[:len(top)] = top
+        # a set bit past the word (the next word's, or stale past the block's
+        # last coin) is shifted out or masked off; "clip" takes into out unbuffered
+        np.take(loads, at[:len(block)], out=block, mode="clip")
+        block >>= shift[:len(block)]
+        block &= (1 << length) - 1
     return words
 
 
@@ -294,6 +308,8 @@ class WindowCheck:
     freq: float
     tolerance: float
     ok: bool
+    forward_s: float  # wall time of the exact forward program
+    estimate_s: float  # wall time of the Monte Carlo estimate
 
 
 def check_window_estimate(
@@ -304,11 +320,14 @@ def check_window_estimate(
     The tolerance uses the exact probability's binomial standard error; a
     degenerate exact value (0 or 1) therefore demands an exact match.
     """
+    start = time.perf_counter()
     exact = float(_engine.kstep_prob(window, k))
+    middle = time.perf_counter()
     est = estimate_kstep_prob(window, k, trials, seed)
+    end = time.perf_counter()
     tol = 4.0 * sqrt(exact * (1.0 - exact) / trials)
     ok = abs(est.freq - exact) <= tol
-    return WindowCheck(exact, est.freq, tol, ok)
+    return WindowCheck(exact, est.freq, tol, ok, middle - start, end - middle)
 
 
 # --------------------------------------------------------------------------

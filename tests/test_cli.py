@@ -317,6 +317,34 @@ def test_crosscheck_small_pass(tmp_path, capsys):
     assert len(report["checks"]) == 12
 
 
+def test_crosscheck_manifest_timings(tmp_path):
+    # the forward program's and the estimator's seconds, summed over windows,
+    # sit in the manifest beside the run's own wall time
+    assert run("crosscheck", "--k", "2", "--windows", "3", "--samples", "2000",
+               "--out", str(tmp_path)) == 0
+    path, = tmp_path.glob("manifest-*.json")
+    manifest = json.loads(path.read_text())
+    timings = manifest["timings"]
+    assert sorted(timings) == ["estimate_s", "forward_s"]
+    assert min(timings.values()) >= 0
+    assert sum(timings.values()) <= manifest["seconds"]
+    assert "timings" not in json.loads((tmp_path / "crosscheck.json").read_text())
+
+
+def test_crosscheck_seed_range(tmp_path, capsys):
+    # the seed keys Philox, which takes 0 .. 2^64 - 1; outside that the run
+    # stops with a usage error before any work or output
+    for seed in (-1, 1 << 64):
+        assert run("crosscheck", "--k", "1", "--windows", "2", "--samples", "100",
+                   "--seed", str(seed), "--out", str(tmp_path)) == 2, seed
+        err = capsys.readouterr().err
+        assert "--seed must lie in [0, 2^64)" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+    assert run("crosscheck", "--k", "1", "--windows", "2", "--samples", "100",
+               "--seed", str((1 << 64) - 1), "--out", str(tmp_path)) == 0
+    assert (tmp_path / "crosscheck.json").exists()
+
+
 def test_crosscheck_default_window_count(tmp_path):
     assert run("crosscheck", "--k", "1", "--samples", "1000",
                "--out", str(tmp_path)) == 0
@@ -360,7 +388,7 @@ def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
     from candyfix.montecarlo import WindowCheck
 
     def broken(window, k, trials, seed=0):
-        return WindowCheck(0.5, 0.0, 0.001, False)
+        return WindowCheck(0.5, 0.0, 0.001, False, 0.0, 0.0)
 
     monkeypatch.setattr(cli_mod, "check_window_estimate", broken)
     code = run("crosscheck", "--k", "1", "--windows", "3", "--samples", "10",

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
@@ -9,6 +10,7 @@ from candyfix.engine import certify, kstep_prob
 from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors
 from candyfix.montecarlo import (
     _INIT_BLOCK,
+    COIN_BLOCK,
     WORD_BITS,
     _coin_words,
     ExperimentSpec,
@@ -193,9 +195,12 @@ def test_coin_words_match_generator_integers():
     # the estimator's coins come from the raw stream; bit j of trial i's word
     # must be exactly the draw numpy's bounded int8 sampler gives at (i, j), so
     # estimates keep their values; odd lengths over trial counts that are not
-    # multiples of 8 read every bit phase, 25 sites the widest word
+    # multiples of 8 read every bit phase, 25 sites the widest word; the
+    # trial counts around the block size cross every kind of block edge
+    edges = (COIN_BLOCK - 1, COIN_BLOCK, COIN_BLOCK + 1, 2 * COIN_BLOCK + 3)
     shapes = ((100_000, 21), (7, 3), (5, 1), (3, 5),
-              (1001, 9), (13, 17), (99_999, 25), (1, 25))
+              (1001, 9), (13, 17), (99_999, 25), (1, 25),
+              *((trials, length) for trials in edges for length in (21, 25)))
     for trials, length in shapes:
         for seed, t in ((0, 0), (5, 3)):
             coins = RngStream(seed, 0).generator_at(t).integers(
@@ -203,6 +208,20 @@ def test_coin_words_match_generator_integers():
             expect = (coins.astype(np.int64) << np.arange(length)).sum(axis=1)
             got = _coin_words(RngStream(seed, 0).generator_at(t), trials, length)
             assert np.array_equal(got, expect), (trials, length, seed)
+
+
+def test_estimate_memory_bounded():
+    # the coins are drawn a block of trials at a time, so the estimator holds
+    # a few words per trial and no multi-MiB stream of coin bytes
+    window = WindowClass.from_word(0b110010111001011100101, 10)
+    estimate_kstep_prob(window, 4, 10)  # numpy.random's lazy import stays out of the peak
+    tracemalloc.start()
+    try:
+        estimate_kstep_prob(window, 4, 100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 def test_estimate_window_too_long_for_word_refused():
