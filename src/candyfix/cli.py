@@ -135,6 +135,8 @@ def _fail(message: str, code: int = USAGE) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not 0 <= args.seed < 1 << 64:  # the stream key keeps the seed mod 2^64
+        return _fail(f"--seed must lie in [0, 2^64), got {args.seed}")
     try:
         dist = _parse_dist(args.p) if args.p else tuple(
             Fraction(1, args.n) for _ in range(args.n))

@@ -1,11 +1,13 @@
 """Color arrays on finite lattice boxes: chain stability and recoloring draws.
 
 A lattice state is a plain integer array of color ids in [0, n) over a finite
-d-dimensional box.  A site is unstable when it lies on an axis-aligned run of
-at least ``kappa`` equal colors (:func:`unstable_sites`); one synchronous
-update redraws every unstable site independently from the recoloring
-distribution (:func:`draw_colors`) while stable sites keep their color.  The
-trajectory loop that applies it is :func:`candyfix.montecarlo.run_trajectory`.
+d-dimensional box, held in :attr:`ModelParams.color_dtype`, the narrowest
+unsigned type that holds n-1 (uint8 up to 256 colors).  A site is unstable
+when it lies on an axis-aligned run of at least ``kappa`` equal colors
+(:func:`unstable_sites`); one synchronous update redraws every unstable site
+independently from the recoloring distribution (:func:`draw_colors`) while
+stable sites keep their color.  The trajectory loop that applies it is
+:func:`candyfix.montecarlo.run_trajectory`.
 
 Boundary policies fix how runs behave at the box edge:
 
@@ -77,6 +79,11 @@ class ModelParams:
         cuts = np.array(cuts, dtype=np.uint64)
         cuts.setflags(write=False)
         return cuts
+
+    @cached_property
+    def color_dtype(self) -> np.dtype:
+        """The narrowest unsigned integer type holding every color id in [0, n)."""
+        return np.min_scalar_type(self.n - 1)
 
 
 _KEY_MIX = 0x9E3779B97F4A7C15  # golden-ratio odd constant, splits (seed, stream) keys
@@ -166,10 +173,11 @@ def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.
 
     The draws are the raw Philox output, which is what
     ``gen.integers(0, 2**64, size, dtype=np.uint64)`` returns; a draw's
-    color is the number of cuts at or below it.
+    color is the number of cuts at or below it.  The colors come back in
+    ``params.color_dtype``.
     """
     draws = gen.bit_generator.random_raw(size)
-    colors = np.zeros(size, dtype=np.int64)
+    colors = np.zeros(size, dtype=params.color_dtype)
     for cut in params.sampling_cuts:
         colors += draws >= cut
     return colors

@@ -129,35 +129,39 @@ class TrajectoryStats:
         }
 
 
-def _alternating_pads(count: int, edge_color: int, n: int) -> np.ndarray:
-    """Inert exterior reveal: two alternating colors, innermost != edge color."""
-    a = (edge_color + 1) % n
-    b = edge_color if n == 2 else (edge_color + 2) % n
-    pads = np.empty(count, dtype=np.int64)
-    pads[::2] = a  # innermost pad first
-    pads[1::2] = b
-    return pads
-
-
 def _initial_cells(spec: ExperimentSpec, stream: RngStream) -> np.ndarray:
+    """The trajectory's first color array, in ``spec.params.color_dtype``.
+
+    Random content is drawn as int64 and then narrowed: a narrower draw
+    would read the stream differently and change every trajectory.
+    """
     init = spec.initial
+    dtype = spec.params.color_dtype
     if isinstance(init, ExplicitWord):
-        return np.array(init.colors, dtype=np.int64)
+        return np.array(init.colors, dtype=dtype)
     shape = (2 * init.M + 1,) if isinstance(init, RandomUnstableBlock) else init.shape
     return stream.generator_at(_INIT_BLOCK).integers(
-        0, spec.params.n, size=shape, dtype=np.int64)
+        0, spec.params.n, size=shape, dtype=np.int64).astype(dtype)
 
 
 def _reveal(word: np.ndarray, lo: int, a: int, b: int, n: int) -> tuple[np.ndarray, int]:
-    """Grow the window so it covers [a - 2, b + 2]; returns it and its new left end."""
-    if a - 2 < lo:
-        pads = _alternating_pads(lo - (a - 2), int(word[0]), n)
-        word = np.concatenate([pads[::-1], word])
-        lo = a - 2
-    hi = lo + len(word) - 1
-    if b + 2 > hi:
-        word = np.concatenate([word, _alternating_pads(b + 2 - hi, int(word[-1]), n)])
-    return word, lo
+    """Grow the window so it covers [a - 2, b + 2]; returns it and its new left end.
+
+    The revealed exterior is inert: each side alternates two colors, the
+    innermost pad differing from that side's edge color.  The grown window
+    keeps ``word``'s dtype.
+    """
+    left = max(0, lo - (a - 2))
+    right = max(0, b + 2 - (lo + len(word) - 1))
+    if left == right == 0:
+        return word, lo
+    grown = np.empty(left + len(word) + right, dtype=word.dtype)
+    grown[left:left + len(word)] = word
+    for pads, edge in ((grown[:left][::-1], int(word[0])),  # innermost pad first
+                       (grown[left + len(word):], int(word[-1]))):
+        pads[::2] = (edge + 1) % n
+        pads[1::2] = edge if n == 2 else (edge + 2) % n
+    return grown, lo - left
 
 
 def run_trajectory(spec: ExperimentSpec, trial: int) -> TrajectoryStats:

@@ -345,6 +345,20 @@ def test_crosscheck_seed_range(tmp_path, capsys):
     assert (tmp_path / "crosscheck.json").exists()
 
 
+def test_simulate_seed_range(tmp_path, capsys):
+    # the stream key reduces the seed mod 2^64, so a seed outside [0, 2^64)
+    # would repeat another seed's trajectories under a different manifest id
+    for seed in (-1, 1 << 64):
+        assert run("simulate", "--init", "block", "--M", "5", "--trials", "3",
+                   "--seed", str(seed), "--out", str(tmp_path)) == 2, seed
+        err = capsys.readouterr().err
+        assert "--seed must lie in [0, 2^64)" in err and "Traceback" not in err
+        assert not (tmp_path / "trajectories.jsonl").exists()
+    assert run("simulate", "--init", "block", "--M", "5", "--trials", "3",
+               "--seed", str((1 << 64) - 1), "--out", str(tmp_path)) == 0
+    assert (tmp_path / "trajectories.jsonl").exists()
+
+
 def test_crosscheck_default_window_count(tmp_path):
     assert run("crosscheck", "--k", "1", "--samples", "1000",
                "--out", str(tmp_path)) == 0

@@ -115,11 +115,13 @@ def test_step_distribution_uniform_over_outcomes():
 
 def test_draw_colors_match_bounded_draws_and_cut_search():
     # the raw-stream sampler against full-range integer draws and a binary
-    # search of the cuts, which it replaces: identical colors, draw for draw
+    # search of the cuts, which it replaces: identical colors, draw for draw,
+    # in the narrowest color type (257 colors need uint16)
     laws = [(Fraction(1, 2),) * 2,
             (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
             (Fraction(1, 3), Fraction(2, 3)),
-            (Fraction(1, 5),) * 5]
+            (Fraction(1, 5),) * 5,
+            (Fraction(1, 257),) * 257]
     for dist in laws:
         params = ModelParams(n=len(dist), recolor_dist=dist)
         for size in (0, 1, 7, 100_001):
@@ -128,7 +130,8 @@ def test_draw_colors_match_bounded_draws_and_cut_search():
                     0, 1 << 64, size=size, dtype=np.uint64)
                 expect = np.searchsorted(params.sampling_cuts, draws, side="right")
                 got = draw_colors(RngStream(seed).generator_at(t), params, size)
-                assert got.dtype == np.int64 and np.array_equal(got, expect), (dist, size)
+                assert got.dtype == params.color_dtype, (dist, size)
+                assert np.array_equal(got, expect), (dist, size)
 
 
 def unstable_by_definition(cells, kappa, periodic):

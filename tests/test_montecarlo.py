@@ -13,6 +13,8 @@ from candyfix.montecarlo import (
     COIN_BLOCK,
     WORD_BITS,
     _coin_words,
+    _initial_cells,
+    _reveal,
     ExperimentSpec,
     ExplicitWord,
     RandomUnstableBlock,
@@ -137,6 +139,30 @@ def test_box_trajectory_matches_iterated_step():
                     break
                 cells[unstable] = draw_colors(stream.generator_at(t), params, series[-1])
             assert run_trajectory(spec, trial).I_series == tuple(series)
+
+
+def test_colors_keep_the_narrowest_dtype():
+    # one int64 array anywhere along the trajectory (a pad, say) would widen
+    # the rest of it without changing any output, only the speed
+    wide = ModelParams(n=300, recolor_dist=(Fraction(1, 300),) * 300)
+    assert P.color_dtype == np.uint8 and wide.color_dtype == np.uint16
+    for params in (P, wide):
+        dtype = params.color_dtype
+        for initial, boundary in ((ExplicitWord((0, 1, 1)), Boundary.STABLE_EXTERIOR),
+                                  (RandomUnstableBlock(4), Boundary.STABLE_EXTERIOR),
+                                  (UniformRandomBox((9,)), Boundary.FROZEN)):
+            spec = ExperimentSpec(params, initial, boundary=boundary)
+            assert _initial_cells(spec, RngStream(0)).dtype == dtype, initial
+        word = np.array([0, 1, 1, 0], dtype=dtype)
+        n = params.n
+        # covers [a - 2, b + 2]: left growth only, right growth only, both
+        for a, b, left, right in ((0, 1, 2, 0), (2, 3, 0, 2), (0, 3, 2, 2)):
+            grown, lo = _reveal(word, 0, a, b, n)
+            assert grown.dtype == dtype and lo == -left, (n, a, b)
+            pads = [1, 0 if n == 2 else 2]  # both edges are 0; innermost first
+            assert list(grown) == pads[:left][::-1] + [0, 1, 1, 0] + pads[:right]
+        grown, lo = _reveal(word, 0, 2, 1, n)  # nothing to reveal
+        assert grown is word and lo == 0
 
 
 def test_explicit_word_colors_checked():
