@@ -5,7 +5,9 @@ uniform recoloring.  Everything here is exact integer arithmetic.  The sweep
 holds probabilities as integer numerators over one power-of-two denominator,
 and hands them out as :class:`candyfix.dyadic.Dyadic` - a Fraction whose
 denominator is a power of two; nothing else is needed because every branch
-weight is 1/2.
+weight is 1/2.  Numerators are int64, except in the forward program
+:func:`kstep_prob` from the first step whose total mass passes int64: there
+they are Python ints (as at the last step of the all-0 window at k=5).
 
 Core quantities:
 
@@ -53,7 +55,6 @@ program (:func:`kstep_prob`) is for the sweep.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,16 +154,14 @@ def _representatives(length: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-SWEEP_BITS = 62  # widest numerator an int64 sweep holds without overflow
+# Widest numerator int64 holds: check_sweep_k refuses a k whose sweep passes it,
+# kstep_prob moves to Python ints at the first step whose total mass would.
+SWEEP_BITS = 62
 
 
-def _sweep_dtype(max_exp: int):
-    if max_exp <= SWEEP_BITS:
-        return np.int64
-    warnings.warn(
-        f"exact sweep needs {max_exp}-bit numerators; switching to arbitrary "
-        "precision (slow, memory heavy)", ResourceWarning, stacklevel=3)
-    return object
+def sweep_exponent(k: int) -> int:
+    """Exponent of g_k and of every k-step table entry: level r adds its 4r+1 interior sites."""
+    return 2 * k * k + 3 * k
 
 
 # --------------------------------------------------------------------------
@@ -225,13 +224,10 @@ def _backward_level(g_next: np.ndarray, length: int, words: np.ndarray):
 
 
 def check_sweep_k(k: int) -> None:
-    """Raise ValueError unless the shared k-step vector fits the sweep's numerators.
-
-    Level r adds its interior size, 4r+1, to the exponent.
-    """
+    """Raise ValueError unless the shared k-step vector fits the sweep's numerators."""
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    bits = sum(4 * r + 1 for r in range(1, k + 1))
+    bits = sweep_exponent(k)
     if bits > SWEEP_BITS:
         raise ValueError(f"k={k} needs {bits}-bit numerators; the exact sweep is "
                          f"limited to {SWEEP_BITS} bits (k <= 4)")
@@ -247,15 +243,13 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     if k:
         check_sweep_k(k)
     g = ((unstable_bits(np.arange(32), 5) >> 2) & 1).astype(np.int64)  # g_0 on 5-site words
-    exp = 0
     for r in range(1, k + 1):
         length = 4 * r + 5
         g_next, g = g, np.zeros(1 << length, dtype=np.int64)
         every = np.arange(1 << length, dtype=np.int32)
         for mask, words, sums in _backward_level(g_next, length, every):
             g[words] = sums << (length - 4 - mask.bit_count())
-        exp += length - 4
-    return g, exp
+    return g, sweep_exponent(k)
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def compute_tables(k: int) -> ProbTables:
     mirror's cell is (m, n).
     """
     check_sweep_k(k)
-    g, exp = kstep_vector(k - 1)
+    g, _ = kstep_vector(k - 1)
     length, sat = 4 * k + 5, 2 * k
     unstable = triple = -1  # running maxima; -1 while a cell has no window
     gap = [[-1] * (sat + 1) for _ in range(sat + 1)]
@@ -352,7 +346,7 @@ def compute_tables(k: int) -> ProbTables:
             m = (right & -right).bit_length() - 1 if right else sat
             gap[n][m] = max(gap[n][m], top)
             gap[m][n] = max(gap[m][n], top)
-    exp += 4 * k + 1
+    exp = sweep_exponent(k)
 
     def entry(best: int, cell: Conditioning) -> Dyadic:
         if best < 0:
@@ -387,17 +381,20 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     index 0 on the group's unstable axes and broadcast over them.  A step
     thus holds two dense arrays over the next words, whatever the groups'
     sizes.
+
+    Mass is conserved: after a step whose widest unstable mask has ``umax``
+    sites the values sum to exactly ``2**(exp + umax)``, which bounds every
+    value, shifted contribution and partial sum of the step.  So values are
+    int64 until ``exp + umax`` passes :data:`SWEEP_BITS`, Python ints after;
+    a sum other than ``2**exp`` at the end raises :class:`EngineConsistencyError`.
     """
     length = 2 * window.radius + 1
     if window.radius < 2 * k + 2:
         raise ValueError(
             f"radius {window.radius} cannot determine a {k}-step probability "
             f"(need >= {2 * k + 2})")
-    max_exp = sum(length - 4 * j - 4 for j in range(k))
-    dtype = _sweep_dtype(max_exp)
-
     support = np.array([window.word], dtype=np.int64)
-    values = np.ones(1, dtype=dtype)
+    values = np.ones(1, dtype=np.int64)
     exp = 0
     cur = length
     for _ in range(k):
@@ -406,10 +403,12 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
         unstable = (unstable_bits(support, cur) >> 2) & inner_mask
         bases = ((support >> 2) & inner_mask) & ~unstable
         umax = int(np.bitwise_count(unstable).max())
+        if exp + umax > SWEEP_BITS:
+            values = values.astype(object, copy=False)
         order = np.argsort(unstable, kind="stable")
         starts, ends = _group_bounds(unstable[order])
-        nxt = np.zeros((2,) * nint, dtype=dtype)  # flat bit p is axis nint-1-p
-        buf = np.zeros(1 << nint, dtype=dtype)
+        nxt = np.zeros((2,) * nint, dtype=values.dtype)  # flat bit p is axis nint-1-p
+        buf = np.zeros(1 << nint, dtype=values.dtype)
         for s, e in zip(starts, ends):
             rows = order[s:e]
             mask, at = int(unstable[rows[0]]), bases[rows]
@@ -423,6 +422,9 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
         values = nxt[support]
         exp += umax
         cur = nint
+    mass = int(values.sum())
+    if mass != 1 << exp:  # an overflow the width rule missed
+        raise EngineConsistencyError(f"forward program's mass is {mass}, not 2^{exp}")
     origin = (cur - 1) // 2
     hit = (unstable_bits(support, cur) >> origin) & 1
     return Dyadic(int(values[hit == 1].sum()), exp)

@@ -160,7 +160,7 @@ def _reveal(word: np.ndarray, lo: int, a: int, b: int, n: int) -> tuple[np.ndarr
     for pads, edge in ((grown[:left][::-1], int(word[0])),  # innermost pad first
                        (grown[left + len(word):], int(word[-1]))):
         pads[::2] = (edge + 1) % n
-        pads[1::2] = edge if n == 2 else (edge + 2) % n
+        pads[1::2] = (edge + 2) % n
     return grown, lo - left
 
 
@@ -232,12 +232,6 @@ def survivors(stats: list[TrajectoryStats], t: int) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimatedProb:
-    freq: float
-    trials: int
-
-
 WORD_BITS = 25  # longest window whose coins one unaligned 4-byte read holds
 COIN_BLOCK = 8192  # trials whose coins are drawn and packed together; a multiple of 8
 
@@ -276,7 +270,7 @@ def _coin_words(gen: np.random.Generator, trials: int, length: int) -> np.ndarra
     return words
 
 
-def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> EstimatedProb:
+def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> float:
     """Empirical frequency of an unstable origin after k steps.
 
     Simulates the window under the theorem model (kappa=3, uniform two-color
@@ -302,8 +296,7 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
         unstable = unstable_bits(words, length)
         words ^= (words ^ _coin_words(stream.generator_at(t), trials, length)) & unstable
     hit = (unstable_bits(words, length) >> window.radius) & 1
-    freq = float(hit.sum()) / trials
-    return EstimatedProb(freq, trials)
+    return float(hit.sum()) / trials
 
 
 @dataclass(frozen=True)
@@ -327,11 +320,11 @@ def check_window_estimate(
     start = time.perf_counter()
     exact = float(_engine.kstep_prob(window, k))
     middle = time.perf_counter()
-    est = estimate_kstep_prob(window, k, trials, seed)
+    freq = estimate_kstep_prob(window, k, trials, seed)
     end = time.perf_counter()
     tol = 4.0 * sqrt(exact * (1.0 - exact) / trials)
-    ok = abs(est.freq - exact) <= tol
-    return WindowCheck(exact, est.freq, tol, ok, middle - start, end - middle)
+    ok = abs(freq - exact) <= tol
+    return WindowCheck(exact, freq, tol, ok, middle - start, end - middle)
 
 
 # --------------------------------------------------------------------------

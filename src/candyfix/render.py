@@ -18,7 +18,7 @@ import copy
 import json
 
 from .dyadic import Dyadic
-from .engine import Certificate, ProbTables
+from .engine import Certificate, ProbTables, sweep_exponent
 
 # The model every table is computed for, as the tables JSON and text name it.
 ENGINE = {"kappa": 3, "n": 2, "p": ["1/2", "1/2"]}
@@ -49,8 +49,8 @@ class EngineMismatchError(ValueError):
 
 
 def _bounded_exp(exp: int, k: int) -> int:
-    """A read exponent, checked against the sweep's 0..2k^2+3k before anything shifts by it."""
-    max_exp = 2 * k * k + 3 * k
+    """A read exponent, checked against 0..sweep_exponent(k) before anything shifts by it."""
+    max_exp = sweep_exponent(k)
     if not 0 <= exp <= max_exp:
         raise TablesFormatError(f"exponent {exp} outside [0, {max_exp}]")
     return exp
@@ -79,7 +79,7 @@ def tables_from_json(obj: dict) -> ProbTables:
 
     Refuses a document for another engine (:class:`EngineMismatchError`), and
     missing fields, a field that is not a JSON integer, an exponent outside
-    the sweep's 0..2k^2+3k, a misshapen gap table or a table that fails
+    the sweep's 0..sweep_exponent(k), a misshapen gap table or a table that fails
     :func:`check_tables` (:class:`TablesFormatError`).
     """
     try:

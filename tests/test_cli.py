@@ -445,6 +445,14 @@ def test_probe_window_width_bounded(capsys):
     assert capsys.readouterr().out == "2181245/2^23 = 2181245/8388608\n"
 
 
+def test_probe_k5_all_zero(capsys):
+    # at k=5 the all-0 window's forward mass reaches 2^65 at its last step, so
+    # that step runs on Python ints and must still give the exact value
+    assert run("probe", "--k", "5", "0" * 25) == 0
+    assert capsys.readouterr().out == (
+        "570543725928283/2^52 = 570543725928283/4503599627370496\n")
+
+
 def test_probe_step_count_must_be_positive(capsys):
     for k in ("0", "-1"):
         assert run("probe", "--k", k, "110001011") == 2, k

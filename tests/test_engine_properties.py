@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from candyfix import engine
 from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     EngineConsistencyError,
@@ -152,6 +153,32 @@ def test_forward_program_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20, peak / 2**20
+
+
+def test_forward_program_k5_window_stays_int64():
+    # its total mass ends at 2^27, so no step leaves int64
+    window = window_from_string("0101000001101010101011001")
+    assert kstep_prob(window, 5) == Dyadic(413567, 24)
+
+
+def test_forward_program_promotion_keeps_values(monkeypatch):
+    # with a 20-bit limit, the radius-10 windows whose reduced exponent alone
+    # exceeds 20 move to Python ints mid-run; no value may change
+    rng = np.random.default_rng(7)
+    windows = [window_from_string(HEAVY_K4)] + [
+        WindowClass.from_word(int(w), 10) for w in rng.integers(0, 1 << 21, size=8)]
+    expect = [kstep_prob(w, 4) for w in windows]
+    assert sum(e.denominator > 1 << 20 for e in expect) >= 4
+    monkeypatch.setattr(engine, "SWEEP_BITS", 20)
+    assert [kstep_prob(w, 4) for w in windows] == expect
+
+
+def test_forward_program_overflow_is_caught(monkeypatch):
+    # the all-0 window at k=5 needs 65 bits at its last step; held in int64
+    # past its limit it overflows, and only the mass check can notice
+    monkeypatch.setattr(engine, "SWEEP_BITS", 70)
+    with pytest.raises(EngineConsistencyError, match="mass"):
+        kstep_prob(WindowClass.from_word(0, 12), 5)
 
 
 def mirrored(words: np.ndarray, length: int) -> np.ndarray:
