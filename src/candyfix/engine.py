@@ -41,9 +41,9 @@ about a quarter of the words and half of the groups.  Complementing every
 color keeps a word's unstable sites and its probability, so only words whose
 top site has color 0 are visited.  Reflection maps the words of mask U onto
 those of the mirrored mask rev(U), value for value, so only masks with
-U <= rev(U) are visited, and each group's maximum also fills the cell of
-rev(U) (the gap (m, n) beside (n, m)).  Every cell is still the exact
-maximum over all of its windows.
+U >= rev(U), the upper of each mirrored pair, are visited, and each group's
+maximum also fills the cell of rev(U) (the gap (m, n) beside (n, m)).
+Every cell is still the exact maximum over all of its windows.
 
 :func:`kstep_vector`, :func:`worst_case` and the masks of
 :mod:`candyfix.windows` use neither symmetry: :func:`worst_case` answers one
@@ -142,15 +142,18 @@ def _representatives(length: int) -> np.ndarray:
 
     The complement keeps a word's mask and value, so only words whose top
     site has color 0 are kept.  The reflection maps the words of mask U onto
-    those of rev(U) with the same values, so only masks with U <= rev(U) are
-    kept; the groups of the other masks are the mirrors of kept ones.
+    those of rev(U) with the same values, so only masks with U >= rev(U), the
+    upper of each mirrored pair, are kept; the groups of the other masks are
+    the mirrors of kept ones.  Sorted by mask, the upper masks share longer
+    high-bit prefixes than the lower ones, so :func:`_backward_level`'s trie
+    computes fewer partial sums (4,575 instead of 7,233 at k=4).
     """
     nint = length - 4
-    lower = np.arange(1 << nint) <= _mirrors(nint)  # indexed by mask
+    upper = np.arange(1 << nint) >= _mirrors(nint)  # indexed by mask
     kept = []
     for lo in range(0, 1 << (length - 1), _BLOCK):
         words = np.arange(lo, min(lo + _BLOCK, 1 << (length - 1)), dtype=np.int32)
-        kept.append(words[lower[(unstable_bits(words, length) >> 2) & ((1 << nint) - 1)]])
+        kept.append(words[upper[(unstable_bits(words, length) >> 2) & ((1 << nint) - 1)]])
     return np.concatenate(kept)
 
 
@@ -186,10 +189,15 @@ def _backward_level(g_next: np.ndarray, length: int, words: np.ndarray):
     first.  The sum of g_next over the axes of mask U is the sum for U
     without its lowest set bit, summed over that bit's axis, so a stack of
     partial sums along the current root-to-leaf path serves every group; it
-    never holds more than g_next's own size.  Interior site p lies on axis p,
-    so the frequent low-site sums add outer halves, and a partial sum's flat
-    index is the word's stable interior bits packed lowest site first, which
-    :func:`_stable_index` computes for all the words in one pass.
+    never holds more than g_next's own size.  Each partial sum is a flat
+    array: g_next's ``(2,)*nint`` tensor with interior site p on axis p, each
+    summed axis cut to length 1.  Summing out bit p adds the two halves of
+    ``reshape(2^p, 2, -1)``.  Bits are summed out high to low, so the p axes
+    below p still have length 2 and the outer extent is exactly 2^p; the
+    axes above p, those of the prefix already length 1, fold into the inner
+    extent.  The frequent low-site sums thus add outer halves, and a partial
+    sum's flat index is the word's stable interior bits packed lowest site
+    first, which :func:`_stable_index` computes for all the words in one pass.
     """
     nint = length - 4
     full = (1 << nint) - 1
@@ -206,8 +214,8 @@ def _backward_level(g_next: np.ndarray, length: int, words: np.ndarray):
     del keys  # frees 8 bytes a word while the groups run; no view of it may remain
     index = _stable_index(masks, words, nint)
     starts, ends = _group_bounds(masks)
-    stack = [(0, np.ascontiguousarray(g_next.reshape((2,) * nint).transpose()))]
-    for s, e in zip(starts, ends):
+    stack = [(0, g_next.reshape((2,) * nint).transpose().ravel())]
+    for s, e in zip(starts.tolist(), ends.tolist()):
         mask = int(masks[s])
         # pop every partial sum whose mask is not a high-bit prefix of this one
         while mask & -(stack[-1][0] & -stack[-1][0]) != stack[-1][0]:
@@ -217,10 +225,11 @@ def _backward_level(g_next: np.ndarray, length: int, words: np.ndarray):
         while rest:
             p = rest.bit_length() - 1
             rest ^= 1 << p
-            summed = summed.sum(axis=p, keepdims=True)
+            halves = summed.reshape(1 << p, 2, -1)
+            summed = np.add(halves[:, 0], halves[:, 1]).ravel()
             prefix |= 1 << p
             stack.append((prefix, summed))
-        yield mask, words[s:e], summed.ravel()[index[s:e]]
+        yield mask, words[s:e], summed.take(index[s:e])
 
 
 def check_sweep_k(k: int) -> None:
@@ -318,7 +327,8 @@ def compute_tables(k: int) -> ProbTables:
 
     Runs the sweep to level k-1, then evaluates the top level on the
     :func:`_representatives` only, about a quarter of the words: one per
-    complement pair, and of each pair of mirrored masks only the lower.
+    complement pair, and of each pair of mirrored masks only the upper
+    (U >= rev(U)).
     Each group's maximum (taken before the level's shift) is exactly the
     maximum over its mirrored group and over both complements, so it folds
     into the cells of its mask and of the mirrored mask.

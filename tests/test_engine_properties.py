@@ -208,7 +208,7 @@ def test_mirror_table_matches_bitwise_mirror():
 
 
 def test_representatives_cover_every_mask():
-    # top color 0 and U <= rev(U): every mask of the level is kept or is the
+    # top color 0 and U >= rev(U): every mask of the level is kept or is the
     # mirror of a kept one, and the k=4 top level keeps about a quarter
     counts = {}
     for length in (9, 13, 17, 21):
@@ -216,11 +216,54 @@ def test_representatives_cover_every_mask():
         reps = _representatives(length)
         assert np.all(np.diff(reps) > 0) and reps.max() < 1 << (length - 1)
         kept = np.unique((unstable_bits(reps, length) >> 2) & full)
-        assert np.all(kept <= mirrored(kept, nint))
+        assert np.all(kept >= mirrored(kept, nint))
         every = np.unique((unstable_bits(np.arange(1 << length), length) >> 2) & full)
         assert np.array_equal(np.union1d(kept, mirrored(kept, nint)), every), length
         counts[length] = (len(reps), len(kept), len(every))
     assert counts[21] == (547_836, 2_781, 5_473)
+
+
+def trie_partial_sums(masks) -> int:
+    """Partial sums _backward_level's stack computes for groups in this mask order."""
+    stack, count = [0], 0
+    for mask in masks:
+        while mask & -(stack[-1] & -stack[-1]) != stack[-1]:
+            stack.pop()
+        prefix, rest = stack[-1], mask ^ stack[-1]
+        while rest:
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            prefix |= 1 << p
+            stack.append(prefix)
+            count += 1
+    return count
+
+
+def test_top_level_trie_partial_sums():
+    # the upper mask of each mirrored pair shares longer high-bit prefixes
+    # with its sorted neighbors than the lower one does, so the k=3 and k=4
+    # top levels compute fewer partial sums than the mirrored masks would
+    counts = {}
+    for length in (17, 21):
+        nint = length - 4
+        zeros = np.zeros(1 << nint, dtype=np.int64)
+        masks = [mask for mask, _, _ in _backward_level(zeros, length, _representatives(length))]
+        lower = np.sort(mirrored(np.array(masks), nint)).tolist()
+        counts[length] = (trie_partial_sums(masks), trie_partial_sums(lower))
+    assert counts == {17: (682, 1_069), 21: (4_575, 7_233)}
+
+
+def test_compute_tables_memory_bounded():
+    # one group's sums at a time and one stack of partial sums: the k=4 tables
+    # never hold a whole level's sums
+    compute_tables(1)  # the pext table, built once per process
+    tracemalloc.start()
+    try:
+        compute_tables(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 << 20, peak / 2**20
 
 
 def test_window_sufficiency_exhaustive_k1():
