@@ -54,7 +54,6 @@ from .montecarlo import (
 from .render import (
     ENGINE_TAG,
     EngineMismatchError,
-    TablesFormatError,
     certificate_to_json,
     certificate_to_text,
     tables_from_json,
@@ -233,10 +232,10 @@ def cmd_certify(args) -> int:
         try:
             with open(args.tables) as fh:
                 tables = tables_from_json(json.load(fh))
-        except (UnicodeDecodeError, json.JSONDecodeError, TablesFormatError) as exc:
-            return _fail(f"corrupt tables file {args.tables}: {exc}", CORRUPT)
-        except EngineMismatchError as exc:
+        except EngineMismatchError as exc:  # a ValueError subclass, so it goes first
             return _fail(str(exc))
+        except (ValueError, RecursionError) as exc:  # bad bytes, JSON or table; deep nesting
+            return _fail(f"corrupt tables file {args.tables}: {exc}", CORRUPT)
         manifest.passed("tables-file")  # schema, engine, exponent bounds, check_tables
         if tables.k != args.k:
             return _fail(f"tables file is for k={tables.k}, not k={args.k}")
@@ -244,7 +243,7 @@ def cmd_certify(args) -> int:
     try:
         cert = certify(args.k, tables=tables)
     except EngineConsistencyError as exc:
-        return _fail(str(exc), CORRUPT)
+        return _fail(str(exc), CHECK_FAILED)
     manifest.passed("unbounded-sum-identity")
     out = _out_dir(args)
     with open(manifest.add(out / "certificate.json"), "w") as fh:
@@ -320,17 +319,16 @@ def cmd_crosscheck(args) -> int:
 def cmd_probe(args) -> int:
     if args.k < 1:
         return _fail(f"--k must be >= 1, got {args.k}")
-    word = args.window
-    if not all(c in "01" for c in word) or len(word) % 2 == 0:
-        return _fail("window must be an odd-length binary word")
-    if len(word) > WORD_BITS:  # the forward program's buffers hold 2^(sites-4) entries
-        return _fail(f"window has {len(word)} sites; the limit is {WORD_BITS} "
+    try:
+        window = WindowClass.parse(args.window)
+    except ValueError as exc:
+        return _fail(str(exc))
+    if len(args.window) > WORD_BITS:  # the forward program's buffers hold 2^(sites-4) entries
+        return _fail(f"window has {len(args.window)} sites; the limit is {WORD_BITS} "
                      f"(radius {WORD_BITS // 2})")
-    radius = len(word) // 2
-    if radius < 2 * args.k + 2:
-        return _fail(f"window radius {radius} too small for k={args.k}")
-    value = sum((int(c) << i) for i, c in enumerate(word))
-    prob = kstep_prob(WindowClass.from_word(value, radius), args.k)
+    if window.radius < 2 * args.k + 2:
+        return _fail(f"window radius {window.radius} too small for k={args.k}")
+    prob = kstep_prob(window, args.k)
     print(f"{prob} = {prob.ratio_str()}")
     return OK
 

@@ -443,19 +443,21 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
 def one_step_oracle(window: WindowClass) -> Dyadic:
     """Direct single-step oracle: exhaust every joint recoloring outcome.
 
-    Enumerates the 2^u recolorings of the unstable sites within distance two
-    of the origin and classifies the origin on each resulting 5-site word.
-    Deliberately contains no distribution projection or merging, so it is an
-    independent check on kstep_prob at k=1.
+    Enumerates the 2^u recolorings of the unstable sites (by ``unstable_bits``)
+    within distance two of the origin and classifies the origin on each
+    resulting 5-site word.  Deliberately contains no distribution projection
+    or merging, so it is an independent check on kstep_prob at k=1.
     """
     r = window.radius
     if r < 4:
         raise ValueError("one-step oracle needs radius >= 4")
-    local = [x for x in range(-2, 3) if not window.flag_at(x)]
+    unstable = unstable_bits(window.word, 2 * r + 1)
+    sites = range(r - 2, r + 3)  # the bits of sites -2..2
+    local = [i for i in sites if (unstable >> i) & 1]
     hits = 0
     for draw in itertools.product((0, 1), repeat=len(local)):
         fresh = dict(zip(local, draw))
-        w = [fresh.get(x, window.color_at(x)) for x in range(-2, 3)]
+        w = [fresh.get(i, (window.word >> i) & 1) for i in sites]
         if (w[0] == w[1] == w[2]) or (w[1] == w[2] == w[3]) or (w[2] == w[3] == w[4]):
             hits += 1
     return Dyadic(hits, len(local))

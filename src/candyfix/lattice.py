@@ -75,6 +75,8 @@ class ModelParams:
         acc = Fraction(0)
         for p in self.recolor_dist[:-1]:
             acc += p
+            if acc == 1:  # a law ending in zeros: a cut of 2**64 lies past every draw
+                break
             cuts.append((acc.numerator << 64) // acc.denominator)
         cuts = np.array(cuts, dtype=np.uint64)
         cuts.setflags(write=False)

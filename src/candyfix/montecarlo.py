@@ -287,7 +287,7 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
         raise ValueError(f"trials must be >= 1, got {trials}")
     if window.radius < 2 * k + 2:
         raise ValueError(f"radius {window.radius} cannot determine k={k}")
-    length = len(window.colors)
+    length = 2 * window.radius + 1
     if length > WORD_BITS:
         raise ValueError(f"a {length}-site window does not fit a {WORD_BITS}-bit word")
     stream = RngStream(seed, 0)

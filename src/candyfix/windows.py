@@ -5,8 +5,8 @@ A window is a two-color word on sites [-B, B] encoded as an integer (bit
 on the interior [-B+2, B-2], where a site's full radius-2 neighborhood lies
 inside the window; everything here works on those derived flags.
 :func:`unstable_bits` classifies words for the engine's sweep and the Monte
-Carlo estimator alike; :class:`WindowClass` is one window with its flags, as
-the forward program and the estimator take it.
+Carlo estimator alike; :class:`WindowClass` is one window's word and
+radius, as the forward program and the estimator take it.
 
 The three conditioning descriptors select the windows whose worst case
 defines each probability table (:func:`conditioning_mask`):
@@ -126,37 +126,33 @@ def conditioning_mask(k: int, conditioning: Conditioning, radius: int) -> np.nda
 
 @dataclass(frozen=True)
 class WindowClass:
-    """A color word on [-radius, radius] with its derived stability flags."""
+    """A two-color word on [-radius, radius]: bit ``x + radius`` is the color
+    of site ``x``, and the 0/1 text form lists the colors from site -radius up."""
 
+    word: int
     radius: int
-    colors: tuple[int, ...]
-    flags: tuple[int, ...]  # sigma on [-(radius-2), radius-2]; 1 = stable
 
     def __post_init__(self):
         if self.radius < 2:
-            raise ValueError(f"radius must be >= 2, got {self.radius}")
-        if len(self.colors) != 2 * self.radius + 1:
-            raise ValueError("colors must cover [-radius, radius]")
-        if len(self.flags) != 2 * self.radius - 3:
-            raise ValueError("flags must cover [-(radius-2), radius-2]")
+            raise ValueError(f"window radius {self.radius} too small (need >= 2)")
+        if not 0 <= self.word < 1 << (2 * self.radius + 1):
+            raise ValueError(f"word {self.word} does not fit {2 * self.radius + 1} sites")
 
     @classmethod
-    def from_word(cls, word: int, radius: int):
-        length = 2 * radius + 1
-        unstable = unstable_bits(word, length)
-        colors = tuple((word >> i) & 1 for i in range(length))
-        flags = tuple(1 - ((unstable >> i) & 1) for i in range(2, length - 2))
-        return cls(radius, colors, flags)
+    def from_word(cls, word: int, radius: int) -> WindowClass:
+        return cls(word, radius)
+
+    @classmethod
+    def parse(cls, text: str) -> WindowClass:
+        if len(text) % 2 == 0 or text.strip("01"):
+            raise ValueError("window must be an odd-length binary word")
+        return cls(int(text[::-1], 2), len(text) // 2)
 
     @property
-    def word(self) -> int:
-        return sum(c << i for i, c in enumerate(self.colors))
-
-    def color_at(self, x: int) -> int:
-        return self.colors[x + self.radius]
-
-    def flag_at(self, x: int) -> int:
-        return self.flags[x + self.radius - 2]
+    def colors(self) -> tuple[int, ...]:
+        # from site -radius up; the text form, and the benchmark's trace, which
+        # counts an estimate's site updates as len(window.colors), read them
+        return tuple((self.word >> i) & 1 for i in range(2 * self.radius + 1))
 
     def __str__(self):
-        return "".join(str(c) for c in self.colors)
+        return "".join(map(str, self.colors))

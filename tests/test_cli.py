@@ -45,6 +45,14 @@ def test_simulate_invalid_distribution(tmp_path, capsys):
     assert "must sum to 1" in capsys.readouterr().err
 
 
+def test_simulate_law_ending_in_zeros(tmp_path, capsys):
+    # a cumulative of exactly 1 before the last color gives no cut of 2^64
+    for i, argv in enumerate((("--init", "word:000111", "--p", "1,0", "--t-max", "50"),
+                              ("--n", "3", "--p", "1/2,1/2,0"))):
+        assert run("simulate", *argv, "--out", str(tmp_path / str(i))) == 0, argv
+        assert "trials 1" in capsys.readouterr().out
+
+
 def test_simulate_rerun_byte_identical(tmp_path):
     args = ["simulate", "--init", "block", "--M", "6", "--trials", "25",
             "--seed", "3"]
@@ -210,6 +218,22 @@ def test_certify_truncated_tables_is_corrupt(tmp_path, capsys):
         assert "corrupt tables file" in capsys.readouterr().err
 
 
+UNPARSEABLE_TABLES = {
+    "nested.json": "[" * 200_000,  # json.load exhausts the stack
+    "digits.json": '{"k": 1' + "0" * 5_000 + "}",  # past int()'s 4,300-digit limit
+}
+
+
+@pytest.mark.parametrize("name", UNPARSEABLE_TABLES)
+def test_certify_unparseable_tables_is_corrupt(tmp_path, capsys, name):
+    (tmp_path / name).write_text(UNPARSEABLE_TABLES[name])
+    assert run("certify", "--k", "1", "--tables", str(tmp_path / name),
+               "--out", str(tmp_path / "c")) == 3
+    captured = capsys.readouterr()
+    assert "corrupt tables file" in captured.err and "c = " not in captured.out
+    assert not (tmp_path / "c" / "certificate.json").exists()
+
+
 @pytest.mark.parametrize("cell, value, check", [
     (("pI",), {"num": -3, "exp": 0}, "pI = -3 is not in [0, 1]"),
     (("pS", 0, 1), {"num": 1, "exp": 3}, "pS is not symmetric"),
@@ -293,7 +317,7 @@ def test_certify_inconsistent_tables_refused(tmp_path, capsys, monkeypatch):
     gap[0][2] = Dyadic(1)
     bad = ProbTables(1, good.p_unstable, good.p_triple, tuple(map(tuple, gap)))
     monkeypatch.setattr(engine_mod, "compute_tables", lambda k: bad)
-    assert run("certify", "--k", "1", "--out", str(tmp_path)) == 3
+    assert run("certify", "--k", "1", "--out", str(tmp_path)) == 1  # a check failure
     assert "unbounded-region identity" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
 

@@ -18,7 +18,8 @@ from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     certify, compute_tables, gap_sum, kstep_prob, kstep_vector, max_gap_sum)
 from candyfix.render import tables_to_json
-from candyfix.windows import StableGap, UnstableAtOrigin, WindowClass, conditioning_mask
+from candyfix.windows import (
+    StableGap, UnstableAtOrigin, WindowClass, conditioning_mask, unstable_bits)
 
 
 def k1_windows(cond):
@@ -31,9 +32,11 @@ def k1_windows(cond):
 def reduced_key(window, k):
     """The window on [-2k, 2k]: its flags and the colors of its stable sites only
     (an unstable site is redrawn before its color is read)."""
-    span = range(-2 * k, 2 * k + 1)
-    return (tuple(window.flag_at(x) for x in span),
-            tuple(window.color_at(x) if window.flag_at(x) else None for x in span))
+    r = window.radius
+    span = range(r - 2 * k, r + 2 * k + 1)  # the bits of sites -2k..2k
+    unstable = unstable_bits(window.word, 2 * r + 1)
+    flags = tuple(1 - ((unstable >> i) & 1) for i in span)
+    return (flags, tuple((window.word >> i) & 1 if f else None for i, f in zip(span, flags)))
 
 
 def canonical(key):

@@ -41,10 +41,6 @@ TABLES = {k: compute_tables(k) for k in (1, 2)}
 HEAVY_K4 = "000000001110000011111"
 
 
-def window_from_string(colors: str) -> WindowClass:
-    return WindowClass.from_word(int(colors[::-1], 2), (len(colors) - 1) // 2)
-
-
 def deposits(mask: int) -> np.ndarray:
     """All placements of free bits onto the set positions of ``mask``."""
     positions = [p for p in range(mask.bit_length()) if (mask >> p) & 1]
@@ -138,14 +134,14 @@ def test_forward_matches_shared_vector():
             word = int(word)
             assert kstep_prob(WindowClass.from_word(word, radius), k) == Dyadic(
                 int(g[word]), exp), (k, word)
-    heavy = window_from_string(HEAVY_K4)
+    heavy = WindowClass.parse(HEAVY_K4)
     assert str(heavy) == HEAVY_K4
     assert kstep_prob(heavy, 4) == Dyadic(int(g[heavy.word]), exp) == Dyadic(1482647401, 33)
 
 
 def test_forward_program_memory_bounded():
     # each group spreads through one dense buffer, not a rows x 2^u scatter
-    window = window_from_string(HEAVY_K4)
+    window = WindowClass.parse(HEAVY_K4)
     tracemalloc.start()
     try:
         kstep_prob(window, 4)
@@ -157,7 +153,7 @@ def test_forward_program_memory_bounded():
 
 def test_forward_program_k5_window_stays_int64():
     # its total mass ends at 2^27, so no step leaves int64
-    window = window_from_string("0101000001101010101011001")
+    window = WindowClass.parse("0101000001101010101011001")
     assert kstep_prob(window, 5) == Dyadic(413567, 24)
 
 
@@ -165,7 +161,7 @@ def test_forward_program_promotion_keeps_values(monkeypatch):
     # with a 20-bit limit, the radius-10 windows whose reduced exponent alone
     # exceeds 20 move to Python ints mid-run; no value may change
     rng = np.random.default_rng(7)
-    windows = [window_from_string(HEAVY_K4)] + [
+    windows = [WindowClass.parse(HEAVY_K4)] + [
         WindowClass.from_word(int(w), 10) for w in rng.integers(0, 1 << 21, size=8)]
     expect = [kstep_prob(w, 4) for w in windows]
     assert sum(e.denominator > 1 << 20 for e in expect) >= 4

@@ -116,12 +116,16 @@ def test_step_distribution_uniform_over_outcomes():
 def test_draw_colors_match_bounded_draws_and_cut_search():
     # the raw-stream sampler against full-range integer draws and a binary
     # search of the cuts, which it replaces: identical colors, draw for draw,
-    # in the narrowest color type (257 colors need uint16)
+    # in the narrowest color type (257 colors need uint16); a law ending in
+    # zeros never draws its last colors
     laws = [(Fraction(1, 2),) * 2,
             (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
             (Fraction(1, 3), Fraction(2, 3)),
             (Fraction(1, 5),) * 5,
-            (Fraction(1, 257),) * 257]
+            (Fraction(1, 257),) * 257,
+            (Fraction(1), Fraction(0)),
+            (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+            (Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0))]
     for dist in laws:
         params = ModelParams(n=len(dist), recolor_dist=dist)
         for size in (0, 1, 7, 100_001):

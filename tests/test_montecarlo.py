@@ -37,11 +37,6 @@ def spec_word(word, **kw):
     return ExperimentSpec(P, ExplicitWord(tuple(int(c) for c in word)), **kw)
 
 
-def window_from_colors(colors):
-    word = sum(c << i for i, c in enumerate(colors))
-    return WindowClass.from_word(word, (len(colors) - 1) // 2)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(P, RandomUnstableBlock(3), boundary=Boundary.FROZEN)
@@ -208,8 +203,8 @@ def test_2d_box_trajectory():
 
 def test_estimate_matches_exact_table_rows():
     # classes with exact values 3/8 and 5/8
-    row_38 = window_from_colors([1, 1, 0, 0, 0, 1, 0, 1, 1])
-    row_58 = window_from_colors([1, 1, 0, 0, 0, 1, 1, 0, 1])
+    row_38 = WindowClass.parse("110001011")
+    row_58 = WindowClass.parse("110001101")
     assert kstep_prob(row_38, 1) == Dyadic(3, 3)
     assert kstep_prob(row_58, 1) == Dyadic(5, 3)
     for window, p in ((row_38, 0.375), (row_58, 0.625)):
@@ -259,7 +254,7 @@ def test_estimate_window_too_long_for_word_refused():
 
 
 def test_estimate_fully_stable_window_exactly_zero():
-    window = window_from_colors([0, 1, 0, 1, 0, 1, 0, 1, 0])
+    window = WindowClass.parse("010101010")
     assert estimate_kstep_prob(window, 1, 2000, seed=1) == 0.0
     check = check_window_estimate(window, 1, 2000, seed=1)
     assert check.ok and check.exact == 0.0

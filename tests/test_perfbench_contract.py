@@ -34,3 +34,12 @@ def test_forward_bound_check_reads_fractions(tables_k4):
     assert type(value) is Fraction
     cert = certificate_to_json(certify(4, tables=tables_k4))
     assert checks.certify_forward_bound(cert, seed=0) == []
+
+
+def test_trace_and_checks_read_windows():
+    # the estimator span sizes its work off the window, and the checks build
+    # windows from 0/1 text
+    window = WindowClass.from_word(0b110001011, 4)
+    assert spans._estimate_sites((window, 4, 10), {}) == 10 * 9 * 4
+    assert checks.window_of("110001011") == WindowClass.parse("110001011") \
+        == WindowClass.from_word(0b110100011, 4)

@@ -25,12 +25,33 @@ def test_unstable_bits_match_lattice_classifier():
             assert int(table[word]) == expect == unstable_bits(word, length)
 
 
-def test_window_class_flags_are_interior_only():
-    w = WindowClass.from_word(0b000011000, 4)
-    assert len(w.flags) == 5
-    assert w.flag_at(-2) in (0, 1)
-    with pytest.raises(IndexError):
-        _ = w.flags[99]
+def test_window_text_round_trips():
+    rng = np.random.default_rng(1)
+    for radius in range(2, 13):
+        length = 2 * radius + 1
+        for word in (0, (1 << length) - 1, *map(int, rng.integers(0, 1 << length, size=8))):
+            w = WindowClass.from_word(word, radius)
+            text = str(w)
+            assert len(text) == length and [int(c) for c in text] == list(w.colors)
+            assert all(int(c) == (word >> i) & 1 for i, c in enumerate(text))
+            assert WindowClass.parse(text) == w
+
+
+def test_window_word_must_fit_its_sites():
+    for word, radius in ((512, 4), (1 << 25, 12), (-1, 4)):
+        with pytest.raises(ValueError, match="does not fit"):
+            WindowClass.from_word(word, radius)
+    assert WindowClass.from_word(511, 4).word == 511
+    for radius in (1, 0, -3):
+        with pytest.raises(ValueError, match="too small"):
+            WindowClass.from_word(0, radius)
+
+
+# the last text holds a fullwidth digit one, which int() would read as 1
+@pytest.mark.parametrize("text", ["", "0110", "1102011", "11 0011", "0b10101", "１1111"])
+def test_window_parse_refuses_bad_text(text):
+    with pytest.raises(ValueError, match="odd-length binary word"):
+        WindowClass.parse(text)
 
 
 def test_default_radius():
