@@ -41,6 +41,7 @@ from .engine import (
 )
 from .lattice import Boundary, ModelParams
 from .montecarlo import (
+    COIN_STREAM_FORMAT,
     WORD_BITS,
     ExperimentSpec,
     ExplicitWord,
@@ -273,8 +274,8 @@ def cmd_crosscheck(args) -> int:
     if length > WORD_BITS:
         return _fail(f"--k {args.k} needs {length}-site windows; the estimator's "
                      f"words hold at most {WORD_BITS} sites (k <= {(WORD_BITS - 5) // 4})")
-    payload = {"k": args.k, "samples": args.samples, "windows": str(args.windows),
-               "seed": args.seed}
+    payload = {"k": args.k, "samples": args.samples, "windows": args.windows,
+               "seed": args.seed, "coin_stream_format": COIN_STREAM_FORMAT}
     manifest = _Manifest("crosscheck", payload)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     words = [int(w) for w in gen.integers(0, 1 << length, size=args.windows)]

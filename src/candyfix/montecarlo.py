@@ -14,6 +14,10 @@ per step, redraw the unstable sites, and under ``stable-exterior`` also check
 the growth bound and reveal exterior sites.  Trials are independent: trial
 ``i`` draws step ``t`` from block ``t`` of the stream (seed, i), so a
 trajectory depends only on (spec, i), not on which other trials ran.
+
+The window estimator that cross-checks the exact engine runs all its trials
+as one batch of window words, and step ``t`` takes one uniform int32 coin
+word per trial from block ``t`` of the stream (seed, 0).
 """
 
 from __future__ import annotations
@@ -232,42 +236,13 @@ def survivors(stats: list[TrajectoryStats], t: int) -> int:
 # --------------------------------------------------------------------------
 
 
-WORD_BITS = 25  # longest window whose coins one unaligned 4-byte read holds
-COIN_BLOCK = 8192  # trials whose coins are drawn and packed together; a multiple of 8
-
-
-def _coin_words(gen: np.random.Generator, trials: int, length: int) -> np.ndarray:
-    """One ``length``-bit word of coins per trial, read straight off the raw stream.
-
-    Bit j of word i is the coin ``gen.integers(0, 2, (trials, length),
-    dtype=np.int8)`` gives trial i at site j: numpy takes each such coin as
-    the top bit of the next (little-endian) raw byte.  The trials go in
-    blocks of ``COIN_BLOCK``, each one ``random_raw`` call whose temporaries
-    stay in cache.  As the block size is a multiple of 8, a full block's
-    ``COIN_BLOCK * length`` coin bytes are whole 8-byte raw draws, so the
-    next block's call continues the stream exactly where one call for all
-    trials would.  Within a block the top bits are packed flat, so a word
-    sits at bit offset ``i * length`` from the block's start; it is read
-    with one 4-byte load at its byte offset, shifted by the bit offset
-    within, so ``length`` must not exceed ``WORD_BITS``.
-    """
-    offset = np.arange(min(trials, COIN_BLOCK), dtype=np.int64) * length
-    at, shift = offset >> 3, (offset & 7).astype(np.int32)
-    packed = np.zeros(-(-len(offset) * length // 8) + 3, dtype=np.uint8)  # the last load's tail
-    loads = np.ndarray(len(packed) - 3, dtype="<i4", buffer=packed, strides=(1,))
-    words = np.empty(trials, dtype=np.int32)
-    for start in range(0, trials, COIN_BLOCK):
-        block = words[start:start + COIN_BLOCK]
-        size = len(block) * length
-        raw = gen.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
-        top = np.packbits(raw.view(np.uint8)[:size] >= 128, bitorder="little")
-        packed[:len(top)] = top
-        # a set bit past the word (the next word's, or stale past the block's
-        # last coin) is shifted out or masked off; "clip" takes into out unbuffered
-        np.take(loads, at[:len(block)], out=block, mode="clip")
-        block >>= shift[:len(block)]
-        block &= (1 << length) - 1
-    return words
+# Longest window the forward program and the estimator take: the forward
+# program behind ``probe`` holds two buffers of 2^(sites-4) entries, and the
+# estimator holds each trial's window, and draws its coins, as an int32 word.
+WORD_BITS = 25
+# Layout of the estimator's coins: 2 is one uniform int32 word per trial and
+# step; 1 took one coin from the top bit of each raw byte.
+COIN_STREAM_FORMAT = 2
 
 
 def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> float:
@@ -277,11 +252,14 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
     recoloring) as a batch of trials under clipped runs, one window word per
     trial: each step classifies the batch with
     :func:`candyfix.windows.unstable_bits` and takes the coin word's bits at
-    the unstable sites.  Sites whose classification the window cannot
-    determine are simulated with the clipped view; their recolorings never
-    reach the origin's shrinking information cone within k steps, so the
-    origin frequency is unbiased.  The origin's flag reads only the five
-    sites around it.
+    the unstable sites.  Step ``t`` draws its coins from block ``t`` of the
+    stream (seed, 0), one uniform ``length``-bit int32 per trial whose bit
+    ``j`` is the coin at site ``j`` (``COIN_STREAM_FORMAT``); the first n
+    trials therefore see the same coins whatever the trial count.  Sites
+    whose classification the window cannot determine are simulated with the
+    clipped view; their recolorings never reach the origin's shrinking
+    information cone within k steps, so the origin frequency is unbiased.
+    The origin's flag reads only the five sites around it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -293,8 +271,12 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
     stream = RngStream(seed, 0)
     words = np.full(trials, window.word, dtype=np.int32)
     for t in range(k):
-        unstable = unstable_bits(words, length)
-        words ^= (words ^ _coin_words(stream.generator_at(t), trials, length)) & unstable
+        # updated in place, and the last step's coins are freed before this
+        # step classifies, so no step holds more than a few words per trial
+        coins = stream.generator_at(t).integers(0, 1 << length, size=trials, dtype=np.int32)
+        coins ^= words
+        coins &= unstable_bits(words, length)
+        words ^= coins
     hit = (unstable_bits(words, length) >> window.radius) & 1
     return float(hit.sum()) / trials
 

@@ -7,6 +7,7 @@ from candyfix import __version__
 from candyfix.cli import main
 from candyfix.dyadic import Dyadic
 from candyfix.engine import ProbTables, compute_tables, kstep_vector
+from candyfix.montecarlo import COIN_STREAM_FORMAT
 from candyfix.render import tables_from_json, tables_to_text
 
 
@@ -343,11 +344,14 @@ def test_crosscheck_small_pass(tmp_path, capsys):
 
 def test_crosscheck_manifest_timings(tmp_path):
     # the forward program's and the estimator's seconds, summed over windows,
-    # sit in the manifest beside the run's own wall time
+    # sit in the manifest beside the run's own wall time; the parameters name
+    # the coin-stream format, so two formats never share a run id
     assert run("crosscheck", "--k", "2", "--windows", "3", "--samples", "2000",
                "--out", str(tmp_path)) == 0
     path, = tmp_path.glob("manifest-*.json")
     manifest = json.loads(path.read_text())
+    assert manifest["parameters"] == {"k": 2, "samples": 2000, "windows": 3, "seed": 0,
+                                      "coin_stream_format": COIN_STREAM_FORMAT}
     timings = manifest["timings"]
     assert sorted(timings) == ["estimate_s", "forward_s"]
     assert min(timings.values()) >= 0
@@ -440,9 +444,9 @@ def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
 # layout, its classifier or the forward program's arithmetic shows here
 PINNED_CROSSCHECKS = (
     (("--k", "2", "--samples", "20000", "--windows", "6", "--seed", "3"),
-     "283553118b2d4a40e7d73b2d01b90837ee24afd5b4443db6024089438dcf4359"),
+     "c547fb9adfb09dcd7a1ef3c527ed0ec8884c9488fcb91d499ae1255f4da664f3"),
     (("--k", "4", "--samples", "5000", "--windows", "3", "--seed", "0"),
-     "3bd1c07641d33dfdacbec7c58949d796c1dff351d03acf47ca9941454add2961"),
+     "90f3ce68326158dfafd498c3fed3be36150629799c3d9e3dfec3c20fd8fe6550"),
 )
 
 

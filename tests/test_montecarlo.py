@@ -10,9 +10,8 @@ from candyfix.engine import certify, kstep_prob
 from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors
 from candyfix.montecarlo import (
     _INIT_BLOCK,
-    COIN_BLOCK,
+    COIN_STREAM_FORMAT,
     WORD_BITS,
-    _coin_words,
     _initial_cells,
     _reveal,
     ExperimentSpec,
@@ -212,28 +211,70 @@ def test_estimate_matches_exact_table_rows():
         assert abs(freq - p) <= 4 * sqrt(p * (1 - p) / 100_000)
 
 
-def test_coin_words_match_generator_integers():
-    # the estimator's coins come from the raw stream; bit j of trial i's word
-    # must be exactly the draw numpy's bounded int8 sampler gives at (i, j), so
-    # estimates keep their values; odd lengths over trial counts that are not
-    # multiples of 8 read every bit phase, 25 sites the widest word; the
-    # trial counts around the block size cross every kind of block edge
-    edges = (COIN_BLOCK - 1, COIN_BLOCK, COIN_BLOCK + 1, 2 * COIN_BLOCK + 3)
-    shapes = ((100_000, 21), (7, 3), (5, 1), (3, 5),
-              (1001, 9), (13, 17), (99_999, 25), (1, 25),
-              *((trials, length) for trials in edges for length in (21, 25)))
-    for trials, length in shapes:
-        for seed, t in ((0, 0), (5, 3)):
-            coins = RngStream(seed, 0).generator_at(t).integers(
-                0, 2, size=(trials, length), dtype=np.int8)
-            expect = (coins.astype(np.int64) << np.arange(length)).sum(axis=1)
-            got = _coin_words(RngStream(seed, 0).generator_at(t), trials, length)
-            assert np.array_equal(got, expect), (trials, length, seed)
+def coin_words(seed: int, t: int, trials: int, length: int) -> np.ndarray:
+    """Step t's coins in stream format 2: one uniform int32 per trial, bit j
+    the coin at site j; the replay below ties the estimator to this layout."""
+    return RngStream(seed, 0).generator_at(t).integers(
+        0, 1 << length, size=trials, dtype=np.int32)
+
+
+def test_coin_words_prefix_independent_of_trial_count():
+    # a trial's coins do not depend on how many trials follow it
+    for n in (1, 7, 4097):
+        for length in (1, 21, 25):
+            for seed, t in ((0, 0), (5, 3)):
+                short = coin_words(seed, t, n, length)
+                longer = coin_words(seed, t, 2 * n + 1, length)
+                assert np.array_equal(short, longer[:n]), (n, length, seed, t)
+                assert 0 <= longer.min() and longer.max() < 1 << length
+
+
+def test_coin_word_bits_fair_and_pairwise_independent():
+    size, length = 200_000, 25
+    words = coin_words(7, 2, size, length)
+    for j in range(length):
+        ones = ((words >> j) & 1).mean()
+        assert abs(ones - 0.5) <= 5 * sqrt(0.25 / size), j
+    for j in range(length - 1):
+        both = (((words >> j) & 3) == 3).mean()
+        assert abs(both - 0.25) <= 5 * sqrt(0.1875 / size), j
+
+
+def _run_scan(colors: list[int]) -> list[bool]:
+    """Sites on a monochromatic run of >= 3 inside the word, by a plain scan."""
+    flags = [False] * len(colors)
+    start = 0
+    for i in range(1, len(colors) + 1):
+        if i == len(colors) or colors[i] != colors[start]:
+            if i - start >= 3:
+                flags[start:i] = [True] * (i - start)
+            start = i
+    return flags
+
+
+def test_estimate_replays_in_plain_python():
+    # every trial redone site by site: a run-scan classifier, and at each
+    # unstable site j the bit j of the trial's coin word
+    assert COIN_STREAM_FORMAT == 2
+    k, trials = 4, 50
+    window = WindowClass.from_word(0b110010111001011100101, 10)
+    for seed in (0, 3):
+        coins = [coin_words(seed, t, trials, len(window.colors)) for t in range(k)]
+        hits = 0
+        for i in range(trials):
+            colors = list(window.colors)
+            for t in range(k):
+                word = int(coins[t][i])
+                colors = [(word >> j) & 1 if unstable else c
+                          for j, (c, unstable) in enumerate(zip(colors, _run_scan(colors)))]
+            hits += _run_scan(colors)[window.radius]
+        assert 0 < hits < trials, seed
+        assert estimate_kstep_prob(window, k, trials, seed) == hits / trials, seed
 
 
 def test_estimate_memory_bounded():
-    # the coins are drawn a block of trials at a time, so the estimator holds
-    # a few words per trial and no multi-MiB stream of coin bytes
+    # each step draws one int32 coin word per trial and updates the words in
+    # place, so the estimator holds a few words per trial and no coin per site
     window = WindowClass.from_word(0b110010111001011100101, 10)
     estimate_kstep_prob(window, 4, 10)  # numpy.random's lazy import stays out of the peak
     tracemalloc.start()
