@@ -324,7 +324,7 @@ def cmd_probe(args) -> int:
         window = WindowClass.parse(args.window)
     except ValueError as exc:
         return _fail(str(exc))
-    if len(args.window) > WORD_BITS:  # the forward program's buffers hold 2^(sites-4) entries
+    if len(args.window) > WORD_BITS:  # the forward program's support reaches 2^(sites-4) words
         return _fail(f"window has {len(args.window)} sites; the limit is {WORD_BITS} "
                      f"(radius {WORD_BITS // 2})")
     if window.radius < 2 * args.k + 2:

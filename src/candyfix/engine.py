@@ -375,6 +375,21 @@ def compute_tables(k: int) -> ProbTables:
 # --------------------------------------------------------------------------
 
 
+def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, each with the sum of its values.
+
+    Most merges hold a few hundred keys, so the starts come from one flag
+    array, not :func:`_group_bounds`, whose extra calls would cost more.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
 def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     """Exact probability that the origin is unstable after k steps.
 
@@ -385,18 +400,25 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     the extra margin is carried along, which is what makes
     :func:`window_sufficiency_check` informative.
 
-    Each step groups the support by unstable interior mask.  A group's
-    masses land at their stable bases in one dense buffer over the next
-    words, which is then spread densely: read as a ``(2,)*nint`` tensor at
-    index 0 on the group's unstable axes and broadcast over them.  A step
-    thus holds two dense arrays over the next words, whatever the groups'
-    sizes.
+    Each step resolves the support sparsely, one unstable site at a time.
+    A word becomes the pair ``(mask, base)``, keyed ``(mask << nint) | base``:
+    its unstable interior mask and its stable interior bits, the unstable
+    ones cleared.  Equal keys merge by adding their values.  Resolving site
+    p clears bit p from every mask that has it and appends a copy with base
+    bit p set; only the sites in some mask are resolved.  Sites go highest
+    first, so the pairs holding site p are the sorted keys' tail from
+    ``1 << (nint + p)``, and each merge sorts three sorted runs.  Once every
+    mask is clear the keys are the next words, sorted, and nothing dense over
+    the next words is ever held.
 
-    Mass is conserved: after a step whose widest unstable mask has ``umax``
-    sites the values sum to exactly ``2**(exp + umax)``, which bounds every
-    value, shifted contribution and partial sum of the step.  So values are
-    int64 until ``exp + umax`` passes :data:`SWEEP_BITS`, Python ints after;
-    a sum other than ``2**exp`` at the end raises :class:`EngineConsistencyError`.
+    Mass is conserved: a word's value enters pre-shifted by ``umax`` minus
+    its unstable count, where ``umax`` is the step's widest mask, and after
+    the step the values sum to exactly ``2**(exp + umax)``.  A pair's value
+    reaches every next word it resolves to, so every value, shifted
+    contribution and partial sum of the step is at most ``2**(exp + umax)``.
+    So values are int64 until ``exp + umax`` passes :data:`SWEEP_BITS`,
+    Python ints after; a sum other than ``2**exp`` at the end raises
+    :class:`EngineConsistencyError`.
     """
     length = 2 * window.radius + 1
     if window.radius < 2 * k + 2:
@@ -411,25 +433,21 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
         nint = cur - 4
         inner_mask = (1 << nint) - 1
         unstable = (unstable_bits(support, cur) >> 2) & inner_mask
-        bases = ((support >> 2) & inner_mask) & ~unstable
-        umax = int(np.bitwise_count(unstable).max())
+        counts = np.bitwise_count(unstable)
+        umax = int(counts.max())
         if exp + umax > SWEEP_BITS:
             values = values.astype(object, copy=False)
-        order = np.argsort(unstable, kind="stable")
-        starts, ends = _group_bounds(unstable[order])
-        nxt = np.zeros((2,) * nint, dtype=values.dtype)  # flat bit p is axis nint-1-p
-        buf = np.zeros(1 << nint, dtype=values.dtype)
-        for s, e in zip(starts, ends):
-            rows = order[s:e]
-            mask, at = int(unstable[rows[0]]), bases[rows]
-            np.add.at(buf, at, values[rows] << (umax - mask.bit_count()))
-            nxt += buf.reshape(nxt.shape)[tuple(
-                slice(1) if mask >> (nint - 1 - a) & 1 else slice(None)
-                for a in range(nint))]
-            buf[at] = 0
-        nxt = nxt.ravel()
-        support = np.nonzero(nxt)[0]
-        values = nxt[support]
+        keys = (unstable << nint) | ((support >> 2) & inner_mask & ~unstable)
+        keys, values = _merge(keys, values << (umax - counts))
+        sites = int(np.bitwise_or.reduce(unstable))
+        while sites:
+            p = sites.bit_length() - 1
+            sites ^= 1 << p
+            cut = int(np.searchsorted(keys, 1 << (nint + p)))
+            cleared = keys[cut:] ^ (1 << (nint + p))
+            keys, values = _merge(np.concatenate([keys[:cut], cleared, cleared | (1 << p)]),
+                                  np.concatenate([values, values[cut:]]))
+        support = keys
         exp += umax
         cur = nint
     mass = int(values.sum())

@@ -15,9 +15,9 @@ the growth bound and reveal exterior sites.  Trials are independent: trial
 ``i`` draws step ``t`` from block ``t`` of the stream (seed, i), so a
 trajectory depends only on (spec, i), not on which other trials ran.
 
-The window estimator that cross-checks the exact engine runs all its trials
-as one batch of window words, and step ``t`` takes one uniform int32 coin
-word per trial from block ``t`` of the stream (seed, 0).
+The window estimator that cross-checks the exact engine runs its trials as
+batches of window words, and step ``t`` takes one uniform int32 coin word
+per trial from block ``t`` of the stream (seed, 0).
 """
 
 from __future__ import annotations
@@ -236,10 +236,13 @@ def survivors(stats: list[TrajectoryStats], t: int) -> int:
 # --------------------------------------------------------------------------
 
 
-# Longest window the forward program and the estimator take: the forward
-# program behind ``probe`` holds two buffers of 2^(sites-4) entries, and the
+# Longest window the forward program and the estimator take: the support of
+# the forward program behind ``probe`` reaches 2^(sites-4) words, and the
 # estimator holds each trial's window, and draws its coins, as an int32 word.
 WORD_BITS = 25
+# Trials the estimator walks at once, so that its temporaries stay small
+# whatever the trial count.
+_TRIAL_BLOCK = 8192
 # Layout of the estimator's coins: 2 is one uniform int32 word per trial and
 # step; 1 took one coin from the top bit of each raw byte.
 COIN_STREAM_FORMAT = 2
@@ -255,11 +258,14 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
     the unstable sites.  Step ``t`` draws its coins from block ``t`` of the
     stream (seed, 0), one uniform ``length``-bit int32 per trial whose bit
     ``j`` is the coin at site ``j`` (``COIN_STREAM_FORMAT``); the first n
-    trials therefore see the same coins whatever the trial count.  Sites
-    whose classification the window cannot determine are simulated with the
-    clipped view; their recolorings never reach the origin's shrinking
-    information cone within k steps, so the origin frequency is unbiased.
-    The origin's flag reads only the five sites around it.
+    trials therefore see the same coins whatever the trial count.  The
+    trials run ``_TRIAL_BLOCK`` at a time, each batch taking the next words
+    of every step's generator, which are the words one draw for all trials
+    would give it: the batching changes no coin, only the temporaries' size.
+    Sites whose classification the window cannot determine are simulated
+    with the clipped view; their recolorings never reach the origin's
+    shrinking information cone within k steps, so the origin frequency is
+    unbiased.  The origin's flag reads only the five sites around it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -268,17 +274,19 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
     length = 2 * window.radius + 1
     if length > WORD_BITS:
         raise ValueError(f"a {length}-site window does not fit a {WORD_BITS}-bit word")
-    stream = RngStream(seed, 0)
-    words = np.full(trials, window.word, dtype=np.int32)
-    for t in range(k):
+    steps = [RngStream(seed, 0).generator_at(t) for t in range(k)]
+    hits = 0
+    for lo in range(0, trials, _TRIAL_BLOCK):
         # updated in place, and the last step's coins are freed before this
-        # step classifies, so no step holds more than a few words per trial
-        coins = stream.generator_at(t).integers(0, 1 << length, size=trials, dtype=np.int32)
-        coins ^= words
-        coins &= unstable_bits(words, length)
-        words ^= coins
-    hit = (unstable_bits(words, length) >> window.radius) & 1
-    return float(hit.sum()) / trials
+        # step classifies, so a batch holds a few words per trial at a time
+        words = np.full(min(_TRIAL_BLOCK, trials - lo), window.word, dtype=np.int32)
+        for gen in steps:
+            coins = gen.integers(0, 1 << length, size=len(words), dtype=np.int32)
+            coins ^= words
+            coins &= unstable_bits(words, length)
+            words ^= coins
+        hits += int(((unstable_bits(words, length) >> window.radius) & 1).sum())
+    return hits / trials
 
 
 @dataclass(frozen=True)

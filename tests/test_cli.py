@@ -464,8 +464,8 @@ def test_probe_window(capsys):
 
 
 def test_probe_window_width_bounded(capsys):
-    # the forward program holds two dense buffers of 2^(sites-4) entries, so a
-    # window beyond the 25-site limit is refused before anything is allocated
+    # the forward program's support can reach 2^(sites-4) words, so a window
+    # beyond the 25-site limit is refused before anything is allocated
     assert run("probe", "--k", "1", "001011001110011001110010110") == 2
     err = capsys.readouterr().err
     assert "window has 27 sites; the limit is 25" in err and "Traceback" not in err
