@@ -11,8 +11,7 @@ file names the manifest that produced it.  A manifest records the run's
 ``checks`` that ran with their verdicts, and for ``crosscheck`` the
 ``timings`` of the forward program and the estimator summed over windows.
 
-Exit codes: 0 success, 1 check failure, 2 argument or file-system error,
-3 corrupt input file.
+Exit codes: 0 success, 1 check failure, 2 argument or file-system error.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .engine import (
 from .lattice import Boundary, ModelParams
 from .montecarlo import (
     COIN_STREAM_FORMAT,
-    WORD_BITS,
     ExperimentSpec,
     ExplicitWord,
     RandomUnstableBlock,
@@ -54,16 +52,14 @@ from .montecarlo import (
 )
 from .render import (
     ENGINE_TAG,
-    EngineMismatchError,
     certificate_to_json,
     certificate_to_text,
-    tables_from_json,
     tables_to_json,
     tables_to_text,
 )
-from .windows import WindowClass
+from .windows import WORD_BITS, WindowClass
 
-OK, CHECK_FAILED, USAGE, CORRUPT = 0, 1, 2, 3
+OK, CHECK_FAILED, USAGE = 0, 1, 2
 
 
 def _out_dir(args) -> Path:
@@ -228,21 +224,8 @@ def cmd_certify(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     manifest = _Manifest("certify", {"k": args.k, "engine": ENGINE_TAG})
-    tables = None
-    if args.tables:
-        try:
-            with open(args.tables) as fh:
-                tables = tables_from_json(json.load(fh))
-        except EngineMismatchError as exc:  # a ValueError subclass, so it goes first
-            return _fail(str(exc))
-        except (ValueError, RecursionError) as exc:  # bad bytes, JSON or table; deep nesting
-            return _fail(f"corrupt tables file {args.tables}: {exc}", CORRUPT)
-        manifest.passed("tables-file")  # schema, engine, exponent bounds, check_tables
-        if tables.k != args.k:
-            return _fail(f"tables file is for k={tables.k}, not k={args.k}")
-        manifest.passed("tables-k")
     try:
-        cert = certify(args.k, tables=tables)
+        cert = certify(args.k)
     except EngineConsistencyError as exc:
         return _fail(str(exc), CHECK_FAILED)
     manifest.passed("unbounded-sum-identity")
@@ -370,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="contraction certificate")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tables", default=None, help="reuse a prior tables.json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 
@@ -398,7 +380,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
         return args.func(args)
-    except OSError as exc:  # an unreadable input or an unusable output path
+    except OSError as exc:  # an unusable output path
         return _fail(str(exc))
 
 

@@ -3,7 +3,7 @@
 All branching probabilities in the two-color engine are 1/2, so every
 probability it produces is dyadic.  :class:`Dyadic` is a
 :class:`fractions.Fraction` that is built from ``num / 2**exp`` and reads
-those fields back, for table rendering and JSON round-trips; arithmetic,
+those fields back, for table rendering and the JSON form; arithmetic,
 ordering and hashing are the Fraction's.  Sums and products therefore come
 out as plain Fractions, and :meth:`Dyadic.from_fraction` turns one back.
 
@@ -42,14 +42,6 @@ class Dyadic(Fraction):
         if f.denominator != 1 << e:
             raise ValueError(f"{f} is not dyadic: its denominator is not a power of 2")
         return cls(f.numerator, e)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Dyadic":
-        """``{"num": int, "exp": int}``; any other field type is a TypeError."""
-        num, exp = obj["num"], obj["exp"]
-        if type(num) is not int or type(exp) is not int:
-            raise TypeError(f"num and exp must be integers, got {num!r} and {exp!r}")
-        return cls(num, exp)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)

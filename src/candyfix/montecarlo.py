@@ -38,7 +38,7 @@ from .lattice import (
     draw_colors,
     unstable_sites,
 )
-from .windows import WindowClass, unstable_bits
+from .windows import WORD_BITS, WindowClass, unstable_bits
 
 _INIT_BLOCK = 1 << 62  # RNG block reserved for drawing initial content
 
@@ -236,10 +236,6 @@ def survivors(stats: list[TrajectoryStats], t: int) -> int:
 # --------------------------------------------------------------------------
 
 
-# Longest window the forward program and the estimator take: the support of
-# the forward program behind ``probe`` reaches 2^(sites-4) words, and the
-# estimator holds each trial's window, and draws its coins, as an int32 word.
-WORD_BITS = 25
 # Trials the estimator walks at once, so that its temporaries stay small
 # whatever the trial count.
 _TRIAL_BLOCK = 8192

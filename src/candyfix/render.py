@@ -1,4 +1,4 @@
-"""Wire formats for tables and certificates: JSON, text tables, JSON parsing.
+"""Wire formats for tables and certificates: JSON and text tables.
 
 The JSON schema is the external contract::
 
@@ -8,17 +8,17 @@ The JSON schema is the external contract::
 The text table prints the gap matrix twice: once as exact reduced dyadics
 and once as integer numerators over one shared power-of-two denominator per
 column (lower triangle only; the matrix is symmetric).  The numerator block
-plus the header lines carry the full exact content.  Only the JSON form is
-read back (``certify --tables``); the text form is for people.
+plus the header lines carry the full exact content.  Both forms are
+written only: no command reads a table back, and ``certify`` computes the
+tables it certifies.  The JSON form is for programs, the text form for
+people.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 
-from .dyadic import Dyadic
-from .engine import Certificate, ProbTables, sweep_exponent
+from .engine import Certificate, ProbTables
 
 # The model every table is computed for, as the tables JSON and text name it.
 ENGINE = {"kappa": 3, "n": 2, "p": ["1/2", "1/2"]}
@@ -38,77 +38,6 @@ def tables_to_json(tables: ProbTables) -> dict:
         "pIII": tables.p_triple.as_json(),
         "pS": [[entry.as_json() for entry in row] for row in tables.p_gap],
     }
-
-
-class TablesFormatError(ValueError):
-    """A tables document is missing a field, has the wrong shape or breaks an invariant."""
-
-
-class EngineMismatchError(ValueError):
-    """A tables document was computed for another model than :data:`ENGINE`."""
-
-
-def _bounded_exp(exp: int, k: int) -> int:
-    """A read exponent, checked against 0..sweep_exponent(k) before anything shifts by it."""
-    max_exp = sweep_exponent(k)
-    if not 0 <= exp <= max_exp:
-        raise TablesFormatError(f"exponent {exp} outside [0, {max_exp}]")
-    return exp
-
-
-def check_tables(tables: ProbTables) -> ProbTables:
-    """Return the tables unless they break an invariant every computed table holds."""
-    gap, sat = tables.p_gap, tables.sat
-    cells = [(n, m) for n in range(sat + 1) for m in range(sat + 1)]
-    for name, e in [("pI", tables.p_unstable), ("pIII", tables.p_triple)] + [
-            (f"pS[{n}][{m}]", gap[n][m]) for n, m in cells]:
-        if not 0 <= e <= 1:
-            raise TablesFormatError(f"{name} = {e} is not in [0, 1]")
-    for n, m in cells:
-        if gap[n][m] != gap[m][n]:
-            raise TablesFormatError(f"pS is not symmetric: pS[{n}][{m}] != pS[{m}][{n}]")
-    if gap[sat][sat]:
-        raise TablesFormatError(f"pS[{sat}][{sat}] = {gap[sat][sat]}, not 0")
-    if tables.p_triple > tables.p_unstable:
-        raise TablesFormatError(f"pIII = {tables.p_triple} exceeds pI = {tables.p_unstable}")
-    return tables
-
-
-def tables_from_json(obj: dict) -> ProbTables:
-    """Parse the JSON schema.
-
-    Refuses a document for another engine (:class:`EngineMismatchError`), and
-    missing fields, a field that is not a JSON integer, an exponent outside
-    the sweep's 0..sweep_exponent(k), a misshapen gap table or a table that fails
-    :func:`check_tables` (:class:`TablesFormatError`).
-    """
-    try:
-        k = obj["k"]
-        if type(k) is not int:
-            raise TypeError(f"k must be an integer, got {k!r}")
-        if obj["engine"] != ENGINE:
-            raise EngineMismatchError(
-                f"tables file is for engine {json.dumps(obj['engine'])}, "
-                f"not {json.dumps(ENGINE)}")
-
-        def entry(e: dict) -> Dyadic:
-            if type(e["exp"]) is int:
-                _bounded_exp(e["exp"], k)
-            return Dyadic.from_json(e)
-
-        p_unstable = entry(obj["pI"])
-        p_triple = entry(obj["pIII"])
-        rows = obj["pS"]
-        side = 2 * k + 1
-        if not (isinstance(rows, list) and len(rows) == side
-                and all(isinstance(row, list) and len(row) == side for row in rows)):
-            raise TablesFormatError(f"pS must be a {side}x{side} table for k={k}")
-        p_gap = tuple(tuple(entry(e) for e in row) for row in rows)
-    except (TablesFormatError, EngineMismatchError):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TablesFormatError(f"bad tables document: {exc!r}") from exc
-    return check_tables(ProbTables(k, p_unstable, p_triple, p_gap))
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -29,6 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Longest window, in sites, that anything takes: the forward program's
+# support (behind ``probe``) reaches 2^(sites-4) words, the estimator holds
+# each trial's window as an int32 word, and a conditioning mask spans all
+# 2^sites words.
+WORD_BITS = 25
+
+
 class UnrealizableConditioningError(ValueError):
     """No window satisfies the requested conditioning."""
 
@@ -95,8 +102,9 @@ def conditioning_mask(k: int, conditioning: Conditioning, radius: int) -> np.nda
     if radius < 2 * k + 2:
         raise ValueError(f"radius {radius} too small for k={k} (need >= {2 * k + 2})")
     length = 2 * radius + 1
-    if length > 26:
-        raise ValueError(f"radius {radius} needs 2^{length} words; the limit is radius 12")
+    if length > WORD_BITS:
+        raise ValueError(f"radius {radius} needs 2^{length} words; "
+                         f"the limit is radius {WORD_BITS // 2}")
     unstable = unstable_bits(np.arange(1 << length, dtype=np.int64), length)
 
     def unst(x: int) -> np.ndarray:

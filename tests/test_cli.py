@@ -8,7 +8,7 @@ from candyfix.cli import main
 from candyfix.dyadic import Dyadic
 from candyfix.engine import ProbTables, compute_tables, kstep_vector
 from candyfix.montecarlo import COIN_STREAM_FORMAT
-from candyfix.render import tables_from_json, tables_to_text
+from candyfix.render import tables_to_json, tables_to_text
 
 
 def run(*argv):
@@ -113,10 +113,9 @@ def test_engine_manifests_explain_the_run(tmp_path):
     # wall time, peak memory and every check that ran, in both the manifest
     # file and its manifests.jsonl line; the id the results name is unchanged
     assert run("enumerate", "--k", "2", "--out", str(tmp_path / "e")) == 0
-    assert run("certify", "--k", "2", "--tables", str(tmp_path / "e" / "tables.json"),
-               "--out", str(tmp_path / "c")) == 0
+    assert run("certify", "--k", "2", "--out", str(tmp_path / "c")) == 0
     expect = {"e": ("tables.json", ["unbounded-sum-identity"]),
-              "c": ("certificate.json", ["tables-file", "tables-k", "unbounded-sum-identity"])}
+              "c": ("certificate.json", ["unbounded-sum-identity"])}
     for sub, (result, checks) in expect.items():
         path, = (tmp_path / sub).glob("manifest-*.json")
         manifest = json.loads(path.read_text())
@@ -152,8 +151,10 @@ def test_enumerate_k1_text_and_json(tmp_path, capsys):
     out = capsys.readouterr().out
     for token in ("1/2", "3/4", "p_unstable = 5/2^3"):
         assert token in out
-    tables = tables_from_json(json.loads((tmp_path / "tables.json").read_text()))
-    assert tables == compute_tables(1)
+    manifest, = tmp_path.glob("manifest-*.json")
+    tables = compute_tables(1)
+    assert json.loads((tmp_path / "tables.json").read_text()) == {
+        "manifest": manifest.stem.removeprefix("manifest-"), **tables_to_json(tables)}
     assert (tmp_path / "tables.txt").read_text() == tables_to_text(tables)
 
 
@@ -170,16 +171,6 @@ def test_certify_k1_and_k3(tmp_path, capsys):
     assert "c = 55705/49152" in out
 
 
-def test_certify_reuses_tables_file(tmp_path, capsys):
-    assert run("enumerate", "--k", "2", "--out", str(tmp_path)) == 0
-    capsys.readouterr()
-    assert run("certify", "--k", "2", "--tables", str(tmp_path / "tables.json"),
-               "--out", str(tmp_path)) == 0
-    assert "c = 121/96" in capsys.readouterr().out
-    cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert cert["c"] == "121/96" and cert["contraction"] is False
-
-
 def test_sweep_beyond_62_bits_refused(tmp_path, capsys):
     # k=5 needs 65-bit numerators: refuse at once instead of an object-dtype sweep
     with pytest.raises(ValueError, match="62 bits"):
@@ -188,111 +179,6 @@ def test_sweep_beyond_62_bits_refused(tmp_path, capsys):
         assert run(command, "--k", "5", "--out", str(tmp_path / command)) == 2, command
         assert "62 bits" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
-
-
-def test_certify_tables_engine_mismatch_rejected(tmp_path, capsys):
-    # a table for another model must not stand in for the theorem's
-    assert run("enumerate", "--k", "2", "--out", str(tmp_path)) == 0
-    doc = json.loads((tmp_path / "tables.json").read_text())
-    assert doc["engine"] == {"kappa": 3, "n": 2, "p": ["1/2", "1/2"]}
-    doc["engine"]["kappa"] = 4
-    (tmp_path / "kappa4.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run("certify", "--k", "2", "--tables", str(tmp_path / "kappa4.json"),
-               "--out", str(tmp_path / "c")) == 2
-    captured = capsys.readouterr()
-    assert '"kappa": 4' in captured.err and "c = " not in captured.out
-    assert not (tmp_path / "c" / "certificate.json").exists()
-
-
-def test_certify_truncated_tables_is_corrupt(tmp_path, capsys):
-    assert run("enumerate", "--k", "2", "--out", str(tmp_path)) == 0
-    doc = json.loads((tmp_path / "tables.json").read_text())
-    doc["pS"] = doc["pS"][:-1]
-    (tmp_path / "short.json").write_text(json.dumps(doc))
-    del doc["pI"]
-    (tmp_path / "keyless.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    for name in ("short.json", "keyless.json"):
-        assert run("certify", "--k", "2", "--tables", str(tmp_path / name),
-                   "--out", str(tmp_path / "c")) == 3, name
-        assert "corrupt tables file" in capsys.readouterr().err
-
-
-UNPARSEABLE_TABLES = {
-    "nested.json": "[" * 200_000,  # json.load exhausts the stack
-    "digits.json": '{"k": 1' + "0" * 5_000 + "}",  # past int()'s 4,300-digit limit
-}
-
-
-@pytest.mark.parametrize("name", UNPARSEABLE_TABLES)
-def test_certify_unparseable_tables_is_corrupt(tmp_path, capsys, name):
-    (tmp_path / name).write_text(UNPARSEABLE_TABLES[name])
-    assert run("certify", "--k", "1", "--tables", str(tmp_path / name),
-               "--out", str(tmp_path / "c")) == 3
-    captured = capsys.readouterr()
-    assert "corrupt tables file" in captured.err and "c = " not in captured.out
-    assert not (tmp_path / "c" / "certificate.json").exists()
-
-
-@pytest.mark.parametrize("cell, value, check", [
-    (("pI",), {"num": -3, "exp": 0}, "pI = -3 is not in [0, 1]"),
-    (("pS", 0, 1), {"num": 1, "exp": 3}, "pS is not symmetric"),
-    (("pS", 2, 2), {"num": 1, "exp": 0}, "pS[2][2] = 1, not 0"),
-])
-def test_certify_doctored_tables_refused(tmp_path, capsys, cell, value, check):
-    # a well-formed file whose table no enumeration could produce
-    assert run("enumerate", "--k", "1", "--out", str(tmp_path)) == 0
-    doc = json.loads((tmp_path / "tables.json").read_text())
-    *path, last = cell
-    holder = doc
-    for key in path:
-        holder = holder[key]
-    assert holder[last] != value
-    holder[last] = value
-    (tmp_path / "doctored.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run("certify", "--k", "1", "--tables", str(tmp_path / "doctored.json"),
-               "--out", str(tmp_path / "c")) == 3
-    captured = capsys.readouterr()
-    assert "corrupt tables file" in captured.err and check in captured.err
-    assert "c = " not in captured.out
-    assert not (tmp_path / "c" / "certificate.json").exists()
-
-
-@pytest.mark.parametrize("cell, value", [
-    (("k",), 1.0), (("k",), "1"), (("k",), True),
-    (("pI", "num"), 5.9), (("pI", "num"), "5"), (("pIII", "num"), True),
-    (("pS", 0, 1, "exp"), 2.0), (("pS", 0, 1, "exp"), "2"), (("pIII", "exp"), True),
-    (("pIII", "exp"), -1), (("pIII", "exp"), 6), (("pIII", "exp"), 1 << 36),
-])
-def test_certify_tables_numbers_checked(tmp_path, capsys, cell, value):
-    # k, num and exp must be JSON integers, and exp lie in the k=1 sweep's 0..5.
-    # Each non-integer reads as the field's true value under int(), so only the
-    # type check refuses it; 2^36 is too big an exponent to shift by.
-    assert run("enumerate", "--k", "1", "--out", str(tmp_path)) == 0
-    doc = json.loads((tmp_path / "tables.json").read_text())
-    *path, last = cell
-    holder = doc
-    for key in path:
-        holder = holder[key]
-    holder[last] = value
-    (tmp_path / "bad.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run("certify", "--k", "1", "--tables", str(tmp_path / "bad.json"),
-               "--out", str(tmp_path / "c")) == 3
-    captured = capsys.readouterr()
-    assert "corrupt tables file" in captured.err and "c = " not in captured.out
-    assert not (tmp_path / "c" / "certificate.json").exists()
-
-
-def test_certify_unreadable_tables_path(tmp_path, capsys):
-    for path in (tmp_path, tmp_path / "missing.json"):
-        assert run("certify", "--k", "1", "--tables", str(path),
-                   "--out", str(tmp_path / "c")) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "c = " not in captured.out
-    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,10 +210,11 @@ def test_certify_inconsistent_tables_refused(tmp_path, capsys, monkeypatch):
 
 
 def test_engine_commands_take_no_threads(tmp_path):
-    # enumerate and certify compute the theorem model only; no flag selects another
+    # enumerate and certify compute the theorem model only; no flag selects
+    # another, and certify computes the tables it certifies rather than read them
     for command in ("enumerate", "certify"):
         for flag, value in (("--threads", "2"), ("--kappa", "4"), ("--n", "3"),
-                            ("--p", "1/2,1/2")):
+                            ("--p", "1/2,1/2"), ("--tables", "tables.json")):
             assert run(command, "--k", "1", flag, value,
                        "--out", str(tmp_path)) == 2, (command, flag)
     assert not list(tmp_path.iterdir())
@@ -415,6 +302,14 @@ def test_crosscheck_k_beyond_estimator_word_refused(tmp_path, capsys):
     assert not (tmp_path / "crosscheck.json").exists()
 
 
+def test_crosscheck_step_count_must_be_positive(tmp_path, capsys):
+    assert run("crosscheck", "--k", "0", "--windows", "1", "--samples", "10",
+               "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --k must be >= 1, got 0\n" and captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_crosscheck_rejects_engine_flags(tmp_path):
     # crosscheck runs the theorem engine only; a law flag must not pass silently
     for flag, value in (("--kappa", "4"), ("--n", "3"), ("--p", "1/2,1/2"),
@@ -485,6 +380,17 @@ def test_probe_step_count_must_be_positive(capsys):
     for k in ("0", "-1"):
         assert run("probe", "--k", k, "110001011") == 2, k
         assert "--k must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "1", "1100010110"), "window must be an odd-length binary word"),
+    (("--k", "1", "110002011"), "window must be an odd-length binary word"),
+    (("--k", "2", "110001011"), "window radius 4 too small for k=2"),
+])
+def test_probe_window_refused(capsys, argv, message):
+    assert run("probe", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_unknown_init_rejected(tmp_path):

@@ -12,7 +12,6 @@ from candyfix.montecarlo import (
     _INIT_BLOCK,
     _TRIAL_BLOCK,
     COIN_STREAM_FORMAT,
-    WORD_BITS,
     _initial_cells,
     _reveal,
     ExperimentSpec,
@@ -27,7 +26,7 @@ from candyfix.montecarlo import (
     survivors,
     write_trajectories_jsonl,
 )
-from candyfix.windows import WindowClass, unstable_bits
+from candyfix.windows import WORD_BITS, WindowClass, unstable_bits
 from test_lattice import unstable_by_definition
 
 P = ModelParams()
