@@ -254,9 +254,9 @@ def cmd_crosscheck(args) -> int:
         return _fail(f"--seed must lie in [0, 2^64), got {args.seed}")
     radius = 2 * args.k + 2
     length = 2 * radius + 1
-    if length > WORD_BITS:
-        return _fail(f"--k {args.k} needs {length}-site windows; the estimator's "
-                     f"words hold at most {WORD_BITS} sites (k <= {(WORD_BITS - 5) // 4})")
+    if length > WORD_BITS:  # the forward program's support reaches 2^(sites-4) words
+        return _fail(f"--k {args.k} needs {length}-site windows; the forward program "
+                     f"takes at most {WORD_BITS} sites (k <= {(WORD_BITS - 5) // 4})")
     payload = {"k": args.k, "samples": args.samples, "windows": args.windows,
                "seed": args.seed, "coin_stream_format": COIN_STREAM_FORMAT}
     manifest = _Manifest("crosscheck", payload)

@@ -15,9 +15,12 @@ the growth bound and reveal exterior sites.  Trials are independent: trial
 ``i`` draws step ``t`` from block ``t`` of the stream (seed, i), so a
 trajectory depends only on (spec, i), not on which other trials ran.
 
-The window estimator that cross-checks the exact engine runs its trials as
-batches of window words, and step ``t`` takes one uniform int32 coin word
-per trial from block ``t`` of the stream (seed, 0).
+The window estimator that cross-checks the exact engine runs its trials
+bit-sliced, 64 to a uint64 lane, on the origin's shrinking information cone,
+and step ``t`` takes raw Philox words, one per lane and resolved site, from
+block ``t`` of the stream (seed, 0).  It classifies with its own bitwise
+form of the kappa=3 rule, so it shares no classifier code with the exact
+sweep it checks.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .lattice import (
     draw_colors,
     unstable_sites,
 )
-from .windows import WORD_BITS, WindowClass, unstable_bits
+from .windows import WindowClass
 
 _INIT_BLOCK = 1 << 62  # RNG block reserved for drawing initial content
 
@@ -236,52 +239,79 @@ def survivors(stats: list[TrajectoryStats], t: int) -> int:
 # --------------------------------------------------------------------------
 
 
-# Trials the estimator walks at once, so that its temporaries stay small
-# whatever the trial count.
-_TRIAL_BLOCK = 8192
-# Layout of the estimator's coins: 2 is one uniform int32 word per trial and
-# step; 1 took one coin from the top bit of each raw byte.
-COIN_STREAM_FORMAT = 2
+# Lanes the estimator walks at once (64 trials each, so 16,384 trials), so
+# that its temporaries stay small whatever the trial count.
+_LANE_BLOCK = 256
+# Layout of the estimator's coins: 3 is lane-major raw words, one per lane
+# and resolved site, bit b the coin of the lane's trial b; 2 was one uniform
+# int32 word per trial and step; 1 took the top bit of each raw byte.
+COIN_STREAM_FORMAT = 3
+
+
+def _unstable_lanes(lanes: np.ndarray) -> np.ndarray:
+    """Unstable flags of the interior sites of a ``(sites, lanes)`` bit-slice.
+
+    Bit b of ``lanes[s, l]`` is the color of site s in trial 64l+b.  Row j
+    of the result flags site j+2 (kappa=3): the site lies on one of the
+    three runs of three equal colors that cover it, all inside the slice.
+    """
+    eq = lanes[1:] ^ lanes[:-1]
+    np.invert(eq, out=eq)  # row s: sites s and s+1 agree
+    run = eq[1:] & eq[:-1]  # row s: sites s..s+2 agree
+    unstable = run[:-2] | run[1:-1]
+    unstable |= run[2:]
+    return unstable
 
 
 def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0) -> float:
     """Empirical frequency of an unstable origin after k steps.
 
     Simulates the window under the theorem model (kappa=3, uniform two-color
-    recoloring) as a batch of trials under clipped runs, one window word per
-    trial: each step classifies the batch with
-    :func:`candyfix.windows.unstable_bits` and takes the coin word's bits at
-    the unstable sites.  Step ``t`` draws its coins from block ``t`` of the
-    stream (seed, 0), one uniform ``length``-bit int32 per trial whose bit
-    ``j`` is the coin at site ``j`` (``COIN_STREAM_FORMAT``); the first n
-    trials therefore see the same coins whatever the trial count.  The
-    trials run ``_TRIAL_BLOCK`` at a time, each batch taking the next words
-    of every step's generator, which are the words one draw for all trials
-    would give it: the batching changes no coin, only the temporaries' size.
-    Sites whose classification the window cannot determine are simulated
-    with the clipped view; their recolorings never reach the origin's
-    shrinking information cone within k steps, so the origin frequency is
-    unbiased.  The origin's flag reads only the five sites around it.
+    recoloring) on bit-sliced lanes: a uint64 lane holds one site's color
+    for 64 trials, bit b for trial 64l+b of lane l, and a batch of lanes is
+    a ``(sites, lanes)`` array classified with bitwise operations.
+
+    The window is first cut to its central 4k+5 sites (radius 2k+2): the
+    sites beyond cannot reach the origin within k steps.  Each step then
+    redraws the unstable sites among the interior ones, whose flags the
+    current slice determines, and drops two sites per side, so the slice
+    shrinks to the origin's five sites (for k=4: 17, 13, 9 and 5 resolved
+    sites) and the origin's flag is read from them.
+
+    Coins (``COIN_STREAM_FORMAT`` 3): step ``t`` reads block ``t`` of the
+    stream (seed, 0) as raw Philox words, lane-major: lane l takes the next
+    word for each site the step resolves, from the lowest site up, and bit b
+    of a site's word is the coin of trial 64l+b.  Batches of ``_LANE_BLOCK``
+    lanes take consecutive words, so the batching changes no coin, and the
+    first n trials see the same coins whatever the trial count.  The last
+    lane's bits past ``trials`` are simulated but masked out of the count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if window.radius < 2 * k + 2:
+    cut = 2 * k + 2
+    if window.radius < cut:
         raise ValueError(f"radius {window.radius} cannot determine k={k}")
-    length = 2 * window.radius + 1
-    if length > WORD_BITS:
-        raise ValueError(f"a {length}-site window does not fit a {WORD_BITS}-bit word")
-    steps = [RngStream(seed, 0).generator_at(t) for t in range(k)]
+    word = window.word >> (window.radius - cut)
+    start = np.array([-((word >> j) & 1) for j in range(2 * cut + 1)], dtype=np.int64)
+    start = start.view(np.uint64)[:, None]  # each site's color in all 64 bits
+    # each step its own stream: one RngStream restarts a single shared generator
+    steps = [RngStream(seed, 0).generator_at(t).bit_generator for t in range(k)]
+    lanes = -(-trials // 64)
     hits = 0
-    for lo in range(0, trials, _TRIAL_BLOCK):
-        # updated in place, and the last step's coins are freed before this
-        # step classifies, so a batch holds a few words per trial at a time
-        words = np.full(min(_TRIAL_BLOCK, trials - lo), window.word, dtype=np.int32)
-        for gen in steps:
-            coins = gen.integers(0, 1 << length, size=len(words), dtype=np.int32)
-            coins ^= words
-            coins &= unstable_bits(words, length)
-            words ^= coins
-        hits += int(((unstable_bits(words, length) >> window.radius) & 1).sum())
+    for lo in range(0, lanes, _LANE_BLOCK):
+        width = min(_LANE_BLOCK, lanes - lo)
+        batch = np.broadcast_to(start, (len(start), width))
+        for bits in steps:
+            inner = batch[2:-2]
+            unstable = _unstable_lanes(batch)
+            batch = bits.random_raw((width, len(inner))).T  # lane-major coins
+            batch ^= inner
+            batch &= unstable
+            batch ^= inner
+        origin = _unstable_lanes(batch)[0]
+        if lo + width == lanes:
+            origin[-1] &= np.uint64((1 << (trials - 64 * (lanes - 1))) - 1)
+        hits += int(np.bitwise_count(origin).sum())
     return hits / trials
 
 

@@ -4,9 +4,11 @@ A window is a two-color word on sites [-B, B] encoded as an integer (bit
 ``x + B`` holds the color of site ``x``).  Stability flags are derivable only
 on the interior [-B+2, B-2], where a site's full radius-2 neighborhood lies
 inside the window; everything here works on those derived flags.
-:func:`unstable_bits` classifies words for the engine's sweep and the Monte
-Carlo estimator alike; :class:`WindowClass` is one window's word and
-radius, as the forward program and the estimator take it.
+:func:`unstable_bits` classifies words for the exact half: the sweep, the
+forward program and the conditioning masks.  The Monte Carlo estimator keeps
+its own bit-sliced form of the rule, so it shares no classifier code with
+what it checks.  :class:`WindowClass` is one window's word and radius, as
+the forward program and the estimator take it.
 
 The three conditioning descriptors select the windows whose worst case
 defines each probability table (:func:`conditioning_mask`):
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Longest window, in sites, that anything takes: the forward program's
-# support (behind ``probe``) reaches 2^(sites-4) words, the estimator holds
-# each trial's window as an int32 word, and a conditioning mask spans all
-# 2^sites words.
+# Longest window, in sites, that the exact half takes: the forward program's
+# support (behind ``probe`` and ``crosscheck``) reaches 2^(sites-4) words, and
+# a conditioning mask spans all 2^sites words.  The Monte Carlo estimator has
+# no such limit: it cuts every window to the 4k+5 sites that reach the origin.
 WORD_BITS = 25
 
 

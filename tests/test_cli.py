@@ -237,8 +237,9 @@ def test_crosscheck_manifest_timings(tmp_path):
                "--out", str(tmp_path)) == 0
     path, = tmp_path.glob("manifest-*.json")
     manifest = json.loads(path.read_text())
+    assert COIN_STREAM_FORMAT == 3
     assert manifest["parameters"] == {"k": 2, "samples": 2000, "windows": 3, "seed": 0,
-                                      "coin_stream_format": COIN_STREAM_FORMAT}
+                                      "coin_stream_format": 3}
     timings = manifest["timings"]
     assert sorted(timings) == ["estimate_s", "forward_s"]
     assert min(timings.values()) >= 0
@@ -293,9 +294,10 @@ def test_crosscheck_zero_samples_rejected(tmp_path):
                "--out", str(tmp_path)) == 2
 
 
-def test_crosscheck_k_beyond_estimator_word_refused(tmp_path, capsys):
-    # k=6 windows have 29 sites, more than the estimator's words hold; the
-    # refusal comes before any exact or Monte Carlo work
+def test_crosscheck_k_beyond_forward_support_refused(tmp_path, capsys):
+    # k=6 windows have 29 sites, more than the forward program takes (its
+    # support reaches 2^(sites-4) words); the refusal comes before any exact
+    # or Monte Carlo work
     assert run("crosscheck", "--k", "6", "--windows", "1", "--samples", "10",
                "--out", str(tmp_path)) == 2
     assert "29-site windows" in capsys.readouterr().err
@@ -336,12 +338,13 @@ def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
 
 # sha256 of crosscheck.json: the exact values, every estimated frequency to
 # the last digit and the manifest id; any change to the estimator's stream
-# layout, its classifier or the forward program's arithmetic shows here
+# layout (coin-stream format 3: lane-major raw words, one per lane and
+# resolved site), its classifier or the forward program's arithmetic shows here
 PINNED_CROSSCHECKS = (
     (("--k", "2", "--samples", "20000", "--windows", "6", "--seed", "3"),
-     "c547fb9adfb09dcd7a1ef3c527ed0ec8884c9488fcb91d499ae1255f4da664f3"),
+     "fc3960836a070e8fb4345e1709451fed039a3a7dcc6985edad982deb1b88d0bd"),
     (("--k", "4", "--samples", "5000", "--windows", "3", "--seed", "0"),
-     "90f3ce68326158dfafd498c3fed3be36150629799c3d9e3dfec3c20fd8fe6550"),
+     "5d40a1cd5c79cea7f8773f9af0257f95bee272ffcfb34722d1af401701b14ad2"),
 )
 
 

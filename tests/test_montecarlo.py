@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from candyfix.dyadic import Dyadic
-from candyfix.engine import certify, kstep_prob
+from candyfix.engine import certify, kstep_prob, kstep_vector
 from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors
 from candyfix.montecarlo import (
     _INIT_BLOCK,
-    _TRIAL_BLOCK,
+    _LANE_BLOCK,
     COIN_STREAM_FORMAT,
     _initial_cells,
     _reveal,
@@ -26,7 +26,7 @@ from candyfix.montecarlo import (
     survivors,
     write_trajectories_jsonl,
 )
-from candyfix.windows import WORD_BITS, WindowClass, unstable_bits
+from candyfix.windows import WindowClass
 from test_lattice import unstable_by_definition
 
 P = ModelParams()
@@ -211,33 +211,33 @@ def test_estimate_matches_exact_table_rows():
         assert abs(freq - p) <= 4 * sqrt(p * (1 - p) / 100_000)
 
 
-def coin_words(seed: int, t: int, trials: int, length: int) -> np.ndarray:
-    """Step t's coins in stream format 2: one uniform int32 per trial, bit j
-    the coin at site j; the replay below ties the estimator to this layout."""
-    return RngStream(seed, 0).generator_at(t).integers(
-        0, 1 << length, size=trials, dtype=np.int32)
+def coin_words(seed: int, t: int, lanes: int, sites: int) -> np.ndarray:
+    """Step t's coins in stream format 3: raw words, lane-major, ``sites``
+    words a lane; bit b of a site's word is the coin of the lane's trial b.
+    The replays below tie the estimator to this layout."""
+    raw = RngStream(seed, 0).generator_at(t).bit_generator.random_raw(lanes * sites)
+    return raw.reshape(lanes, sites)
 
 
 def test_coin_words_prefix_independent_of_trial_count():
-    # a trial's coins do not depend on how many trials follow it
-    for n in (1, 7, 4097):
-        for length in (1, 21, 25):
+    # a lane's coins do not depend on how many lanes follow it
+    for n in (1, 7, 257):
+        for sites in (1, 5, 17):
             for seed, t in ((0, 0), (5, 3)):
-                short = coin_words(seed, t, n, length)
-                longer = coin_words(seed, t, 2 * n + 1, length)
-                assert np.array_equal(short, longer[:n]), (n, length, seed, t)
-                assert 0 <= longer.min() and longer.max() < 1 << length
+                short = coin_words(seed, t, n, sites)
+                longer = coin_words(seed, t, 2 * n + 1, sites)
+                assert np.array_equal(short, longer[:n]), (n, sites, seed, t)
 
 
 def test_coin_word_bits_fair_and_pairwise_independent():
-    size, length = 200_000, 25
-    words = coin_words(7, 2, size, length)
-    for j in range(length):
-        ones = ((words >> j) & 1).mean()
-        assert abs(ones - 0.5) <= 5 * sqrt(0.25 / size), j
-    for j in range(length - 1):
-        both = (((words >> j) & 3) == 3).mean()
-        assert abs(both - 0.25) <= 5 * sqrt(0.1875 / size), j
+    size = 200_000
+    bits = np.unpackbits(coin_words(7, 2, size, 1).view(np.uint8), bitorder="little")
+    bits = bits.reshape(size, 64)  # column b: bit b of each word
+    for b in range(64):
+        assert abs(bits[:, b].mean() - 0.5) <= 5 * sqrt(0.25 / size), b
+    for b in range(63):
+        both = (bits[:, b] & bits[:, b + 1]).mean()
+        assert abs(both - 0.25) <= 5 * sqrt(0.1875 / size), b
 
 
 def _run_scan(colors: list[int]) -> list[bool]:
@@ -253,46 +253,72 @@ def _run_scan(colors: list[int]) -> list[bool]:
 
 
 def test_estimate_replays_in_plain_python():
-    # every trial redone site by site: a run-scan classifier, and at each
-    # unstable site j the bit j of the trial's coin word
-    assert COIN_STREAM_FORMAT == 2
-    k, trials = 4, 50
+    # every trial redone site by site on the origin's cone: a run-scan
+    # classifier, and at each resolved unstable site bit i % 64 of that
+    # site's word in lane i // 64; 130 trials cross a lane boundary and end
+    # in a partial lane
+    assert COIN_STREAM_FORMAT == 3
+    k, trials = 4, 130
     window = WindowClass.from_word(0b110010111001011100101, 10)
+    lanes = -(-trials // 64)
     for seed in (0, 3):
-        coins = [coin_words(seed, t, trials, len(window.colors)) for t in range(k)]
+        coins = [coin_words(seed, t, lanes, 4 * (k - t) + 1) for t in range(k)]
         hits = 0
         for i in range(trials):
             colors = list(window.colors)
             for t in range(k):
-                word = int(coins[t][i])
-                colors = [(word >> j) & 1 if unstable else c
-                          for j, (c, unstable) in enumerate(zip(colors, _run_scan(colors)))]
-            hits += _run_scan(colors)[window.radius]
+                words = coins[t][i // 64]
+                flags = _run_scan(colors)[2:-2]
+                colors = [int(w >> np.uint64(i % 64)) & 1 if unstable else c
+                          for c, unstable, w in zip(colors[2:-2], flags, words)]
+            hits += _run_scan(colors)[2]
         assert 0 < hits < trials, seed
         assert estimate_kstep_prob(window, k, trials, seed) == hits / trials, seed
 
 
 def test_estimate_batches_match_one_draw():
-    # the trials run in batches that read each step's generator in turn; a
-    # replay that draws every trial's coins at once must count the same hits
-    trials = 2 * _TRIAL_BLOCK + 3
+    # the lanes run in batches that read each step's generator in turn; a
+    # replay that draws every lane's coins at once must count the same hits
+    trials = 2 * _LANE_BLOCK * 64 + 3
+    lanes = -(-trials // 64)
     for k, word in ((2, 0b0011010001110), (4, 0b110010111001011100101)):
         window = WindowClass.from_word(word, 2 * k + 2)
-        length = len(window.colors)
         for seed in (0, 3):
-            words = np.full(trials, window.word, dtype=np.int32)
+            state = np.array([[-c for c in window.colors]] * lanes, dtype=np.int64)
+            state = state.view(np.uint64)  # (lanes, sites), all 64 trials of a lane
             for t in range(k):
-                coins = coin_words(seed, t, trials, length)
-                words ^= (words ^ coins) & unstable_bits(words, length)
-            hits = int(((unstable_bits(words, length) >> window.radius) & 1).sum())
+                eq = ~(state[:, 1:] ^ state[:, :-1])
+                run = eq[:, 1:] & eq[:, :-1]
+                unstable = run[:, 2:] | run[:, 1:-1] | run[:, :-2]
+                inner = state[:, 2:-2]
+                state = inner ^ ((inner ^ coin_words(seed, t, lanes, inner.shape[1])) & unstable)
+            eq = ~(state[:, 1:] ^ state[:, :-1])
+            run = eq[:, 1:] & eq[:, :-1]
+            origin = run[:, 0] | run[:, 1] | run[:, 2]
+            origin[-1] &= np.uint64(0b111)  # the last lane holds 3 trials
+            hits = int(np.bitwise_count(origin).sum())
             assert 0 < hits < trials, (k, seed)
             assert estimate_kstep_prob(window, k, trials, seed) == hits / trials, (k, seed)
 
 
+def test_estimate_ignores_sites_beyond_the_cone():
+    # sites beyond radius 2k+2 cannot reach the origin in k steps, so the
+    # estimator cuts them off: wider windows around the same core give the
+    # same hits, whatever their outer colors and however long they are
+    core = WindowClass.from_word(0b110010111001011100101, 10)
+    freq = estimate_kstep_prob(core, 4, 5000, seed=2)
+    assert 0 < freq < 1
+    for extra, outer in ((1, 0b11), (3, 0b101001), (15, (1 << 30) - 1)):
+        word = (outer & ((1 << extra) - 1)) | (core.word << extra) | (outer >> extra << (21 + extra))
+        wide = WindowClass.from_word(word, 10 + extra)
+        assert str(wide)[extra:-extra] == str(core)
+        assert estimate_kstep_prob(wide, 4, 5000, seed=2) == freq, extra
+
+
 def test_estimate_memory_bounded():
-    # the trials run in batches of _TRIAL_BLOCK, each step drawing one int32
-    # coin word per trial and updating the words in place, so the estimator
-    # holds a few words per batched trial whatever the trial count
+    # the lanes run in batches of _LANE_BLOCK on the shrinking cone, each
+    # step drawing one raw word per lane and resolved site, so the estimator
+    # holds a few hundred words per site whatever the trial count
     window = WindowClass.from_word(0b110010111001011100101, 10)
     estimate_kstep_prob(window, 4, 10)  # numpy.random's lazy import stays out of the peak
     tracemalloc.start()
@@ -301,15 +327,7 @@ def test_estimate_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak
-
-
-def test_estimate_window_too_long_for_word_refused():
-    radius = (WORD_BITS + 1) // 2  # the shortest window longer than a word
-    window = WindowClass.from_word(0, radius)
-    with pytest.raises(ValueError, match="does not fit"):
-        estimate_kstep_prob(window, 1, 10)
-    estimate_kstep_prob(WindowClass.from_word(0, radius - 1), 1, 10)
+    assert peak < 2**19, peak
 
 
 def test_estimate_fully_stable_window_exactly_zero():
@@ -330,3 +348,26 @@ def test_mean_contraction_echo(tables_k4):
         se = np.std([s.I_series[t + 4] if t + 4 < len(s.I_series) else 0
                      for s in stats]) / sqrt(len(stats))
         assert nxt <= c4 * now + 5 * se, t
+
+
+def test_periodic_mean_instability_matches_exact_expectation():
+    # on a ring of at least 4t+5 sites every cyclic radius-(2t+2) window
+    # holds distinct sites, so E[I_t | sigma_0] is exactly the sum of g_t
+    # over the ring's cyclic windows; the simulator must agree at 5 SE
+    vectors = {t: kstep_vector(t) for t in range(1, 5)}
+    for word, trials in (("0001100110110011100011", 2000), ("0" * 16, 1000)):
+        colors = [int(c) for c in word]
+        horizon = (len(colors) - 5) // 4
+        spec = ExperimentSpec(P, ExplicitWord(colors), boundary=Boundary.PERIODIC,
+                              t_max=horizon, trials=trials, seed=1)
+        stats = run_experiment(spec)
+        for t in range(1, horizon + 1):
+            g, exp = vectors[t]
+            r = 2 * t + 2
+            windows = [sum(colors[(x - r + j) % len(colors)] << j for j in range(2 * r + 1))
+                       for x in range(len(colors))]
+            exact = Fraction(sum(int(g[w]) for w in windows), 1 << exp)
+            counts = [s.I_series[t] if t < len(s.I_series) else 0 for s in stats]
+            se = np.std(counts) / sqrt(trials)
+            assert se > 0, (word, t)
+            assert abs(mean_instability(stats, t) - exact) <= 5 * se, (word, t)
