@@ -63,6 +63,7 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .windows import (
+    WORD_BITS,
     Conditioning,
     StableGap,
     TripleUnstable,
@@ -398,7 +399,8 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     is retained (two sites fewer per side), and identical words merge by
     adding their masses.  Works for any radius >= 2k+2; with a larger radius
     the extra margin is carried along, which is what makes
-    :func:`window_sufficiency_check` informative.
+    :func:`window_sufficiency_check` informative.  A window of more than
+    :data:`WORD_BITS` sites, or of radius below 2k+2, raises ValueError.
 
     Each step resolves the support sparsely, one unstable site at a time.
     A word becomes the pair ``(mask, base)``, keyed ``(mask << nint) | base``:
@@ -421,10 +423,11 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     :class:`EngineConsistencyError`.
     """
     length = 2 * window.radius + 1
+    if length > WORD_BITS:
+        raise ValueError(f"window has {length} sites; the limit is {WORD_BITS} "
+                         f"(radius {WORD_BITS // 2})")
     if window.radius < 2 * k + 2:
-        raise ValueError(
-            f"radius {window.radius} cannot determine a {k}-step probability "
-            f"(need >= {2 * k + 2})")
+        raise ValueError(f"window radius {window.radius} too small for k={k}")
     support = np.array([window.word], dtype=np.int64)
     values = np.ones(1, dtype=np.int64)
     exp = 0
@@ -591,7 +594,8 @@ def window_sufficiency_check(
     truncated radius genuinely fails this, which is the point.
 
     With ``windows=None``: exhaustive over all radius-(2k+2) words at k=1,
-    a seeded random sample of ``samples`` words otherwise.
+    a seeded random sample of ``samples`` words otherwise.  The extensions
+    must stay within :func:`kstep_prob`'s :data:`WORD_BITS` sites, so k <= 4.
     """
     radius = 2 * k + 2
     if windows is None:

@@ -1,4 +1,4 @@
-"""Trajectory simulation, fixation detection and empirical cross-validation.
+"""Trajectory simulation, fixation detection and window-probability estimates.
 
 The theorem-grade setup is 1-D with the ``stable-exterior`` boundary: the
 initial window holds the (possibly random) content whose unstable sites all
@@ -15,25 +15,23 @@ the growth bound and reveal exterior sites.  Trials are independent: trial
 ``i`` draws step ``t`` from block ``t`` of the stream (seed, i), so a
 trajectory depends only on (spec, i), not on which other trials ran.
 
-The window estimator that cross-checks the exact engine runs its trials
-bit-sliced, 64 to a uint64 lane, on the origin's shrinking information cone,
-and step ``t`` takes raw Philox words, one per lane and resolved site, from
-block ``t`` of the stream (seed, 0).  It classifies with its own bitwise
-form of the kappa=3 rule, so it shares no classifier code with the exact
-sweep it checks.
+The window estimator runs its trials bit-sliced, 64 to a uint64 lane, on
+the origin's shrinking information cone, and step ``t`` takes raw Philox
+words, one per lane and resolved site, from block ``t`` of the stream
+(seed, 0).  It classifies with its own bitwise form of the kappa=3 rule and
+takes nothing from the exact half but the :class:`WindowClass` value type;
+its comparison with the exact forward program lives in the CLI's
+``crosscheck`` command.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
-from . import engine as _engine
 from .lattice import (
     Boundary,
     ModelParams,
@@ -235,7 +233,7 @@ def survivors(stats: list[TrajectoryStats], t: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# window-probability estimation (cross-validation of the exact engine)
+# window-probability estimation
 # --------------------------------------------------------------------------
 
 
@@ -313,34 +311,6 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
             origin[-1] &= np.uint64((1 << (trials - 64 * (lanes - 1))) - 1)
         hits += int(np.bitwise_count(origin).sum())
     return hits / trials
-
-
-@dataclass(frozen=True)
-class WindowCheck:
-    exact: float
-    freq: float
-    tolerance: float
-    ok: bool
-    forward_s: float  # wall time of the exact forward program
-    estimate_s: float  # wall time of the Monte Carlo estimate
-
-
-def check_window_estimate(
-    window: WindowClass, k: int, trials: int, seed: int = 0
-) -> WindowCheck:
-    """Compare the empirical frequency against the exact value at 4 SE.
-
-    The tolerance uses the exact probability's binomial standard error; a
-    degenerate exact value (0 or 1) therefore demands an exact match.
-    """
-    start = time.perf_counter()
-    exact = float(_engine.kstep_prob(window, k))
-    middle = time.perf_counter()
-    freq = estimate_kstep_prob(window, k, trials, seed)
-    end = time.perf_counter()
-    tol = 4.0 * sqrt(exact * (1.0 - exact) / trials)
-    ok = abs(freq - exact) <= tol
-    return WindowCheck(exact, freq, tol, ok, middle - start, end - middle)
 
 
 # --------------------------------------------------------------------------

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Longest window, in sites, that the exact half takes: the forward program's
-# support (behind ``probe`` and ``crosscheck``) reaches 2^(sites-4) words, and
-# a conditioning mask spans all 2^sites words.  The Monte Carlo estimator has
-# no such limit: it cuts every window to the 4k+5 sites that reach the origin.
+# Longest window, in sites, that the exact half takes; kstep_prob and
+# conditioning_mask refuse longer ones.  The forward program's support reaches
+# 2^(sites-4) words and a mask spans all 2^sites.  The Monte Carlo estimator
+# cuts every window to the 4k+5 sites that reach the origin, so has no limit.
 WORD_BITS = 25
 
 

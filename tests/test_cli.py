@@ -322,18 +322,15 @@ def test_crosscheck_rejects_engine_flags(tmp_path):
 
 
 def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
-    # force a wrong exact value: every window must now breach the tolerance
+    # force a wrong exact value of 1: its tolerance is zero, so every window
+    # whose estimate is not exactly 1 breaches under the real 4-SE rule
     import candyfix.cli as cli_mod
-    from candyfix.montecarlo import WindowCheck
 
-    def broken(window, k, trials, seed=0):
-        return WindowCheck(0.5, 0.0, 0.001, False, 0.0, 0.0)
-
-    monkeypatch.setattr(cli_mod, "check_window_estimate", broken)
+    monkeypatch.setattr(cli_mod, "kstep_prob", lambda window, k: Dyadic(1))
     code = run("crosscheck", "--k", "1", "--windows", "3", "--samples", "10",
                "--out", str(tmp_path))
     assert code == 1
-    assert "BREACH" in capsys.readouterr().out
+    assert capsys.readouterr().out.count("BREACH") == 3
 
 
 # sha256 of crosscheck.json: the exact values, every estimated frequency to
@@ -354,6 +351,16 @@ def test_crosscheck_outputs_pinned(tmp_path):
         assert run("crosscheck", *args, "--out", str(out)) == 0, args
         data = (out / "crosscheck.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, args
+
+
+def test_output_directory_defaults_to_runs(tmp_path, monkeypatch, capsys):
+    # --out is the only way to move the output; no environment variable does
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CANDYFIX_OUT", str(tmp_path / "elsewhere"))
+    assert run("simulate", "--init", "word:0101") == 0
+    assert (tmp_path / "runs" / "trajectories.jsonl").exists()
+    assert not (tmp_path / "elsewhere").exists()
+    assert "results in runs" in capsys.readouterr().out
 
 
 def test_probe_window(capsys):

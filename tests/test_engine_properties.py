@@ -280,6 +280,26 @@ def test_truncated_radius_fails_sufficiency():
     assert not window_sufficiency_check(1, windows=[WindowClass.from_word(word, 2)])
 
 
+def test_narrow_window_whose_completions_agree_passes_sufficiency():
+    # an alternating core stays stable whatever site completes each side,
+    # so every completion to radius 4 gives the same probability
+    assert window_sufficiency_check(1, windows=[WindowClass.parse("0101010")])
+
+
+def test_wide_window_failing_its_extension_fails_sufficiency(monkeypatch):
+    # a forward program that reads the outermost site: extending the all-0
+    # window by a 1 on its low side changes the value, and the check says so
+    monkeypatch.setattr(engine, "kstep_prob", lambda w, k: Dyadic(w.word & 1))
+    assert not window_sufficiency_check(1, windows=[WindowClass.from_word(0, 4)])
+
+
+def test_forward_program_refuses_a_window_past_the_word_limit():
+    # the support could reach 2^(sites-4) words, so a library caller is
+    # refused as the CLI is, before anything is allocated
+    with pytest.raises(ValueError, match="window has 27 sites; the limit is 25"):
+        kstep_prob(WindowClass.from_word(0, 13), 1)
+
+
 def test_parallel_tables_bit_identical():
     # the tables hold no state between calls, so concurrent calls agree
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -18,7 +18,6 @@ from candyfix.montecarlo import (
     ExplicitWord,
     RandomUnstableBlock,
     UniformRandomBox,
-    check_window_estimate,
     estimate_kstep_prob,
     mean_instability,
     run_experiment,
@@ -333,8 +332,16 @@ def test_estimate_memory_bounded():
 def test_estimate_fully_stable_window_exactly_zero():
     window = WindowClass.parse("010101010")
     assert estimate_kstep_prob(window, 1, 2000, seed=1) == 0.0
-    check = check_window_estimate(window, 1, 2000, seed=1)
-    assert check.ok and check.exact == 0.0
+    assert kstep_prob(window, 1) == 0
+
+
+def test_estimate_refuses_bad_input():
+    window = WindowClass.parse("010101010")
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate_kstep_prob(window, 1, 0)
+    # radius 4 reaches the origin's cone for k=1 only
+    with pytest.raises(ValueError, match="cannot determine k=2"):
+        estimate_kstep_prob(window, 2, 10)
 
 
 def test_mean_contraction_echo(tables_k4):

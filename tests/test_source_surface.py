@@ -4,6 +4,8 @@ A top-level public function or class of ``src/candyfix`` must be referenced
 from outside its own definition by some module of ``src/candyfix`` or of
 ``perfbench/`` (the benchmark names its targets as strings, so a dotted name
 in a string constant counts).  What only tests call belongs in the tests.
+The Monte Carlo half takes nothing from the exact half but the window type,
+so the CLI is the one place where the two meet.
 """
 
 import ast
@@ -20,7 +22,19 @@ TEST_ORACLES = {
         "exhausts one step's recolorings; the independent check of kstep_prob at k=1",
     ("engine", "window_sufficiency_check"):
         "extends windows by one site; the check that radius 2k+2 determines k steps",
+    ("engine", "worst_case"):
+        "maximizes one conditioning over every word; the independent check of the "
+        "sweep's tables",
+    ("windows", "conditioning_mask"):
+        "selects a conditioning's words by their flags; what worst_case maximizes over",
+    ("windows", "default_radius"):
+        "the smallest radius a conditioning's flags need; the radius worst_case uses",
 }
+
+# The Monte Carlo half checks the exact half, so it may take from it only the
+# window value type, never its arithmetic, classifier or output forms.
+MONTE_CARLO_HALF = ("montecarlo", "lattice")
+EXACT_HALF = {"engine", "render", "dyadic"}
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
@@ -76,3 +90,22 @@ def test_every_import_and_public_name_is_used():
                                 "in src/candyfix or perfbench")
     assert problems == []
     assert oracles == set(TEST_ORACLES)  # every named exception still exists
+
+
+def _imports(tree):
+    """Line, module (its last dotted part) and names, or None, of each import."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.ImportFrom) and sub.module:
+            yield sub.lineno, sub.module.split(".")[-1], [alias.name for alias in sub.names]
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):  # import m, from . import m
+            for alias in sub.names:
+                yield sub.lineno, alias.name.split(".")[-1], None
+
+
+def test_monte_carlo_half_imports_only_the_window_type():
+    problems = []
+    for path, tree in _parsed(PACKAGE / f"{stem}.py" for stem in MONTE_CARLO_HALF).items():
+        for line, module, names in _imports(tree):
+            if module in EXACT_HALF or (module == "windows" and names != ["WindowClass"]):
+                problems.append(f"{path.name}:{line} imports {names or module}")
+    assert problems == []
