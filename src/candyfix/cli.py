@@ -10,6 +10,10 @@ file names the manifest that produced it.  A manifest records the run's
 ``seconds`` and ``peak_rss_mib``, for ``enumerate``/``certify`` the
 ``checks`` that ran with their verdicts, and for ``crosscheck`` the
 ``timings`` of the forward program and the estimator summed over windows.
+The random streams' layouts are part of a run's parameters: ``simulate``
+records its ``draw_format`` (one color sampler for recolorings and initial
+content) and ``crosscheck`` its ``coin_stream_format``, so two layouts never
+share a run id.
 
 Exit codes: 0 success, 1 check failure, 2 argument or file-system error.
 """
@@ -38,7 +42,7 @@ from .engine import (
     kstep_prob,
     unbounded_sum,
 )
-from .lattice import Boundary, ModelParams
+from .lattice import DRAW_FORMAT, Boundary, ModelParams
 from .montecarlo import (
     COIN_STREAM_FORMAT,
     ExperimentSpec,
@@ -166,7 +170,7 @@ def cmd_simulate(args) -> int:
         "p": [str(x) for x in params.recolor_dist],
         "init": args.init, "M": args.M, "extent": args.extent,
         "boundary": spec.boundary.value, "t_max": spec.t_max,
-        "trials": spec.trials, "seed": spec.seed,
+        "trials": spec.trials, "seed": spec.seed, "draw_format": DRAW_FORMAT,
     }
     manifest = _Manifest("simulate", payload, exploratory=not spec.theorem_setting)
     stats = run_experiment(spec)

@@ -1,13 +1,17 @@
-"""Color arrays on finite lattice boxes: chain stability and recoloring draws.
+"""Color arrays on finite lattice boxes: chain stability and color draws.
 
 A lattice state is a plain integer array of color ids in [0, n) over a finite
 d-dimensional box, held in :attr:`ModelParams.color_dtype`, the narrowest
 unsigned type that holds n-1 (uint8 up to 256 colors).  A site is unstable
 when it lies on an axis-aligned run of at least ``kappa`` equal colors
 (:func:`unstable_sites`); one synchronous update redraws every unstable site
-independently from the recoloring distribution (:func:`draw_colors`) while
-stable sites keep their color.  The trajectory loop that applies it is
+independently from the recoloring distribution while stable sites keep their
+color.  The trajectory loop that applies it is
 :func:`candyfix.montecarlo.run_trajectory`.
+
+:func:`draw_colors` is the one color sampler: it serves both the recolorings
+and random initial content (under the uniform law over the n colors), and it
+reads b-bit fields of a step's raw Philox words, where the law itself fixes b.
 
 Boundary policies fix how runs behave at the box edge:
 
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,23 +69,44 @@ class ModelParams:
         return self.n == 2 and self.recolor_dist == (Fraction(1, 2), Fraction(1, 2))
 
     @cached_property
-    def sampling_cuts(self) -> np.ndarray:
-        """Cumulative thresholds on a 64-bit draw for inversion sampling.
+    def field_bits(self) -> int:
+        """Bits per draw: the narrowest of 1, 2, 4, ..., 64 at which every cut is exact.
 
-        Exact whenever every cumulative probability has a denominator dividing
-        2**64 (all dyadic distributions); otherwise accurate to 2**-64.
-        Computed once per instance and read-only, since every draw shares it.
+        That is the smallest width b at which every cumulative probability is
+        a multiple of 2**-b; a law with any other cumulative (one that is not
+        dyadic, or needs more than 64 bits) takes whole 64-bit words.
         """
+        dens = [acc.denominator for acc in accumulate(self.recolor_dist)]
+        if any(den & (den - 1) for den in dens):  # a denominator that is no power of 2
+            return 64
+        need = max(dens).bit_length() - 1
+        return next((b for b in (1, 2, 4, 8, 16, 32) if b >= need), 64)
+
+    @cached_property
+    def sampling_cuts(self) -> np.ndarray:
+        """Cumulative thresholds on a ``field_bits``-bit field for inversion sampling.
+
+        Exact at width b for every law whose cumulative probabilities are
+        multiples of 2**-b with b <= 64; any other law is cut on 64-bit
+        words, accurate to 2**-64.  The cuts come in the fields' own unsigned
+        type (uint8 up to 8 bits).  Computed once per instance and read-only,
+        since every draw shares it.
+        """
+        b = self.field_bits
         cuts = []
-        acc = Fraction(0)
-        for p in self.recolor_dist[:-1]:
-            acc += p
-            if acc == 1:  # a law ending in zeros: a cut of 2**64 lies past every draw
+        for acc in accumulate(self.recolor_dist[:-1]):
+            if acc == 1:  # a law ending in zeros: a cut of 2**b lies past every field
                 break
-            cuts.append((acc.numerator << 64) // acc.denominator)
-        cuts = np.array(cuts, dtype=np.uint64)
+            cuts.append((acc.numerator << b) // acc.denominator)
+        cuts = np.array(cuts, dtype=f"u{max(b, 8) // 8}")
         cuts.setflags(write=False)
         return cuts
+
+    @cached_property
+    def _fields_are_colors(self) -> bool:
+        """True when the cuts are 1 .. 2**b - 1: the law is uniform over its first 2**b colors."""
+        b, cuts = self.field_bits, self.sampling_cuts
+        return len(cuts) == (1 << b) - 1 and cuts.tolist() == list(range(1, 1 << b))
 
     @cached_property
     def color_dtype(self) -> np.dtype:
@@ -170,16 +196,38 @@ def unstable_sites(cells: np.ndarray, kappa: int, periodic: bool) -> np.ndarray:
     return out
 
 
-def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
-    """Rejection-free inversion sampling of `size` colors on a 64-bit draw.
+# Layout of the draws that :func:`draw_colors` reads from a step's raw words.
+# 2: b-bit fields (b = ``ModelParams.field_bits``), 64/b to a word, read from
+#    consecutive words, each word from its low end; random initial content
+#    comes from the same sampler under the uniform law.
+# 1: one whole 64-bit word per draw, and initial content from
+#    ``Generator.integers`` in int64.
+# Non-dyadic laws have b = 64, so their recolorings are the same in both.
+DRAW_FORMAT = 2
 
-    The draws are the raw Philox output, which is what
-    ``gen.integers(0, 2**64, size, dtype=np.uint64)`` returns; a draw's
-    color is the number of cuts at or below it.  The colors come back in
-    ``params.color_dtype``.
+
+def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
+    """Rejection-free inversion sampling of `size` colors on b-bit fields.
+
+    The fields (b = ``params.field_bits``) are read from consecutive raw
+    Philox words, 64/b to a word, each word from its low end; the unused
+    fields of the last word are dropped.  A field's color is the number of
+    ``params.sampling_cuts`` at or below it, so under the fair coin (b = 1)
+    a draw is one bit and the colors are the words' bits, lowest first.
+    The colors come back in ``params.color_dtype``.
     """
-    draws = gen.bit_generator.random_raw(size)
+    b = params.field_bits
+    words = gen.bit_generator.random_raw(-(-size * b // 64)).astype("<u8", copy=False)
+    if b == 1:
+        fields = np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
+    elif b < 8:
+        shifts = np.arange(0, 8, b, dtype=np.uint8)  # a byte's fields, low end first
+        fields = ((words.view(np.uint8)[:, None] >> shifts) & ((1 << b) - 1)).ravel()[:size]
+    else:
+        fields = words.view(f"<u{b // 8}")[:size]
+    if params._fields_are_colors:  # the fair coin, say: no cut to count
+        return fields.astype(params.color_dtype, copy=False)
     colors = np.zeros(size, dtype=params.color_dtype)
     for cut in params.sampling_cuts:
-        colors += draws >= cut
+        colors += fields >= cut
     return colors

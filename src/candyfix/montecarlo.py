@@ -13,7 +13,10 @@ Every boundary runs through one loop on a plain color array: classify once
 per step, redraw the unstable sites, and under ``stable-exterior`` also check
 the growth bound and reveal exterior sites.  Trials are independent: trial
 ``i`` draws step ``t`` from block ``t`` of the stream (seed, i), so a
-trajectory depends only on (spec, i), not on which other trials ran.
+trajectory depends only on (spec, i), not on which other trials ran.  Its
+random initial content comes from block ``_INIT_BLOCK`` of that stream.
+Both go through the one sampler :func:`candyfix.lattice.draw_colors`
+(``DRAW_FORMAT`` 2), so under two colors a raw word yields 64 sites.
 
 The window estimator runs its trials bit-sliced, 64 to a uint64 lane, on
 the origin's shrinking information cone, and step ``t`` takes raw Philox
@@ -29,6 +32,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -107,6 +113,12 @@ class ExperimentSpec:
             if self.boundary == Boundary.STABLE_EXTERIOR and self.params.d != 1:
                 raise ValueError("the stable-exterior boundary exists only for d=1")
 
+    @cached_property
+    def _content_law(self) -> ModelParams:
+        """The uniform law over the n colors, which draws random initial content."""
+        n = self.params.n
+        return ModelParams(n=n, recolor_dist=(Fraction(1, n),) * n)
+
     @property
     def theorem_setting(self) -> bool:
         """True when the run matches the proven fixation regime exactly."""
@@ -137,16 +149,18 @@ class TrajectoryStats:
 def _initial_cells(spec: ExperimentSpec, stream: RngStream) -> np.ndarray:
     """The trajectory's first color array, in ``spec.params.color_dtype``.
 
-    Random content is drawn as int64 and then narrowed: a narrower draw
-    would read the stream differently and change every trajectory.
+    Random content comes from :func:`draw_colors` under the uniform law over
+    the n colors, drawn from block ``_INIT_BLOCK`` of the trial's stream and
+    laid out in C order.  With two colors site i is therefore bit i % 64 of
+    the block's raw word i // 64, so 64 sites take one word.
     """
     init = spec.initial
     dtype = spec.params.color_dtype
     if isinstance(init, ExplicitWord):
         return np.array(init.colors, dtype=dtype)
     shape = (2 * init.M + 1,) if isinstance(init, RandomUnstableBlock) else init.shape
-    return stream.generator_at(_INIT_BLOCK).integers(
-        0, spec.params.n, size=shape, dtype=np.int64).astype(dtype)
+    return draw_colors(stream.generator_at(_INIT_BLOCK), spec._content_law,
+                       prod(shape)).reshape(shape)
 
 
 def _reveal(word: np.ndarray, lo: int, a: int, b: int, n: int) -> tuple[np.ndarray, int]:

@@ -7,6 +7,7 @@ from candyfix import __version__
 from candyfix.cli import main
 from candyfix.dyadic import Dyadic
 from candyfix.engine import ProbTables, compute_tables, kstep_vector
+from candyfix.lattice import DRAW_FORMAT
 from candyfix.montecarlo import COIN_STREAM_FORMAT
 from candyfix.render import tables_to_json, tables_to_text
 
@@ -65,23 +66,24 @@ def test_simulate_rerun_byte_identical(tmp_path):
 
 # sha256 of (trajectories.jsonl, aggregate.csv); any change to the trajectory
 # loop, the stream layout or the output format shows here, and so does a new
-# __version__, which the manifest id in every trajectory line hashes
+# __version__ or DRAW_FORMAT, which the manifest id in every trajectory line
+# hashes (draw format 2: b-bit fields of raw words, content included)
 PINNED_SIMULATIONS = (
     (("--init", "block", "--M", "6", "--trials", "25", "--seed", "3"),
-     "9846d1e0eba1833767a9c165c83beddb0bf9b4904da0064e3d74277b5082bdd9",
-     "7b9d1a78f3824feb8bfab6871ce49ef85257d3957cd5236ccc349fad99211305"),
+     "4b42a8f35479a84e8184a7001a55ccf59dfad09505d11fdcfe411693748aa1e6",
+     "4ead5c1f61dd36053ec2c130f92de66b0c3822463abe331945f5ea48a19c3004"),
     (("--init", "word:0001100011000111", "--boundary", "frozen", "--trials", "30",
       "--seed", "4"),
-     "8823061fe2f53ec43182ef0fc742ca26b3519fd9b5f605661df66eaeb866583f",
-     "a2b44f788899545df4a8a2499f257ee153b571af239dd6bd7d2a9cd4d1edba24"),
+     "8648b67ea27b13c1c46886a2545c5b4dde969027a9d0ed8e69a641689f391455",
+     "324b2dc0260972227f60fabbc2a7648c78b7c7f7823365680d6da35823be19e9"),
     (("--d", "2", "--init", "box", "--extent", "7,9", "--boundary", "periodic",
       "--trials", "3", "--t-max", "400", "--seed", "1"),
-     "baea5f7a9a6728f820c48e95ba2b937406bc5d0c9afed1b3cd09042db49ea13c",
-     "213f591fdd499ad43715d51123d1c2a579453885ff7ce68d0e500477eb0cfdd7"),
+     "13efd391f185d3672be384eb8802e4e188dfe0178ec6ba3f1166178bc16fcb0c",
+     "8172cc3ea107210fc61137deeb78651c20ede9c0579c14bb558274b566767e76"),
     (("--kappa", "4", "--n", "3", "--p", "1/4,1/4,1/2", "--init", "box",
       "--extent", "41", "--trials", "5"),
-     "221601947a0c09146c47e6c88bf89efcfaa164f85059192f474aaa25276f0753",
-     "e3c39b2d0c33ed79ecf56dba9a4abaeaeed1370a08e95678d4553748ad1aa74a"),
+     "893743fc6a42c3c84a46a58be6b69511aff26cfb821b51b50663938f60a273e3",
+     "48b0b2cf70717710975088746a5b05d5996ec82d192478146c9def055ae1a886"),
 )
 
 
@@ -245,6 +247,22 @@ def test_crosscheck_manifest_timings(tmp_path):
     assert min(timings.values()) >= 0
     assert sum(timings.values()) <= manifest["seconds"]
     assert "timings" not in json.loads((tmp_path / "crosscheck.json").read_text())
+
+
+def test_simulate_manifest_names_draw_format(tmp_path, monkeypatch):
+    # the parameters name the draw format, so two formats never share a run id
+    import candyfix.cli as cli_mod
+
+    args = ("simulate", "--init", "word:000", "--trials", "2", "--seed", "1")
+    assert run(*args, "--out", str(tmp_path / "now")) == 0
+    path, = (tmp_path / "now").glob("manifest-*.json")
+    manifest = json.loads(path.read_text())
+    assert DRAW_FORMAT == 2
+    assert manifest["parameters"]["draw_format"] == 2
+    monkeypatch.setattr(cli_mod, "DRAW_FORMAT", 1)
+    assert run(*args, "--out", str(tmp_path / "old")) == 0
+    old, = (tmp_path / "old").glob("manifest-*.json")
+    assert json.loads(old.read_text())["run_id"] != manifest["run_id"]
 
 
 def test_crosscheck_seed_range(tmp_path, capsys):

@@ -1,4 +1,7 @@
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -113,29 +116,83 @@ def test_step_distribution_uniform_over_outcomes():
         assert abs(c / n - 0.125) <= 4 * se, (word, c / n)
 
 
-def test_draw_colors_match_bounded_draws_and_cut_search():
-    # the raw-stream sampler against full-range integer draws and a binary
-    # search of the cuts, which it replaces: identical colors, draw for draw,
-    # in the narrowest color type (257 colors need uint16); a law ending in
-    # zeros never draws its last colors
-    laws = [(Fraction(1, 2),) * 2,
-            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
-            (Fraction(1, 3), Fraction(2, 3)),
-            (Fraction(1, 5),) * 5,
-            (Fraction(1, 257),) * 257,
-            (Fraction(1), Fraction(0)),
-            (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
-            (Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0))]
-    for dist in laws:
+def reference_draws(gen, dist, b, size):
+    """The documented draw layout in plain Python ints: b-bit fields of
+    consecutive raw words, each word from its low end; a field's color is
+    the number of cuts, the law's cumulatives scaled to b bits, at or below it."""
+    per_word = 64 // b
+    words = gen.bit_generator.random_raw(-(-size // per_word))
+    cuts = [(acc.numerator << b) // acc.denominator
+            for acc in accumulate(dist[:-1]) if acc < 1]
+    fields = [(int(w) >> (b * j)) & ((1 << b) - 1) for w in words for j in range(per_word)]
+    return [bisect_right(cuts, f) for f in fields[:size]]
+
+
+# (law, field width b): the narrowest of 1, 2, 4, ..., 64 bits at which every
+# cumulative is exact; non-dyadic laws and 2^-70 take whole words
+DRAW_LAWS = (
+    ((Fraction(1, 2),) * 2, 1),
+    ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), 2),
+    ((Fraction(3, 16), Fraction(5, 16), Fraction(1, 2)), 4),
+    ((Fraction(1, 32), Fraction(31, 32)), 8),
+    ((Fraction(1, 2**9), Fraction(511, 2**9)), 16),
+    ((Fraction(1, 2**20), Fraction(2**20 - 1, 2**20)), 32),
+    ((Fraction(1, 2**70), 1 - Fraction(1, 2**70)), 64),
+    ((Fraction(1, 3), Fraction(2, 3)), 64),
+    ((Fraction(1, 5),) * 5, 64),
+    ((Fraction(1, 257),) * 257, 64),
+    # uniform over 2^b colors: every field is its own color
+    ((Fraction(1, 4),) * 4, 2),
+    ((Fraction(1, 256),) * 256, 8),
+    ((Fraction(1, 4),) * 4 + (Fraction(0),) * 296, 2),
+    # zeros: trailing ones are never drawn, leading and inner ones give equal cuts
+    ((Fraction(1), Fraction(0)), 1),
+    ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), 1),
+    ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), 1),
+    ((Fraction(0), Fraction(1, 4), Fraction(3, 4)), 2),
+    ((Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0)), 64),
+)
+
+
+def test_draw_colors_match_reference_fields():
+    # draw for draw against the plain-int reference at every field width, in
+    # the narrowest color type (257 and 300 colors need uint16); a non-dyadic
+    # law still reads one whole word per draw, searched over its cuts
+    for dist, b in DRAW_LAWS:
         params = ModelParams(n=len(dist), recolor_dist=dist)
-        for size in (0, 1, 7, 100_001):
+        assert params.field_bits == b, dist
+        for size in (0, 1, 63, 64, 65, 100_001):
             for seed, t in ((0, 0), (2, 1 << 62)):
-                draws = RngStream(seed).generator_at(t).integers(
-                    0, 1 << 64, size=size, dtype=np.uint64)
-                expect = np.searchsorted(params.sampling_cuts, draws, side="right")
                 got = draw_colors(RngStream(seed).generator_at(t), params, size)
                 assert got.dtype == params.color_dtype, (dist, size)
-                assert np.array_equal(got, expect), (dist, size)
+                expect = reference_draws(RngStream(seed).generator_at(t), dist, b, size)
+                assert got.tolist() == expect, (dist, size)
+                if b == 64:
+                    draws = RngStream(seed).generator_at(t).integers(
+                        0, 1 << 64, size=size, dtype=np.uint64)
+                    assert np.array_equal(
+                        got, np.searchsorted(params.sampling_cuts, draws, side="right"))
+
+
+def test_packed_draws_distribution():
+    # one call of 2^17 draws of a 2-bit law: every color's frequency within 4 SE
+    params = ModelParams(n=3, recolor_dist=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    n = 1 << 17
+    colors = draw_colors(RngStream(21).generator_at(0), params, n)
+    for color, p in enumerate(params.recolor_dist):
+        se = sqrt(p * (1 - p) / n)
+        assert abs(np.count_nonzero(colors == color) / n - p) <= 4 * se, color
+    # the fair coin's adjacent draws, as disjoint pairs inside each word and
+    # as the pair across each word boundary: reused or shifted bits skew the
+    # four outcomes
+    bits = draw_colors(RngStream(22).generator_at(0), P, 1 << 20).reshape(-1, 64)
+    for where, (first, second) in (("inside", (bits[:, 0::2], bits[:, 1::2])),
+                                   ("across", (bits[:-1, 63], bits[1:, 0]))):
+        pairs = 2 * first.ravel().astype(np.int64) + second.ravel()
+        se = sqrt(0.25 * 0.75 / pairs.size)
+        for outcome in range(4):
+            freq = np.count_nonzero(pairs == outcome) / pairs.size
+            assert abs(freq - 0.25) <= 4 * se, (where, outcome, freq)
 
 
 def unstable_by_definition(cells, kappa, periodic):

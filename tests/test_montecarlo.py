@@ -26,7 +26,7 @@ from candyfix.montecarlo import (
     write_trajectories_jsonl,
 )
 from candyfix.windows import WindowClass
-from test_lattice import unstable_by_definition
+from test_lattice import reference_draws, unstable_by_definition
 
 P = ModelParams()
 
@@ -109,9 +109,24 @@ def test_reproducibility_bit_identical():
     assert run_experiment(other) != stats
 
 
+def test_initial_block_is_the_raw_bits():
+    # site i of a random two-color block is bit i % 64 of raw word i // 64 of
+    # block _INIT_BLOCK, lowest bit first, and the trajectory starts from it
+    spec = ExperimentSpec(P, RandomUnstableBlock(40), trials=3, seed=9)
+    for trial in range(spec.trials):
+        stream = RngStream(spec.seed, trial)
+        words = stream.generator_at(_INIT_BLOCK).bit_generator.random_raw(2)
+        expect = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(81)]
+        assert _initial_cells(spec, stream).tolist() == expect
+        unstable = unstable_by_definition(np.array(expect), 3, False)
+        assert run_trajectory(spec, trial).I_series[0] == unstable.sum()
+
+
 def test_box_trajectory_matches_iterated_step():
     # the trajectory loop against a reference update fed block t of the same
-    # stream, which finds unstable sites by the run definition, not the classifier
+    # stream, which finds unstable sites by the run definition, not the
+    # classifier; its content follows the documented layout of a uniform law
+    # (1-bit fields for two colors, whole words for three), in C order
     for params, boundary, shape in ((ModelParams(d=2), Boundary.FROZEN, (6, 5)),
                                     (ModelParams(d=2), Boundary.PERIODIC, (4, 7)),
                                     (ModelParams(kappa=4, n=3, recolor_dist=(
@@ -119,10 +134,11 @@ def test_box_trajectory_matches_iterated_step():
                                      Boundary.PERIODIC, (13,))):
         spec = ExperimentSpec(params, UniformRandomBox(shape), boundary=boundary,
                               trials=3, seed=12, t_max=60)
+        uniform, bits = (Fraction(1, params.n),) * params.n, {2: 1, 3: 64}[params.n]
         for trial in range(spec.trials):
             stream = RngStream(spec.seed, trial)
-            cells = stream.generator_at(_INIT_BLOCK).integers(
-                0, params.n, size=shape, dtype=np.int64)
+            cells = np.array(reference_draws(stream.generator_at(_INIT_BLOCK), uniform, bits,
+                                             int(np.prod(shape)))).reshape(shape)
             series = []
             for t in range(spec.t_max + 1):
                 unstable = unstable_by_definition(cells, params.kappa,
