@@ -31,19 +31,24 @@ is exactly why radius 2k+2 suffices for k steps - a claim
 
 Each level averages over the unstable sites of every word; words sharing an
 unstable-site mask share one partial sum of the next level's values, and
-those sums are built depth first along the masks' common prefixes.  A
-level's per-word work is one key sort and one table-driven index pass.
+those sums are built depth first along the masks' common prefixes.  A word's
+value is one entry of its mask's partial sum, the one at its stable index
+(its stable interior bits).  In :func:`kstep_vector` a level's per-word work
+is one key sort and one table-driven index pass.
 
 The tables come straight out of the top level: a group's mask fixes the
 table cell of all its words, so each group's maximum folds into its cell and
-``g_k`` is never stored.  The model's two symmetries let that level visit
-about a quarter of the words and half of the groups.  Complementing every
-color keeps a word's unstable sites and its probability, so only words whose
-top site has color 0 are visited.  Reflection maps the words of mask U onto
-those of the mirrored mask rev(U), value for value, so only masks with
-U >= rev(U), the upper of each mirrored pair, are visited, and each group's
-maximum also fills the cell of rev(U) (the gap (m, n) beside (n, m)).
-Every cell is still the exact maximum over all of its windows.
+``g_k`` is never stored.  The model's two symmetries let that level read
+about a quarter of the words and keep half of the groups.  Complementing
+every color keeps a word's unstable sites and its probability, so only words
+whose top site has color 0 are read.  Reflection maps the words of mask U
+onto those of the mirrored mask rev(U), value for value, so only masks with
+U >= rev(U), the upper of each mirrored pair, are kept, and each group's
+maximum also fills the cell of rev(U) (the gap (m, n) beside (n, m)).  Words
+with the same mask and stable index have the same value, so the level folds
+only the distinct (mask, stable index) pairs and holds no array over its
+words: at k=4 it reads 547,836 words and keeps 117,219 pairs in 2,781
+groups.  Every cell is still the exact maximum over all of its windows.
 
 :func:`kstep_vector`, :func:`worst_case` and the masks of
 :mod:`candyfix.windows` use neither symmetry: :func:`worst_case` answers one
@@ -85,11 +90,12 @@ class EngineConsistencyError(AssertionError):
 # --------------------------------------------------------------------------
 
 
-def _group_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cuts = np.nonzero(np.diff(sorted_vals))[0] + 1
-    starts = np.r_[0, cuts]
-    ends = np.r_[cuts, len(sorted_vals)]
-    return starts, ends
+def _firsts(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys starts: one comparison of neighbours."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
 
 
 _CHUNK = 9  # bits of mask and word one lookup in the pext table covers
@@ -138,24 +144,48 @@ def _mirrors(nbits: int) -> np.ndarray:
     return rev
 
 
-def _representatives(length: int) -> np.ndarray:
-    """The length-L words the tables' top level evaluates, in ascending order.
+def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (mask, stable index) pairs the tables' top level folds.
 
     The complement keeps a word's mask and value, so only words whose top
-    site has color 0 are kept.  The reflection maps the words of mask U onto
+    site has color 0 are read.  The reflection maps the words of mask U onto
     those of rev(U) with the same values, so only masks with U >= rev(U), the
     upper of each mirrored pair, are kept; the groups of the other masks are
-    the mirrors of kept ones.  Sorted by mask, the upper masks share longer
-    high-bit prefixes than the lower ones, so :func:`_backward_level`'s trie
-    computes fewer partial sums (4,575 instead of 7,233 at k=4).
+    the mirrors of kept ones.  Words that share a mask and a
+    :func:`_stable_index` share their sum, so a group's maximum over its
+    words is its maximum over its distinct indices.  The words are read in
+    ``_BLOCK``-word blocks; each block keeps its distinct int64 keys
+    ``(mask << nint) | index``, and the distinct keys of all blocks are the
+    pairs.  At k=4 the 547,836 words read keep 117,219 pairs in 2,781 groups.
+
+    Returns the pairs' int32 masks, ascending, and their int32 indices.
+    Sorted by mask, the upper masks share longer high-bit prefixes than the
+    lower ones, so :func:`_backward_level`'s trie computes fewer partial
+    sums (4,575 instead of 7,233 at k=4).
     """
-    nint = length - 4
+    nint, half = length - 4, 1 << (length - 1)
     upper = np.arange(1 << nint) >= _mirrors(nint)  # indexed by mask
-    kept = []
-    for lo in range(0, 1 << (length - 1), _BLOCK):
-        words = np.arange(lo, min(lo + _BLOCK, 1 << (length - 1)), dtype=np.int32)
-        kept.append(words[upper[(unstable_bits(words, length) >> 2) & ((1 << nint) - 1)]])
-    return np.concatenate(kept)
+    keys = _distinct(np.concatenate([
+        _upper_pairs(np.arange(lo, min(lo + _BLOCK, half), dtype=np.int32), length, upper)
+        for lo in range(0, half, _BLOCK)]))
+    masks = (keys >> nint).astype(np.int32)
+    keys &= (1 << nint) - 1
+    return masks, keys.astype(np.int32)
+
+
+def _upper_pairs(words: np.ndarray, length: int, upper: np.ndarray) -> np.ndarray:
+    """The distinct keys ``(mask << nint) | stable index`` of the words with an upper mask."""
+    nint = length - 4
+    masks = (unstable_bits(words, length) >> 2) & ((1 << nint) - 1)
+    keep = upper[masks]
+    masks, words = masks[keep], words[keep]
+    return _distinct((masks.astype(np.int64) << nint) | _stable_index(masks, words, nint))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending; sorts ``keys`` in place."""
+    keys.sort()
+    return keys[_firsts(keys)]
 
 
 # Widest numerator int64 holds: check_sweep_k refuses a k whose sweep passes it,
@@ -173,48 +203,38 @@ def sweep_exponent(k: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _backward_level(g_next: np.ndarray, length: int, words: np.ndarray):
-    """One backward step from values on length-(L-4) words to the given length-L words.
+def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray):
+    """One backward step: sums of the values g_next on length-(L-4) words.
 
-    Yields ``(mask, words, sums)`` for each group of ``words`` (an int32
-    array, each word once) sharing an unstable interior mask.  For a word w,
-    the interior [2, L-3] is exactly the region whose stability the word
-    determines and the region the next level's words live on.  The sum is
-    g_next summed over the 2^u joint recolorings of w's u unstable interior
-    sites; the word's value is that sum over 2^u, which the caller holds as
-    the integer ``sums << (L-4-u)`` so the whole level shares the exponent
-    increment L-4.
+    ``masks`` are unstable interior masks of length-L words, ascending, and
+    ``index`` each entry's :func:`_stable_index`.  Yields ``(mask, sums)``
+    for each run of equal masks, a group, with ``sums[i]`` the sum for the
+    run's i-th index.  For a word w, the interior [2, L-3] is exactly the
+    region whose stability the word determines and the region the next
+    level's words live on.  The sum is g_next summed over the 2^u joint
+    recolorings of w's u unstable interior sites; the word's value is that
+    sum over 2^u, which the caller holds as the integer
+    ``sums << (L-4-u)`` so the whole level shares the exponent increment
+    L-4.  :func:`kstep_vector` passes one entry per word, and
+    :func:`compute_tables` the distinct pairs of :func:`_representatives`.
 
-    One in-place sort of int64 keys ``(mask << L) | word`` orders the words
-    by mask, then word, and walks the trie of high-bit mask prefixes depth
-    first.  The sum of g_next over the axes of mask U is the sum for U
-    without its lowest set bit, summed over that bit's axis, so a stack of
-    partial sums along the current root-to-leaf path serves every group; it
-    never holds more than g_next's own size.  Each partial sum is a flat
-    array: g_next's ``(2,)*nint`` tensor with interior site p on axis p, each
-    summed axis cut to length 1.  Summing out bit p adds the two halves of
+    The groups walk the trie of high-bit mask prefixes depth first.  The sum
+    of g_next over the axes of mask U is the sum for U without its lowest
+    set bit, summed over that bit's axis, so a stack of partial sums along
+    the current root-to-leaf path serves every group; it never holds more
+    than g_next's own size.  Each partial sum is a flat array: g_next's
+    ``(2,)*nint`` tensor with interior site p on axis p, each summed axis
+    cut to length 1.  Summing out bit p adds the two halves of
     ``reshape(2^p, 2, -1)``.  Bits are summed out high to low, so the p axes
     below p still have length 2 and the outer extent is exactly 2^p; the
     axes above p, those of the prefix already length 1, fold into the inner
     extent.  The frequent low-site sums thus add outer halves, and a partial
     sum's flat index is the word's stable interior bits packed lowest site
-    first, which :func:`_stable_index` computes for all the words in one pass.
+    first: the stable index.
     """
-    nint = length - 4
-    full = (1 << nint) - 1
-    keys = np.empty(len(words), dtype=np.int64)
-    for lo in range(0, len(keys), _BLOCK):
-        block = words[lo: lo + _BLOCK]
-        unstable = ((unstable_bits(block, length) >> 2) & full).astype(np.int64)
-        keys[lo: lo + _BLOCK] = (unstable << length) | block
-    keys.sort()
-    words = keys.astype(np.int32)  # the low 32 bits; the mask's bits cleared next
-    words &= (1 << length) - 1
-    keys >>= length
-    masks = keys.astype(np.int32)
-    del keys  # frees 8 bytes a word while the groups run; no view of it may remain
-    index = _stable_index(masks, words, nint)
-    starts, ends = _group_bounds(masks)
+    nint = len(g_next).bit_length() - 1
+    starts = np.flatnonzero(_firsts(masks))
+    ends = np.r_[starts[1:], len(masks)]
     stack = [(0, g_next.reshape((2,) * nint).transpose().ravel())]
     for s, e in zip(starts.tolist(), ends.tolist()):
         mask = int(masks[s])
@@ -230,7 +250,7 @@ def _backward_level(g_next: np.ndarray, length: int, words: np.ndarray):
             summed = np.add(halves[:, 0], halves[:, 1]).ravel()
             prefix |= 1 << p
             stack.append((prefix, summed))
-        yield mask, words[s:e], summed.take(index[s:e])
+        yield mask, summed.take(index[s:e])
 
 
 def check_sweep_k(k: int) -> None:
@@ -255,10 +275,26 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     g = ((unstable_bits(np.arange(32), 5) >> 2) & 1).astype(np.int64)  # g_0 on 5-site words
     for r in range(1, k + 1):
         length = 4 * r + 5
+        nint = length - 4
+        full = (1 << nint) - 1
         g_next, g = g, np.zeros(1 << length, dtype=np.int64)
-        every = np.arange(1 << length, dtype=np.int32)
-        for mask, words, sums in _backward_level(g_next, length, every):
-            g[words] = sums << (length - 4 - mask.bit_count())
+        # one in-place sort of int64 keys (mask << L) | word orders the words
+        # by mask, then word, so that the level's groups are runs
+        keys = np.empty(len(g), dtype=np.int64)
+        for lo in range(0, len(keys), _BLOCK):
+            block = np.arange(lo, min(lo + _BLOCK, len(keys)), dtype=np.int32)
+            unstable = ((unstable_bits(block, length) >> 2) & full).astype(np.int64)
+            keys[lo: lo + _BLOCK] = (unstable << length) | block
+        keys.sort()
+        words = keys.astype(np.int32)  # the low 32 bits; the mask's bits cleared next
+        words &= (1 << length) - 1
+        keys >>= length
+        masks = keys.astype(np.int32)
+        del keys  # frees 8 bytes a word while the groups run; no view of it may remain
+        lo = 0
+        for mask, sums in _backward_level(g_next, masks, _stable_index(masks, words, nint)):
+            g[words[lo: lo + len(sums)]] = sums << (nint - mask.bit_count())
+            lo += len(sums)
     return g, sweep_exponent(k)
 
 
@@ -327,12 +363,14 @@ def compute_tables(k: int) -> ProbTables:
     """All worst-case tables for k steps; exact maxima over every window class.
 
     Runs the sweep to level k-1, then evaluates the top level on the
-    :func:`_representatives` only, about a quarter of the words: one per
-    complement pair, and of each pair of mirrored masks only the upper
-    (U >= rev(U)).
-    Each group's maximum (taken before the level's shift) is exactly the
-    maximum over its mirrored group and over both complements, so it folds
-    into the cells of its mask and of the mirrored mask.
+    distinct (mask, stable index) pairs of :func:`_representatives` only.
+    Those come from about a quarter of the words: one per complement pair,
+    and of each pair of mirrored masks only the upper (U >= rev(U)).  At k=4
+    the top level reads 547,836 words and keeps 117,219 pairs in 2,781
+    groups.  Each group's maximum (taken before the level's shift) is
+    exactly the maximum over its words, over its mirrored group and over
+    both complements, so it folds into the cells of its mask and of the
+    mirrored mask.
 
     The group's interior mask covers sites -2k..2k with the origin at bit
     2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if bits
@@ -345,7 +383,7 @@ def compute_tables(k: int) -> ProbTables:
     length, sat = 4 * k + 5, 2 * k
     unstable = triple = -1  # running maxima; -1 while a cell has no window
     gap = [[-1] * (sat + 1) for _ in range(sat + 1)]
-    for mask, _, sums in _backward_level(g, length, _representatives(length)):
+    for mask, sums in _backward_level(g, *_representatives(length)):
         top = int(sums.max()) << (length - 4 - mask.bit_count())
         if mask >> sat & 1:
             unstable = max(unstable, top)
@@ -377,17 +415,10 @@ def compute_tables(k: int) -> ProbTables:
 
 
 def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, sorted, each with the sum of its values.
-
-    Most merges hold a few hundred keys, so the starts come from one flag
-    array, not :func:`_group_bounds`, whose extra calls would cost more.
-    """
+    """The distinct keys, sorted, each with the sum of its values."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_firsts(keys))
     return keys[starts], np.add.reduceat(values[order], starts)
 
 

@@ -316,7 +316,9 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
         for bits in steps:
             inner = batch[2:-2]
             unstable = _unstable_lanes(batch)
-            batch = bits.random_raw((width, len(inner))).T  # lane-major coins
+            # lane-major coins, copied C-ordered so that the select and the
+            # next step's classifier read rows, not strided columns
+            batch = np.ascontiguousarray(bits.random_raw((width, len(inner))).T)
             batch ^= inner
             batch &= unstable
             batch ^= inner

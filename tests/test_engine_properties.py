@@ -208,17 +208,23 @@ def test_mirror_table_matches_bitwise_mirror():
 
 def test_representatives_cover_every_mask():
     # top color 0 and U >= rev(U): every mask of the level is kept or is the
-    # mirror of a kept one, and the k=4 top level keeps about a quarter
+    # mirror of a kept one, the k=4 top level reads about a quarter of the
+    # words, and it keeps each distinct (mask, stable index) pair of them once
     counts = {}
     for length in (9, 13, 17, 21):
         nint, full = length - 4, (1 << (length - 4)) - 1
-        reps = _representatives(length)
-        assert np.all(np.diff(reps) > 0) and reps.max() < 1 << (length - 1)
-        kept = np.unique((unstable_bits(reps, length) >> 2) & full)
+        words = np.arange(1 << length, dtype=np.int32)
+        masks = (unstable_bits(words, length) >> 2) & full
+        read = (words < 1 << (length - 1)) & (masks >= mirrored(masks, nint))
+        pairs = np.unique((masks[read].astype(np.int64) << nint)
+                          | _stable_index(masks[read], words[read], nint))
+        got_masks, got_index = _representatives(length)
+        assert np.array_equal((got_masks.astype(np.int64) << nint) | got_index, pairs), length
+        kept = np.unique(got_masks)
         assert np.all(kept >= mirrored(kept, nint))
-        every = np.unique((unstable_bits(np.arange(1 << length), length) >> 2) & full)
+        every = np.unique(masks)
         assert np.array_equal(np.union1d(kept, mirrored(kept, nint)), every), length
-        counts[length] = (len(reps), len(kept), len(every))
+        counts[length] = (int(read.sum()), len(kept), len(every))
     assert counts[21] == (547_836, 2_781, 5_473)
 
 
@@ -246,15 +252,43 @@ def test_top_level_trie_partial_sums():
     for length in (17, 21):
         nint = length - 4
         zeros = np.zeros(1 << nint, dtype=np.int64)
-        masks = [mask for mask, _, _ in _backward_level(zeros, length, _representatives(length))]
+        masks = [mask for mask, _ in _backward_level(zeros, *_representatives(length))]
         lower = np.sort(mirrored(np.array(masks), nint)).tolist()
         counts[length] = (trie_partial_sums(masks), trie_partial_sums(lower))
     assert counts == {17: (682, 1_069), 21: (4_575, 7_233)}
 
 
+def test_top_level_folds_distinct_pairs():
+    # words that share a mask and a stable index share a sum, so the top
+    # level folds each distinct pair once: 117,219 of them where it reads
+    # 547,836 words at k=4
+    counts = {}
+    for k in (3, 4):
+        zeros = np.zeros(1 << (4 * k + 1), dtype=np.int64)
+        sizes = [len(sums) for _, sums in _backward_level(zeros, *_representatives(4 * k + 5))]
+        counts[k] = (sum(sizes), len(sizes))
+    assert counts == {3: (8_219, 416), 4: (117_219, 2_781)}
+
+
+def test_group_maximum_over_pairs_is_maximum_over_words():
+    # each group's maximum over its distinct pairs against the maximum of the
+    # deposit sums of every word of its mask, both colors of the top site
+    for k in (2, 3):
+        length = 4 * k + 5
+        nint, full = length - 4, (1 << (length - 4)) - 1
+        g_next, _ = kstep_vector(k - 1)
+        words = np.arange(1 << length, dtype=np.int64)
+        masks = (unstable_bits(words, length) >> 2) & full
+        for mask, sums in _backward_level(g_next, *_representatives(length)):
+            base = (words[masks == mask] >> 2) & full & ~mask
+            per_word = g_next[base[:, None] | deposits(mask)[None, :]].sum(axis=1)
+            assert sums.max() == per_word.max(), (k, mask)
+
+
 def test_compute_tables_memory_bounded():
-    # one group's sums at a time and one stack of partial sums: the k=4 tables
-    # never hold a whole level's sums
+    # one group's sums at a time, one stack of partial sums, and a top level
+    # that holds only its distinct (mask, stable index) pairs, never a word's
+    # worth of arrays: the k=4 tables never hold a whole level's sums
     compute_tables(1)  # the pext table, built once per process
     tracemalloc.start()
     try:
@@ -262,7 +296,7 @@ def test_compute_tables_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13 << 20, peak / 2**20
+    assert peak < 7 << 20, peak / 2**20
 
 
 def test_window_sufficiency_exhaustive_k1():
@@ -369,24 +403,41 @@ def test_stable_index_matches_bitwise_pext():
 
 
 def test_backward_level_order_and_values():
-    # groups in ascending mask order, words ascending within a group, every
-    # given word once, and each sum that of arbitrary next-level values over
-    # the recolorings of the word's unstable interior sites; for all words,
-    # a random third of them, and the table fold's representatives
+    # groups in ascending mask order, one sum per given entry, and each sum
+    # that of arbitrary next-level values over the recolorings of the word's
+    # unstable interior sites; for all words, a random third of them, and
+    # the table fold's distinct pairs, each checked on one word that has it
     rng = np.random.default_rng(8)
     for length in (9, 13):
-        nint = length - 4
+        nint, full = length - 4, (1 << (length - 4)) - 1
         g_next = rng.integers(0, 1 << 20, size=1 << nint)
         every = np.arange(1 << length, dtype=np.int32)
-        for given in (every, np.sort(rng.choice(every, size=len(every) // 3, replace=False)),
-                      _representatives(length)):
-            seen, last_mask = [], -1
-            for mask, words, sums in _backward_level(g_next, length, given):
-                assert mask > last_mask and np.all(np.diff(words) > 0)
+
+        def entries(words):
+            masks = (unstable_bits(words, length) >> 2) & full
+            order = np.lexsort((words, masks))
+            words, masks = words[order], masks[order]
+            return words, masks, _stable_index(masks, words, nint)
+
+        words, masks, index = entries(every)
+        keys = (masks.astype(np.int64) << nint) | index
+        order = np.argsort(keys, kind="stable")
+        rep_masks, rep_index = _representatives(length)
+        rep_keys = (rep_masks.astype(np.int64) << nint) | rep_index
+        at = np.searchsorted(keys[order], rep_keys)
+        assert np.array_equal(keys[order][at], rep_keys)
+        rep_words = words[order][at]
+        third = np.sort(rng.choice(every, size=len(every) // 3, replace=False))
+        for words, masks, index in (entries(every), entries(third),
+                                    (rep_words, rep_masks, rep_index)):
+            lo, last_mask = 0, -1
+            for mask, sums in _backward_level(g_next, masks, index):
+                assert mask > last_mask
                 last_mask = mask
-                assert np.all((unstable_bits(words, length) >> 2) & ((1 << nint) - 1) == mask)
-                base = (words.astype(np.int64) >> 2) & ((1 << nint) - 1) & ~mask
+                group = words[lo: lo + len(sums)]
+                lo += len(sums)
+                assert np.all((unstable_bits(group, length) >> 2) & full == mask)
+                base = (group.astype(np.int64) >> 2) & full & ~mask
                 expect = g_next[base[:, None] | deposits(mask)[None, :]].sum(axis=1)
                 assert np.array_equal(sums, expect), (length, mask)
-                seen.append(words)
-            assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(given)), length
+            assert lo == len(words), length
