@@ -4,9 +4,11 @@ Subcommands: ``simulate`` (trajectory experiments under any model
 parameters); ``enumerate`` (exact probability tables) and ``certify``
 (contraction certificates), both for the theorem model only; ``crosscheck``
 (Monte Carlo versus exact engine) and ``probe`` (one window's exact
-probability).  Every successful run writes result files plus a manifest into
-the output directory; the manifest stream is append-only and each result
-file names the manifest that produced it.  A manifest records the run's
+probability).  ``simulate`` takes its dimension from ``--init`` and its color
+count from ``--p``, and refuses ``--M`` or ``--extent`` unless ``--init`` reads
+it.  Every successful run writes result files plus a manifest into the output
+directory; the manifest stream is append-only and each result file names the
+manifest that produced it.  A manifest records the run's
 ``seconds`` and ``peak_rss_mib``, for ``enumerate``/``certify`` the
 ``checks`` that ran with their verdicts, and for ``crosscheck`` the
 ``timings`` of the forward program and the estimator summed over windows.
@@ -137,38 +139,31 @@ def _fail(message: str, code: int = USAGE) -> int:
 def cmd_simulate(args) -> int:
     if not 0 <= args.seed < 1 << 64:  # the stream key keeps the seed mod 2^64
         return _fail(f"--seed must lie in [0, 2^64), got {args.seed}")
+    for flag, value, init in (("--M", args.M, "block"), ("--extent", args.extent, "box")):
+        if value is not None and args.init != init:  # a value the run would never read
+            return _fail(f"{flag} applies only to --init {init}")
+    M = 10 if args.M is None else args.M
+    extent = "21" if args.extent is None else args.extent
     try:
-        dist = _parse_dist(args.p) if args.p else tuple(
-            Fraction(1, args.n) for _ in range(args.n))
-        params = ModelParams(d=args.d, n=args.n, kappa=args.kappa, recolor_dist=dist)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(str(exc))
-    try:
+        params = ModelParams(kappa=args.kappa, recolor_dist=_parse_dist(args.p))
         if args.init.startswith("word:"):
             initial = ExplicitWord(tuple(int(c) for c in args.init[5:]))
         elif args.init == "block":
-            initial = RandomUnstableBlock(args.M)
+            initial = RandomUnstableBlock(M)
         elif args.init == "box":
-            shape = tuple(int(s) for s in args.extent.split(","))
-            initial = UniformRandomBox(shape)
+            initial = UniformRandomBox(tuple(int(s) for s in extent.split(",")))
         else:
             return _fail(f"unknown initial condition {args.init!r}")
-        spec = ExperimentSpec(
-            params=params,
-            initial=initial,
-            boundary=Boundary(args.boundary),
-            t_max=args.t_max,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    except ValueError as exc:
+        spec = ExperimentSpec(params=params, initial=initial, boundary=args.boundary,
+                              t_max=args.t_max, trials=args.trials, seed=args.seed)
+    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator in --p
         return _fail(str(exc))
 
     out = _out_dir(args)
     payload = {
-        "d": params.d, "n": params.n, "kappa": params.kappa,
+        "d": spec.d, "n": params.n, "kappa": params.kappa,
         "p": [str(x) for x in params.recolor_dist],
-        "init": args.init, "M": args.M, "extent": args.extent,
+        "init": args.init, "M": M, "extent": extent,
         "boundary": spec.boundary.value, "t_max": spec.t_max,
         "trials": spec.trials, "seed": spec.seed, "draw_format": DRAW_FORMAT,
     }
@@ -199,14 +194,14 @@ def cmd_enumerate(args) -> int:
         check_sweep_k(args.k)
     except ValueError as exc:
         return _fail(str(exc))
-    out = _out_dir(args)
     manifest = _Manifest("enumerate", {"k": args.k, "engine": ENGINE_TAG})
-    tables = compute_tables(args.k)
     try:
+        tables = compute_tables(args.k)
         unbounded_sum(tables)
     except EngineConsistencyError as exc:
         return _fail(str(exc), CHECK_FAILED)
     manifest.passed("unbounded-sum-identity")
+    out = _out_dir(args)
     with open(manifest.add(out / "tables.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, **tables_to_json(tables)},
                   fh, indent=1, sort_keys=True)
@@ -329,18 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run trajectory experiments")
-    p.add_argument("--d", type=int, default=1)
     p.add_argument("--init", default="block", help="word:<digits> | block | box")
-    p.add_argument("--M", type=int, default=10, help="block half-width")
-    p.add_argument("--extent", default="21", help="box extents, comma separated")
+    p.add_argument("--M", type=int, help="block half-width (default 10), block only")
+    p.add_argument("--extent", help="box extents, comma separated (default 21), box only")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--t-max", dest="t_max", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--boundary", default="stable-exterior",
                    choices=[b.value for b in Boundary])
     p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--p", default=None, help="recoloring law, e.g. 1/2,1/2")
+    p.add_argument("--p", default="1/2,1/2", help="recoloring law over colors 0..n-1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 

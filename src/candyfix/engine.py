@@ -376,7 +376,8 @@ def compute_tables(k: int) -> ProbTables:
     2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if bits
     2k-1..2k+1 are all set; the mirror keeps both.  Otherwise the cell is the
     gap (n, m) of the stable runs beside the origin, clipped at 2k, and the
-    mirror's cell is (m, n).
+    mirror's cell is (m, n).  Every cell has windows, so a cell left empty
+    is the engine's fault: :class:`EngineConsistencyError` names it.
     """
     check_sweep_k(k)
     g, _ = kstep_vector(k - 1)
@@ -399,7 +400,7 @@ def compute_tables(k: int) -> ProbTables:
 
     def entry(best: int, cell: Conditioning) -> Dyadic:
         if best < 0:
-            raise UnrealizableConditioningError(f"{cell} selects no window")
+            raise EngineConsistencyError(f"table cell {cell} selects no window")
         return Dyadic(best, exp)
 
     p_unstable = entry(unstable, UnstableAtOrigin())
@@ -577,14 +578,14 @@ class Certificate:
     contraction: bool
 
 
-def certify(k: int, tables: ProbTables | None = None) -> Certificate:
-    """Assemble the contraction certificate for k steps, exactly.
+def certify(k: int) -> Certificate:
+    """The contraction certificate for k steps, exactly, from tables it computes.
 
+    Takes no tables: a certificate labelled k always carries k's own tables.
     Raises :class:`EngineConsistencyError` if the tables break the
-    unbounded-region identity (see :func:`unbounded_sum`).
+    unbounded-region identity (see :func:`unbounded_sum`) or a cell is empty.
     """
-    if tables is None:
-        tables = compute_tables(k)
+    tables = compute_tables(k)
     unbounded_sum(tables)
     arg, gap = max_gap_sum(tables)
     term_triple = Fraction(1, 3) * tables.p_triple

@@ -41,32 +41,31 @@ class Boundary(str, Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model constants: dimension, color count, stability constant, recoloring law."""
+    """Model constants: the stability constant and the recoloring law over colors 0..n-1."""
 
-    d: int = 1
-    n: int = 2
     kappa: int = 3
     recolor_dist: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1, 2))
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 colors, got {self.n}")
         if self.kappa < 2:
             raise ValueError(f"stability constant must be >= 2, got {self.kappa}")
         dist = tuple(Fraction(p) for p in self.recolor_dist)
         object.__setattr__(self, "recolor_dist", dist)
-        if len(dist) != self.n:
-            raise ValueError(f"recolor_dist has {len(dist)} entries for n={self.n}")
+        if self.n < 2:
+            raise ValueError(f"need at least 2 colors, got {self.n}")
         if any(p < 0 for p in dist):
             raise ValueError("recolor_dist entries must be nonnegative")
         if sum(dist) != 1:
             raise ValueError(f"recolor_dist must sum to 1 exactly, got {sum(dist)}")
 
     @property
+    def n(self) -> int:
+        """The color count, one per entry of the law."""
+        return len(self.recolor_dist)
+
+    @property
     def uniform_two_color(self) -> bool:
-        return self.n == 2 and self.recolor_dist == (Fraction(1, 2), Fraction(1, 2))
+        return self.recolor_dist == (Fraction(1, 2), Fraction(1, 2))
 
     @cached_property
     def field_bits(self) -> int:

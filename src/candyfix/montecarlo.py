@@ -84,6 +84,8 @@ InitialCondition = ExplicitWord | RandomUnstableBlock | UniformRandomBox
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One simulate run; the initial condition fixes its dimension, the law its colors."""
+
     params: ModelParams
     initial: InitialCondition
     boundary: Boundary = Boundary.STABLE_EXTERIOR
@@ -97,33 +99,30 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if isinstance(self.initial, RandomUnstableBlock):
-            if self.params.d != 1 or self.boundary != Boundary.STABLE_EXTERIOR:
-                raise ValueError(
-                    "a random unstable block needs d=1 and the stable-exterior boundary")
-        if isinstance(self.initial, ExplicitWord):
-            if self.params.d != 1:
-                raise ValueError("an explicit word needs d=1")
-            if not all(0 <= c < self.params.n for c in self.initial.colors):
-                raise ValueError(
-                    f"explicit word colors must lie in [0, {self.params.n})")
-        if isinstance(self.initial, UniformRandomBox):
-            if len(self.initial.shape) != self.params.d:
-                raise ValueError("box shape does not match the model dimension")
-            if self.boundary == Boundary.STABLE_EXTERIOR and self.params.d != 1:
-                raise ValueError("the stable-exterior boundary exists only for d=1")
+        if isinstance(self.initial, RandomUnstableBlock) \
+                and self.boundary != Boundary.STABLE_EXTERIOR:
+            raise ValueError("a random unstable block needs the stable-exterior boundary")
+        if isinstance(self.initial, ExplicitWord) \
+                and not all(0 <= c < self.params.n for c in self.initial.colors):
+            raise ValueError(f"explicit word colors must lie in [0, {self.params.n})")
+        if self.boundary == Boundary.STABLE_EXTERIOR and self.d != 1:
+            raise ValueError("the stable-exterior boundary exists only for d=1")
+
+    @property
+    def d(self) -> int:
+        """The dimension: a box's number of extents; a word or a block is 1-D."""
+        return len(self.initial.shape) if isinstance(self.initial, UniformRandomBox) else 1
 
     @cached_property
     def _content_law(self) -> ModelParams:
         """The uniform law over the n colors, which draws random initial content."""
         n = self.params.n
-        return ModelParams(n=n, recolor_dist=(Fraction(1, n),) * n)
+        return ModelParams(recolor_dist=(Fraction(1, n),) * n)
 
     @property
     def theorem_setting(self) -> bool:
-        """True when the run matches the proven fixation regime exactly."""
-        return (self.params.d == 1 and self.params.kappa == 3
-                and self.params.uniform_two_color
+        """True when the run matches the proven regime; the stable exterior implies d=1."""
+        return (self.params.kappa == 3 and self.params.uniform_two_color
                 and self.boundary == Boundary.STABLE_EXTERIOR)
 
 

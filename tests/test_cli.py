@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from candyfix import __version__
@@ -42,7 +43,7 @@ def test_simulate_block_all_fixate(tmp_path):
 
 
 def test_simulate_invalid_distribution(tmp_path, capsys):
-    code = run("simulate", "--n", "3", "--p", "0.3,0.3,0.3", "--out", str(tmp_path))
+    code = run("simulate", "--p", "0.3,0.3,0.3", "--out", str(tmp_path))
     assert code == 2
     assert "must sum to 1" in capsys.readouterr().err
 
@@ -50,7 +51,7 @@ def test_simulate_invalid_distribution(tmp_path, capsys):
 def test_simulate_law_ending_in_zeros(tmp_path, capsys):
     # a cumulative of exactly 1 before the last color gives no cut of 2^64
     for i, argv in enumerate((("--init", "word:000111", "--p", "1,0", "--t-max", "50"),
-                              ("--n", "3", "--p", "1/2,1/2,0"))):
+                              ("--p", "1/2,1/2,0"))):
         assert run("simulate", *argv, "--out", str(tmp_path / str(i))) == 0, argv
         assert "trials 1" in capsys.readouterr().out
 
@@ -76,11 +77,11 @@ PINNED_SIMULATIONS = (
       "--seed", "4"),
      "8648b67ea27b13c1c46886a2545c5b4dde969027a9d0ed8e69a641689f391455",
      "324b2dc0260972227f60fabbc2a7648c78b7c7f7823365680d6da35823be19e9"),
-    (("--d", "2", "--init", "box", "--extent", "7,9", "--boundary", "periodic",
+    (("--init", "box", "--extent", "7,9", "--boundary", "periodic",
       "--trials", "3", "--t-max", "400", "--seed", "1"),
      "13efd391f185d3672be384eb8802e4e188dfe0178ec6ba3f1166178bc16fcb0c",
      "8172cc3ea107210fc61137deeb78651c20ede9c0579c14bb558274b566767e76"),
-    (("--kappa", "4", "--n", "3", "--p", "1/4,1/4,1/2", "--init", "box",
+    (("--kappa", "4", "--p", "1/4,1/4,1/2", "--init", "box",
       "--extent", "41", "--trials", "5"),
      "893743fc6a42c3c84a46a58be6b69511aff26cfb821b51b50663938f60a273e3",
      "48b0b2cf70717710975088746a5b05d5996ec82d192478146c9def055ae1a886"),
@@ -265,6 +266,70 @@ def test_simulate_manifest_names_draw_format(tmp_path, monkeypatch):
     assert json.loads(old.read_text())["run_id"] != manifest["run_id"]
 
 
+def test_simulate_manifest_records_derived_settings(tmp_path):
+    # the run id hashes "d" and "n", now derived from the initial condition
+    # and the law, and "M" and "extent", whose defaults stand in when the
+    # initial condition reads neither; so every earlier run id stays valid
+    cases = (
+        (("--init", "box", "--extent", "7,9", "--boundary", "periodic"),
+         {"d": 2, "n": 2, "M": 10, "extent": "7,9"}),
+        (("--p", "1/4,1/4,1/2"), {"d": 1, "n": 3, "M": 10, "extent": "21"}),
+        (("--init", "block", "--M", "10"), {"d": 1, "n": 2, "M": 10, "extent": "21"}),
+    )
+    for i, (argv, expect) in enumerate(cases):
+        assert run("simulate", *argv, "--t-max", "3", "--out", str(tmp_path / str(i))) == 0
+        path, = (tmp_path / str(i)).glob("manifest-*.json")
+        parameters = json.loads(path.read_text())["parameters"]
+        assert {key: parameters[key] for key in expect} == expect, argv
+    # the default block and one that states --M 10 are the same run
+    assert run("simulate", "--t-max", "3", "--out", str(tmp_path / "default")) == 0
+    names = [[p.name for p in (tmp_path / sub).glob("manifest-*.json")]
+             for sub in ("2", "default")]
+    assert names[0] == names[1]
+
+
+def test_simulate_refuses_an_init_parameter_it_never_reads(tmp_path, capsys):
+    # --M sizes only a block and --extent only a box; anywhere else either
+    # would change the run id and not one trajectory
+    for argv, flag in ((("--init", "word:0001100011", "--M", "50"), "--M"),
+                       (("--init", "box", "--M", "5"), "--M"),
+                       (("--init", "word:0001100011", "--extent", "9,9"), "--extent"),
+                       (("--init", "block", "--extent", "9"), "--extent")):
+        assert run("simulate", *argv, "--out", str(tmp_path)) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{flag} applies only to --init" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--init", "word:"), "explicit word must be nonempty"),
+    (("--init", "block", "--M", "-1"), "block half-width must be >= 0, got -1"),
+    (("--t-max", "0"), "t_max must be >= 1, got 0"),
+    (("--p=-1/2,3/2",), "recolor_dist entries must be nonnegative"),
+])
+def test_simulate_argument_guards(tmp_path, capsys, argv, message):
+    # each guard stops the run with a usage error before any output
+    assert run("simulate", *argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_empty_table_cell_is_a_check_failure(tmp_path, monkeypatch, capsys):
+    # every site unstable: no window has a stable origin, so every gap cell is
+    # empty, which is the engine's fault; both commands fail the check and
+    # write nothing
+    import candyfix.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "unstable_bits",
+                        lambda words, length: np.full_like(words, (1 << length) - 1))
+    for command in ("enumerate", "certify"):
+        assert run(command, "--k", "1", "--out", str(tmp_path / command)) == 1, command
+        err = capsys.readouterr().err
+        assert "stable-gap" in err and "Traceback" not in err
+        assert not (tmp_path / command).exists()
+
+
 def test_crosscheck_seed_range(tmp_path, capsys):
     # the seed keys Philox, which takes 0 .. 2^64 - 1; outside that the run
     # stops with a usage error before any work or output
@@ -434,8 +499,11 @@ def test_simulate_word_colors_out_of_range(tmp_path, capsys):
 
 
 def test_simulate_takes_no_threads(tmp_path):
-    # trials run in one loop; no flag selects a worker pool
-    assert run("simulate", "--threads", "2", "--out", str(tmp_path)) == 2
+    # trials run in one loop, so no flag selects a worker pool; the initial
+    # condition fixes the dimension and --p the color count, so no flag
+    # repeats either
+    for flag, value in (("--threads", "2"), ("--d", "2"), ("--n", "3")):
+        assert run("simulate", flag, value, "--out", str(tmp_path)) == 2, flag
     assert not list(tmp_path.iterdir())
 
 

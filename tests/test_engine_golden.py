@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from candyfix.dyadic import Dyadic
 from candyfix.engine import (
@@ -114,9 +115,13 @@ def test_k1_gap_sum_and_certificate():
     assert gap_sum(1, tables) == Fraction(1, 2)
     arg, best = max_gap_sum(tables)
     assert (arg, best) == (4, Dyadic(2))
-    cert = certify(1, tables=tables)
+    cert = certify(1)
     assert cert.c == Fraction(5, 4)
     assert not cert.contraction
+    # certify computes its own tables, so a certificate labelled k always
+    # carries k's; no caller can hand it another k's tables
+    with pytest.raises(TypeError):
+        certify(1, tables=tables)
 
 
 def test_k2_certificate_exact():
@@ -137,9 +142,9 @@ def test_k3_certificate_exact():
     assert not cert.contraction
 
 
-def test_k4_certificate_exact(tables_k4):
+def test_k4_certificate_exact(certificate_k4):
     # the contraction the fixation argument rests on
-    cert = certify(4, tables=tables_k4)
+    cert = certificate_k4
     assert cert.p_unstable == Dyadic(518955, 21)
     assert cert.p_triple == Dyadic(15371121, 26)
     assert (cert.gap_argmax, cert.gap_max) == (16, Dyadic(2371247, 20))

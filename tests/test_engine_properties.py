@@ -357,7 +357,7 @@ def test_tables_empty_gap_cell_reports(monkeypatch):
     # every site unstable: no window has a stable origin, so every gap cell is empty
     monkeypatch.setattr(engine_mod, "unstable_bits",
                         lambda words, length: np.full_like(words, (1 << length) - 1))
-    with pytest.raises(UnrealizableConditioningError, match="stable-gap"):
+    with pytest.raises(EngineConsistencyError, match="table cell stable-gap"):
         compute_tables(1)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -25,14 +26,22 @@ def is_stable(cells, kappa=3, periodic=False):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stability constant must be >= 2"):
         ModelParams(kappa=1)
-    with pytest.raises(ValueError):
-        ModelParams(n=1, recolor_dist=(Fraction(1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 colors, got 1"):
+        ModelParams(recolor_dist=(Fraction(1),))
+    with pytest.raises(ValueError, match="must sum to 1"):
         ModelParams(recolor_dist=(Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        ModelParams(d=0)
+
+
+def test_params_state_the_color_count_once():
+    # the law's length is the color count; no field can repeat or contradict it
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["kappa", "recolor_dist"]
+    assert P.n == 2
+    assert ModelParams(recolor_dist=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))).n == 3
+    for field in ("d", "n"):
+        with pytest.raises(TypeError):
+            ModelParams(**{field: 2})
 
 
 def test_chessboard_is_stable():
@@ -159,7 +168,7 @@ def test_draw_colors_match_reference_fields():
     # the narrowest color type (257 and 300 colors need uint16); a non-dyadic
     # law still reads one whole word per draw, searched over its cuts
     for dist, b in DRAW_LAWS:
-        params = ModelParams(n=len(dist), recolor_dist=dist)
+        params = ModelParams(recolor_dist=dist)
         assert params.field_bits == b, dist
         for size in (0, 1, 63, 64, 65, 100_001):
             for seed, t in ((0, 0), (2, 1 << 62)):
@@ -176,7 +185,7 @@ def test_draw_colors_match_reference_fields():
 
 def test_packed_draws_distribution():
     # one call of 2^17 draws of a 2-bit law: every color's frequency within 4 SE
-    params = ModelParams(n=3, recolor_dist=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    params = ModelParams(recolor_dist=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     n = 1 << 17
     colors = draw_colors(RngStream(21).generator_at(0), params, n)
     for color, p in enumerate(params.recolor_dist):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from candyfix.dyadic import Dyadic
-from candyfix.engine import certify, kstep_prob, kstep_vector
+from candyfix.engine import kstep_prob, kstep_vector
 from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors
 from candyfix.montecarlo import (
     _INIT_BLOCK,
@@ -36,17 +36,25 @@ def spec_word(word, **kw):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block needs the stable-exterior boundary"):
         ExperimentSpec(P, RandomUnstableBlock(3), boundary=Boundary.FROZEN)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
         ExperimentSpec(P, ExplicitWord((0, 1)), trials=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(P, UniformRandomBox((4, 4)))  # d mismatch
+    with pytest.raises(ValueError, match="stable-exterior boundary exists only for d=1"):
+        ExperimentSpec(P, UniformRandomBox((4, 4)))  # a 2-D box, the default boundary
     with pytest.raises(ValueError, match="extents must be >= 1"):
         UniformRandomBox((0,))
-    with pytest.raises(ValueError):
-        ExperimentSpec(ModelParams(d=2), UniformRandomBox((4, 4)),
-                       boundary=Boundary.STABLE_EXTERIOR)
+    with pytest.raises(ValueError, match="stable-exterior boundary exists only for d=1"):
+        ExperimentSpec(P, UniformRandomBox((4, 4, 4)), boundary=Boundary.STABLE_EXTERIOR)
+
+
+def test_spec_dimension_is_the_initial_conditions():
+    # a box has one extent per axis; a word or a block is 1-D
+    for initial, boundary, d in ((ExplicitWord((0, 1)), Boundary.FROZEN, 1),
+                                 (RandomUnstableBlock(3), Boundary.STABLE_EXTERIOR, 1),
+                                 (UniformRandomBox((9,)), Boundary.STABLE_EXTERIOR, 1),
+                                 (UniformRandomBox((4, 5, 6)), Boundary.PERIODIC, 3)):
+        assert ExperimentSpec(P, initial, boundary=boundary).d == d, initial
 
 
 def test_chessboard_fixates_immediately():
@@ -127,9 +135,9 @@ def test_box_trajectory_matches_iterated_step():
     # stream, which finds unstable sites by the run definition, not the
     # classifier; its content follows the documented layout of a uniform law
     # (1-bit fields for two colors, whole words for three), in C order
-    for params, boundary, shape in ((ModelParams(d=2), Boundary.FROZEN, (6, 5)),
-                                    (ModelParams(d=2), Boundary.PERIODIC, (4, 7)),
-                                    (ModelParams(kappa=4, n=3, recolor_dist=(
+    for params, boundary, shape in ((P, Boundary.FROZEN, (6, 5)),
+                                    (P, Boundary.PERIODIC, (4, 7)),
+                                    (ModelParams(kappa=4, recolor_dist=(
                                         Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))),
                                      Boundary.PERIODIC, (13,))):
         spec = ExperimentSpec(params, UniformRandomBox(shape), boundary=boundary,
@@ -153,7 +161,7 @@ def test_box_trajectory_matches_iterated_step():
 def test_colors_keep_the_narrowest_dtype():
     # one int64 array anywhere along the trajectory (a pad, say) would widen
     # the rest of it without changing any output, only the speed
-    wide = ModelParams(n=300, recolor_dist=(Fraction(1, 300),) * 300)
+    wide = ModelParams(recolor_dist=(Fraction(1, 300),) * 300)
     assert P.color_dtype == np.uint8 and wide.color_dtype == np.uint16
     for params in (P, wide):
         dtype = params.color_dtype
@@ -178,7 +186,7 @@ def test_explicit_word_colors_checked():
     for boundary in Boundary:
         with pytest.raises(ValueError, match="colors must lie"):
             ExperimentSpec(P, ExplicitWord((0, 1, 0, 2)), boundary=boundary)
-        ExperimentSpec(ModelParams(n=3, recolor_dist=(Fraction(1, 3),) * 3),
+        ExperimentSpec(ModelParams(recolor_dist=(Fraction(1, 3),) * 3),
                        ExplicitWord((0, 1, 0, 2)), boundary=boundary)
 
 
@@ -206,8 +214,7 @@ def test_frozen_boundary_trajectory():
 
 
 def test_2d_box_trajectory():
-    params = ModelParams(d=2)
-    spec = ExperimentSpec(params, UniformRandomBox((6, 6)),
+    spec = ExperimentSpec(P, UniformRandomBox((6, 6)),
                           boundary=Boundary.FROZEN, trials=1, seed=8, t_max=5000)
     stats = run_trajectory(spec, 0)
     assert stats.I_series[0] >= 0
@@ -360,9 +367,9 @@ def test_estimate_refuses_bad_input():
         estimate_kstep_prob(window, 2, 10)
 
 
-def test_mean_contraction_echo(tables_k4):
+def test_mean_contraction_echo(certificate_k4):
     # desk-scale echo of the k=4 expected-instability contraction
-    c4 = float(certify(4, tables=tables_k4).c)
+    c4 = float(certificate_k4.c)
     spec = ExperimentSpec(P, ExplicitWord((0,) * 30), trials=2000, seed=21, t_max=20)
     stats = run_experiment(spec)
     for t in (0, 4, 8):

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from candyfix.engine import certify, kstep_prob
+from candyfix.engine import kstep_prob
 from candyfix.render import certificate_to_json
 from candyfix.windows import WindowClass
 
@@ -29,10 +29,10 @@ def test_every_span_target_resolves():
         assert callable(owner), (module_name, path)
 
 
-def test_forward_bound_check_reads_fractions(tables_k4):
+def test_forward_bound_check_reads_fractions(certificate_k4):
     value = kstep_prob(WindowClass.from_word(0b111000111, 4), 1).as_fraction()
     assert type(value) is Fraction
-    cert = certificate_to_json(certify(4, tables=tables_k4))
+    cert = certificate_to_json(certificate_k4)
     assert checks.certify_forward_bound(cert, seed=0) == []
 
 

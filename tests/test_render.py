@@ -72,7 +72,7 @@ def test_certificate_json_contract():
     assert obj["pI"] == {"num": 61, "exp": 7}
 
 
-def test_certificate_text_contraction_line(tables_k4):
+def test_certificate_text_contraction_line(certificate_k4):
     assert "CONTRACTION" not in certificate_to_text(certify(1))
-    lines = certificate_to_text(certify(4, tables=tables_k4)).splitlines()
+    lines = certificate_to_text(certificate_k4).splitlines()
     assert "c = 200344049/201326592" in lines and lines[-1] == "CONTRACTION"
