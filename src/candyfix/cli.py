@@ -10,12 +10,14 @@ it.  Every successful run writes result files plus a manifest into the output
 directory; the manifest stream is append-only and each result file names the
 manifest that produced it.  A manifest records the run's
 ``seconds`` and ``peak_rss_mib``, for ``enumerate``/``certify`` the
-``checks`` that ran with their verdicts, and for ``crosscheck`` the
-``timings`` of the forward program and the estimator summed over windows.
-The random streams' layouts are part of a run's parameters: ``simulate``
-records its ``draw_format`` (one color sampler for recolorings and initial
-content) and ``crosscheck`` its ``coin_stream_format``, so two layouts never
-share a run id.
+``checks`` that ran with their verdicts, for ``simulate`` the update
+``steps`` summed over trials and the ``timings`` of the trajectories and of
+writing them, and for ``crosscheck`` the ``timings`` of the forward program
+and the estimator summed over windows.  The random streams' layouts are part
+of a run's parameters: ``simulate`` records its ``draw_format`` (3: a 1-D
+fair-coin line takes bit i of the step's raw words at window site i, and
+every other run its draws in unstable-site order) and ``crosscheck`` its
+``coin_stream_format``, so two layouts never share a run id.
 
 Exit codes: 0 success, 1 check failure, 2 argument or file-system error.
 """
@@ -168,10 +170,15 @@ def cmd_simulate(args) -> int:
         "trials": spec.trials, "seed": spec.seed, "draw_format": DRAW_FORMAT,
     }
     manifest = _Manifest("simulate", payload, exploratory=not spec.theorem_setting)
+    start = time.perf_counter()
     stats = run_experiment(spec)
+    middle = time.perf_counter()
     write_trajectories_jsonl(manifest.add(out / "trajectories.jsonl"), stats,
                              manifest.run_id)
     write_aggregate_csv(manifest.add(out / "aggregate.csv"), stats)
+    manifest.record["steps"] = sum(len(s.I_series) - 1 for s in stats)
+    manifest.record["timings"] = {"trajectories_s": round(middle - start, 6),
+                                  "write_s": round(time.perf_counter() - middle, 6)}
     manifest.close(out)
     fixated = sum(1 for s in stats if s.fixation_time is not None)
     times = [s.fixation_time for s in stats if s.fixation_time is not None]

@@ -1,17 +1,23 @@
 """Color arrays on finite lattice boxes: chain stability and color draws.
 
-A lattice state is a plain integer array of color ids in [0, n) over a finite
-d-dimensional box, held in :attr:`ModelParams.color_dtype`, the narrowest
-unsigned type that holds n-1 (uint8 up to 256 colors).  A site is unstable
-when it lies on an axis-aligned run of at least ``kappa`` equal colors
-(:func:`unstable_sites`); one synchronous update redraws every unstable site
-independently from the recoloring distribution while stable sites keep their
-color.  The trajectory loop that applies it is
+A lattice state has one of two representations, each with its own
+classifier.  In general it is a plain integer array of color ids in [0, n)
+over a finite d-dimensional box, held in :attr:`ModelParams.color_dtype`,
+the narrowest unsigned type that holds n-1 (uint8 up to 256 colors), and
+classified by :func:`unstable_sites`.  A 1-D two-color line can also be held
+as uint64 words, 64 sites to a word with site i at bit i % 64 of word
+i // 64 (:func:`pack_line`), and classified with word-wide bitwise
+operations by :func:`unstable_words`.  A site is unstable when it lies on an
+axis-aligned run of at least ``kappa`` equal colors; one synchronous update
+redraws every unstable site independently from the recoloring distribution
+while stable sites keep their color.  The trajectory loop that applies it is
 :func:`candyfix.montecarlo.run_trajectory`.
 
 :func:`draw_colors` is the one color sampler: it serves both the recolorings
 and random initial content (under the uniform law over the n colors), and it
 reads b-bit fields of a step's raw Philox words, where the law itself fixes b.
+Under the fair coin (b = 1) the fields are the raw words' bits, which a
+packed line blends in whole (``DRAW_FORMAT`` 3).
 
 Boundary policies fix how runs behave at the box edge:
 
@@ -195,14 +201,77 @@ def unstable_sites(cells: np.ndarray, kappa: int, periodic: bool) -> np.ndarray:
     return out
 
 
-# Layout of the draws that :func:`draw_colors` reads from a step's raw words.
+def pack_line(colors: np.ndarray) -> np.ndarray:
+    """A 0/1 line as uint64 words: site i is bit i % 64 of word i // 64.
+
+    The last word's bits past the line are 0; :func:`unstable_words` keeps
+    them so.
+    """
+    packed = np.packbits(colors, bitorder="little")
+    raw = np.zeros(-(-len(colors) // 64) * 8, dtype=np.uint8)
+    raw[:len(packed)] = packed
+    return raw.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_line(words: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` sites of a :func:`pack_line` line, as uint8 colors."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         count=length, bitorder="little")
+
+
+def unstable_words(words: np.ndarray, length: int, kappa: int, periodic: bool) -> np.ndarray:
+    """:func:`unstable_sites` of a ``length``-site 0/1 line held as :func:`pack_line` words.
+
+    Shifts move the whole line by one site, carrying the bit that crosses a
+    word boundary; on a periodic line they also carry sites 0 and length-1
+    across the seam, so each shift rotates the ring.  ``start`` ANDs kappa-1
+    shifted agreement masks (a run of kappa begins at the site) and a site
+    is unstable when a run begins 0..kappa-1 sites before it.  A clipped
+    line drops the last site's agreement with the zero bit past it.  The
+    result is packed like ``words``, with the spare bits 0.
+    """
+    spare = (length - 1) & 63  # the last site's bit in the last word
+    tail = np.uint64((2 << spare) - 1)  # the line's bits in the last word
+
+    def down(x):  # site i takes site i+1
+        out = x >> 1
+        out[:-1] |= x[1:] << 63
+        if periodic:
+            out[-1] |= (x[0] & 1) << spare
+        return out
+
+    def up(x):  # site i takes site i-1
+        out = x << 1
+        out[1:] |= x[:-1] >> 63
+        if periodic:
+            out[0] |= (x[-1] >> spare) & 1
+        out[-1] &= tail
+        return out
+
+    start = ~(words ^ down(words))  # site i agrees with site i+1
+    start[-1] &= tail if periodic else tail >> 1
+    for _ in range(kappa - 2):
+        start &= down(start)
+    unstable = start
+    for _ in range(kappa - 1):
+        unstable = unstable | up(unstable)
+    return unstable
+
+
+# Layout of the draws that a step reads from its raw words.
+# 3: as 2, except that a 1-D run under the fair two-color law redraws by
+#    window site: site i takes bit i % 64 of the step's raw word i // 64, so
+#    a draw no longer depends on how many sites before it are unstable.
+#    Every other run (more colors, a biased law, d > 1) and every initial
+#    content reads the same draws as in 2.
 # 2: b-bit fields (b = ``ModelParams.field_bits``), 64/b to a word, read from
-#    consecutive words, each word from its low end; random initial content
-#    comes from the same sampler under the uniform law.
+#    consecutive words, each word from its low end, the k-th unstable site
+#    in C order taking the k-th field; random initial content comes from the
+#    same sampler under the uniform law.
 # 1: one whole 64-bit word per draw, and initial content from
 #    ``Generator.integers`` in int64.
-# Non-dyadic laws have b = 64, so their recolorings are the same in both.
-DRAW_FORMAT = 2
+# Non-dyadic laws have b = 64, so their recolorings are the same in 1 and 2.
+DRAW_FORMAT = 3
 
 
 def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
@@ -213,7 +282,9 @@ def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.
     fields of the last word are dropped.  A field's color is the number of
     ``params.sampling_cuts`` at or below it, so under the fair coin (b = 1)
     a draw is one bit and the colors are the words' bits, lowest first.
-    The colors come back in ``params.color_dtype``.
+    The colors come back in ``params.color_dtype``.  A fair-coin line held
+    as :func:`pack_line` words reads the same 1-bit fields as whole raw
+    words instead, without calling this sampler.
     """
     b = params.field_bits
     words = gen.bit_generator.random_raw(-(-size * b // 64)).astype("<u8", copy=False)

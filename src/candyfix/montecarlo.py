@@ -9,14 +9,21 @@ current edge color, so a reveal never creates or extends a chain - the
 exterior stays maximally inert, which is the reading of "stable exterior"
 under which instability still spreads at most two sites per step.
 
-Every boundary runs through one loop on a plain color array: classify once
-per step, redraw the unstable sites, and under ``stable-exterior`` also check
-the growth bound and reveal exterior sites.  Trials are independent: trial
-``i`` draws step ``t`` from block ``t`` of the stream (seed, i), so a
-trajectory depends only on (spec, i), not on which other trials ran.  Its
-random initial content comes from block ``_INIT_BLOCK`` of that stream.
-Both go through the one sampler :func:`candyfix.lattice.draw_colors`
-(``DRAW_FORMAT`` 2), so under two colors a raw word yields 64 sites.
+Every boundary runs through one loop: classify once per step, redraw the
+unstable sites, and under ``stable-exterior`` also check the growth bound and
+reveal exterior sites.  The loop holds one of two representations, chosen
+once per trial from the spec.  A 1-D run under the fair two-color law holds
+its line as uint64 words, 64 sites to a word, classifies it with
+:func:`candyfix.lattice.unstable_words` and redraws with one blend of the
+step's raw Philox words, window site i taking bit i % 64 of word i // 64.
+Every other run holds a plain color array, classifies it with
+:func:`candyfix.lattice.unstable_sites` and gives the unstable sites, in C
+order, consecutive draws of :func:`candyfix.lattice.draw_colors`.  Together
+these are ``DRAW_FORMAT`` 3.  Trials are independent: trial ``i`` draws step
+``t`` from block ``t`` of the stream (seed, i), so a trajectory depends only
+on (spec, i), not on which other trials ran.  Its random initial content
+comes from ``draw_colors`` on block ``_INIT_BLOCK`` of that stream, so
+under two colors a raw word yields 64 sites.
 
 The window estimator runs its trials bit-sliced, 64 to a uint64 lane, on
 the origin's shrinking information cone, and step ``t`` takes raw Philox
@@ -43,7 +50,10 @@ from .lattice import (
     ModelParams,
     RngStream,
     draw_colors,
+    pack_line,
+    unpack_line,
     unstable_sites,
+    unstable_words,
 )
 from .windows import WindowClass
 
@@ -182,6 +192,75 @@ def _reveal(word: np.ndarray, lo: int, a: int, b: int, n: int) -> tuple[np.ndarr
     return grown, lo - left
 
 
+class _Colors:
+    """A run's colors as an array of ``params.color_dtype``, any box or law.
+
+    :meth:`classify` finds the unstable sites with :func:`unstable_sites`
+    and :meth:`redraw` gives them :func:`draw_colors`' draws in C order of
+    the sites, so the k-th unstable site takes the k-th draw.
+    """
+
+    def __init__(self, cells: np.ndarray, spec: ExperimentSpec):
+        self.cells = cells
+        self.params = spec.params
+        self.periodic = spec.boundary == Boundary.PERIODIC
+
+    def classify(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The unstable count and each axis's first and last unstable index."""
+        self.where = np.nonzero(unstable_sites(self.cells, self.params.kappa, self.periodic))
+        count = len(self.where[0])
+        if count == 0:
+            return 0, (), ()
+        return (count, tuple(int(w.min()) for w in self.where),
+                tuple(int(w.max()) for w in self.where))
+
+    def redraw(self, gen: np.random.Generator) -> None:
+        self.cells[self.where] = draw_colors(gen, self.params, len(self.where[0]))
+
+    def reveal(self, lo: int, a: int, b: int) -> int:
+        self.cells, lo = _reveal(self.cells, lo, a, b, self.params.n)
+        return lo
+
+
+class _FairLine:
+    """A 1-D run under the fair two-color law, as :func:`pack_line` words.
+
+    :meth:`classify` finds the unstable sites with :func:`unstable_words`
+    and :meth:`redraw` blends in the step's raw Philox words: window site i
+    takes bit i % 64 of word i // 64, whether or not the sites before it are
+    unstable.
+    """
+
+    def __init__(self, cells: np.ndarray, spec: ExperimentSpec):
+        self.words = pack_line(cells)
+        self.length = len(cells)
+        self.kappa = spec.params.kappa
+        self.periodic = spec.boundary == Boundary.PERIODIC
+
+    def classify(self) -> tuple[int, tuple[int], tuple[int]]:
+        self.unstable = unstable_words(self.words, self.length, self.kappa, self.periodic)
+        nonzero = np.flatnonzero(self.unstable)
+        if len(nonzero) == 0:
+            return 0, (), ()
+        self.span = slice(nonzero[0], nonzero[-1] + 1)  # the words holding unstable sites
+        count = int(np.bitwise_count(self.unstable[self.span]).sum())
+        low, high = int(self.unstable[nonzero[0]]), int(self.unstable[nonzero[-1]])
+        return (count, (64 * int(nonzero[0]) + (low & -low).bit_length() - 1,),
+                (64 * int(nonzero[-1]) + high.bit_length() - 1,))
+
+    def redraw(self, gen: np.random.Generator) -> None:
+        coins = gen.bit_generator.random_raw(self.span.stop)[self.span]
+        words = self.words[self.span]  # a view: writes land in self.words
+        words ^= (words ^ coins) & self.unstable[self.span]
+
+    def reveal(self, lo: int, a: int, b: int) -> int:
+        if lo <= a - 2 and b + 2 < lo + self.length:  # nothing to reveal
+            return lo
+        cells, lo = _reveal(unpack_line(self.words, self.length), lo, a, b, 2)
+        self.words, self.length = pack_line(cells), len(cells)
+        return lo
+
+
 def run_trajectory(spec: ExperimentSpec, trial: int) -> TrajectoryStats:
     """One trajectory: iterate the synchronous update until stable or t_max.
 
@@ -189,28 +268,26 @@ def run_trajectory(spec: ExperimentSpec, trial: int) -> TrajectoryStats:
     unstable site; hitting t_max without fixation reports fixation_time None.
     Under ``stable-exterior`` (1-D only) extents are absolute coordinates,
     the initial window centered on the origin, and the window grows as
-    instability nears its edge; otherwise they are box indices.
+    instability nears its edge; otherwise they are box indices.  A 1-D run
+    under the fair two-color law holds its line as words (:class:`_FairLine`),
+    any other run its color array (:class:`_Colors`).
     """
-    params = spec.params
     stream = RngStream(spec.seed, trial)
     cells = _initial_cells(spec, stream)
     half = max(cells.shape) // 2
-    periodic = spec.boundary == Boundary.PERIODIC
+    line = (_FairLine if spec.d == 1 and spec.params.uniform_two_color else _Colors)(cells, spec)
     growing = spec.boundary == Boundary.STABLE_EXTERIOR
-    lo = -half  # absolute coordinate of cells[0] in the growing window
+    lo = -half  # absolute coordinate of the window's site 0 when it grows
     series: list[int] = []
     fixation = None
     ever_lo, ever_hi = None, None
 
     for t in range(spec.t_max + 1):
-        where = np.nonzero(unstable_sites(cells, params.kappa, periodic))
-        count = len(where[0])
+        count, first, last = line.classify()
         series.append(count)
         if count == 0:
             fixation = t
             break
-        first = tuple(int(w.min()) for w in where)
-        last = tuple(int(w.max()) for w in where)
         if growing:
             a, b = lo + first[0], lo + last[0]
             if a < -half - 2 * t or b > half + 2 * t:
@@ -222,10 +299,10 @@ def run_trajectory(spec: ExperimentSpec, trial: int) -> TrajectoryStats:
         ever_hi = last if ever_hi is None else tuple(map(max, ever_hi, last))
         if t == spec.t_max:
             break
-        cells[where] = draw_colors(stream.generator_at(t), params, count)
+        line.redraw(stream.generator_at(t))
         # reveal exterior only when instability is within reach of the edge
         if growing:
-            cells, lo = _reveal(cells, lo, a, b, params.n)
+            lo = line.reveal(lo, a, b)
     extent = None if ever_lo is None else tuple(zip(ever_lo, ever_hi))
     return TrajectoryStats(trial, fixation, tuple(series), extent, half)
 

@@ -68,22 +68,24 @@ def test_simulate_rerun_byte_identical(tmp_path):
 # sha256 of (trajectories.jsonl, aggregate.csv); any change to the trajectory
 # loop, the stream layout or the output format shows here, and so does a new
 # __version__ or DRAW_FORMAT, which the manifest id in every trajectory line
-# hashes (draw format 2: b-bit fields of raw words, content included)
+# hashes (draw format 3: a 1-D fair-coin line redraws window site i from bit
+# i of the step's raw words; the 2-D and three-color boxes keep format 2's
+# draws, so only the run id in their trajectory lines changed with it)
 PINNED_SIMULATIONS = (
     (("--init", "block", "--M", "6", "--trials", "25", "--seed", "3"),
-     "4b42a8f35479a84e8184a7001a55ccf59dfad09505d11fdcfe411693748aa1e6",
-     "4ead5c1f61dd36053ec2c130f92de66b0c3822463abe331945f5ea48a19c3004"),
+     "6af87048263b00212885b4f8d17fb35a968340c6b2df1f880b5b05c9513016f6",
+     "617321a14bcacfbc9d065a0ff037ae45e5bbe44e9a2949143b06ee6b56948e46"),
     (("--init", "word:0001100011000111", "--boundary", "frozen", "--trials", "30",
       "--seed", "4"),
-     "8648b67ea27b13c1c46886a2545c5b4dde969027a9d0ed8e69a641689f391455",
-     "324b2dc0260972227f60fabbc2a7648c78b7c7f7823365680d6da35823be19e9"),
+     "0aaef4f1efe026d8894f9ed5ed814cdda6f1db5adc96cfce931e995797f54a70",
+     "1729e85c9ed3e4ced87128bd8676954e983c99bb945d359c381ca22cde1ad607"),
     (("--init", "box", "--extent", "7,9", "--boundary", "periodic",
       "--trials", "3", "--t-max", "400", "--seed", "1"),
-     "13efd391f185d3672be384eb8802e4e188dfe0178ec6ba3f1166178bc16fcb0c",
+     "9fbd9708079bf933ea92aeacc88cad37408cdd90ce8ec3af6803d98bb0898499",
      "8172cc3ea107210fc61137deeb78651c20ede9c0579c14bb558274b566767e76"),
     (("--kappa", "4", "--p", "1/4,1/4,1/2", "--init", "box",
       "--extent", "41", "--trials", "5"),
-     "893743fc6a42c3c84a46a58be6b69511aff26cfb821b51b50663938f60a273e3",
+     "d1ce7ee131bec2c6e990e7dbdc0dba586ee46d0759692a2c028374ab6c1c7212",
      "48b0b2cf70717710975088746a5b05d5996ec82d192478146c9def055ae1a886"),
 )
 
@@ -258,12 +260,33 @@ def test_simulate_manifest_names_draw_format(tmp_path, monkeypatch):
     assert run(*args, "--out", str(tmp_path / "now")) == 0
     path, = (tmp_path / "now").glob("manifest-*.json")
     manifest = json.loads(path.read_text())
-    assert DRAW_FORMAT == 2
-    assert manifest["parameters"]["draw_format"] == 2
-    monkeypatch.setattr(cli_mod, "DRAW_FORMAT", 1)
+    assert DRAW_FORMAT == 3
+    assert manifest["parameters"]["draw_format"] == 3
+    monkeypatch.setattr(cli_mod, "DRAW_FORMAT", 2)
     assert run(*args, "--out", str(tmp_path / "old")) == 0
     old, = (tmp_path / "old").glob("manifest-*.json")
     assert json.loads(old.read_text())["run_id"] != manifest["run_id"]
+
+
+def test_simulate_manifest_timings(tmp_path):
+    # the trajectories' and the writes' seconds sit in the manifest beside
+    # the update steps summed over trials, outside the parameters, so they
+    # leave the run id alone
+    args = ("simulate", "--init", "block", "--M", "20", "--trials", "3", "--seed", "2")
+    for out in ("a", "b"):
+        assert run(*args, "--out", str(tmp_path / out)) == 0
+    manifests = [json.loads(next((tmp_path / out).glob("manifest-*.json")).read_text())
+                 for out in ("a", "b")]
+    assert manifests[0]["run_id"] == manifests[1]["run_id"]
+    for manifest in manifests:
+        timings = manifest["timings"]
+        assert sorted(timings) == ["trajectories_s", "write_s"]
+        assert min(timings.values()) >= 0
+        assert sum(timings.values()) <= manifest["seconds"]
+        assert "timings" not in manifest["parameters"]
+        lines = (tmp_path / "a" / "trajectories.jsonl").read_text().splitlines()
+        assert manifest["steps"] == sum(len(json.loads(line)["I"]) - 1 for line in lines)
+        assert manifest["steps"] > 0
 
 
 def test_simulate_manifest_records_derived_settings(tmp_path):

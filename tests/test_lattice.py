@@ -7,7 +7,16 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from candyfix.lattice import Boundary, ModelParams, RngStream, draw_colors, unstable_sites
+from candyfix.lattice import (
+    Boundary,
+    ModelParams,
+    RngStream,
+    draw_colors,
+    pack_line,
+    unpack_line,
+    unstable_sites,
+    unstable_words,
+)
 from candyfix.montecarlo import _INIT_BLOCK, ExperimentSpec, ExplicitWord, run_trajectory
 
 P = ModelParams()
@@ -232,6 +241,26 @@ def test_classifier_matches_run_definition():
                     expect = unstable_by_definition(cells, kappa, periodic)
                     assert np.array_equal(unstable_sites(cells, kappa, periodic), expect), (
                         kappa, periodic, cells)
+
+
+def test_packed_classifier_matches_run_definition():
+    # lengths on both sides of the word boundaries, so that every shift
+    # carries bits across words and, on a ring, across the seam; rings
+    # shorter than kappa wrap onto themselves; constant lines of both colors
+    rng = np.random.default_rng(6)
+    for length in (1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 200):
+        for kappa in (2, 3, 4, 5):
+            for periodic in (False, True):
+                for bias in (0.5, 0.2, 0.0, 1.0):
+                    cells = (rng.random(length) < bias).astype(np.uint8)
+                    words = pack_line(cells)
+                    assert len(words) == -(-length // 64)
+                    assert unpack_line(words, length).tolist() == cells.tolist()
+                    expect = unstable_by_definition(cells, kappa, periodic)
+                    got = unstable_words(words, length, kappa, periodic)
+                    # packed like the line, the spare bits of the last word 0
+                    assert np.array_equal(got, pack_line(expect)), (
+                        length, kappa, periodic, cells)
 
 
 def test_locality_of_classification():

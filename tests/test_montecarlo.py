@@ -158,6 +158,47 @@ def test_box_trajectory_matches_iterated_step():
             assert run_trajectory(spec, trial).I_series == tuple(series)
 
 
+def test_fair_line_trajectory_replays_format_3():
+    # a 1-D fair-coin run against a reference update that finds unstable
+    # sites by the run definition and redraws window site i from bit i % 64
+    # of raw word i // 64 of block t; the growing block reveals its exterior
+    # through _reveal, after which the window's site 0 is its new left end
+    # (at seed 1 the small block has trials that a reveal one step late
+    # would change)
+    ring = ExplicitWord(tuple(map(int, "0001100110110011100011")))
+    for initial, boundary, seed in (
+            (ExplicitWord((0,) * 40 + (1, 1, 0, 1) * 6), Boundary.FROZEN, 12),
+            (ring, Boundary.PERIODIC, 12),
+            (UniformRandomBox((130,)), Boundary.FROZEN, 12),
+            (RandomUnstableBlock(40), Boundary.STABLE_EXTERIOR, 12),
+            (RandomUnstableBlock(6), Boundary.STABLE_EXTERIOR, 1)):
+        spec = ExperimentSpec(P, initial, boundary=boundary, trials=3, seed=seed, t_max=60)
+        for trial in range(spec.trials):
+            stream = RngStream(spec.seed, trial)
+            cells = _initial_cells(spec, stream)
+            lo = -(len(cells) // 2)
+            series, first, last = [], [], []
+            for t in range(spec.t_max + 1):
+                unstable = unstable_by_definition(cells, 3, boundary == Boundary.PERIODIC)
+                series.append(int(unstable.sum()))
+                if series[-1] == 0:
+                    break
+                sites = np.flatnonzero(unstable)
+                first.append(lo + int(sites[0]))
+                last.append(lo + int(sites[-1]))
+                if t == spec.t_max:
+                    break
+                words = stream.generator_at(t).bit_generator.random_raw(len(cells) // 64 + 1)
+                for i in sites.tolist():
+                    cells[i] = (int(words[i // 64]) >> (i % 64)) & 1
+                if boundary == Boundary.STABLE_EXTERIOR:
+                    cells, lo = _reveal(cells, lo, first[-1], last[-1], 2)
+            stats = run_trajectory(spec, trial)
+            assert stats.I_series == tuple(series), (initial, trial)
+            if boundary == Boundary.STABLE_EXTERIOR:
+                assert stats.final_window_extent == ((min(first), max(last)),)
+
+
 def test_colors_keep_the_narrowest_dtype():
     # one int64 array anywhere along the trajectory (a pad, say) would widen
     # the rest of it without changing any output, only the speed
