@@ -34,27 +34,33 @@ unstable-site mask share one partial sum of the next level's values, and
 those sums are built depth first along the masks' common prefixes.  A word's
 value is one entry of its mask's partial sum, the one at its stable index
 (its stable interior bits).  In :func:`kstep_vector` a level's per-word work
-is one key sort and one table-driven index pass.
+is one key sort, one table-driven index pass, one shift and one scatter.
+
+Complementing every color keeps a word's unstable sites and its probability,
+so every level reads only the words whose top site has color 0; the
+complement of word w is 2^L - 1 - w, so :func:`kstep_vector` fills the upper
+half of each level by reversing the lower.
 
 The tables come straight out of the top level: a group's mask fixes the
 table cell of all its words, so each group's maximum folds into its cell and
-``g_k`` is never stored.  The model's two symmetries let that level read
-about a quarter of the words and keep half of the groups.  Complementing
-every color keeps a word's unstable sites and its probability, so only words
-whose top site has color 0 are read.  Reflection maps the words of mask U
-onto those of the mirrored mask rev(U), value for value, so only masks with
-U >= rev(U), the upper of each mirrored pair, are kept, and each group's
-maximum also fills the cell of rev(U) (the gap (m, n) beside (n, m)).  Words
-with the same mask and stable index have the same value, so the level folds
-only the distinct (mask, stable index) pairs and holds no array over its
-words: at k=4 it reads 547,836 words and keeps 117,219 pairs in 2,781
-groups.  Every cell is still the exact maximum over all of its windows.
+``g_k`` is never stored.  There reflection also halves the groups: it maps
+the words of mask U onto those of the mirrored mask rev(U), value for value,
+so only masks with U >= rev(U), the upper of each mirrored pair, are kept,
+and each group's maximum also fills the cell of rev(U) (the gap (m, n)
+beside (n, m)).  Words with the same mask and stable index have the same
+value, so the level folds only the distinct (mask, stable index) pairs and
+holds no array over its words: at k=4 it reads 547,836 words and keeps
+117,219 pairs in 2,781 groups.  Every cell is still the exact maximum over
+all of its windows.
 
-:func:`kstep_vector`, :func:`worst_case` and the masks of
-:mod:`candyfix.windows` use neither symmetry: :func:`worst_case` answers one
-conditioning at a time, at any radius, over every word, and is the
-independent route the tables are tested against, as the per-window forward
-program (:func:`kstep_prob`) is for the sweep.
+Each route that uses a symmetry has an independent check that uses none.
+:func:`kstep_vector` uses the complement; the per-window forward program
+:func:`kstep_prob` uses neither symmetry and is tested against the vector on
+every word at k=1 and on sampled words of either top color at k=2..4.  The
+tables use both; :func:`worst_case` and the masks of :mod:`candyfix.windows`
+add none: :func:`worst_case` answers one conditioning at a time, at any
+radius, over every word of the vector, and the tables are tested against it
+cell by cell, each triangle of the gap table on its own.
 """
 
 from __future__ import annotations
@@ -106,11 +112,10 @@ _BLOCK = 1 << 16  # words per pass of a level's whole-array work: small temporar
 def _pext_table() -> np.ndarray:
     """Entry ``(m << _CHUNK) | w``: w's bits at m's set positions, lowest most significant."""
     w = np.arange(1 << _CHUNK, dtype=np.int16)
-    rows = [np.zeros_like(w)]
-    for m in range(1, 1 << _CHUNK):  # row m is row m-without-its-top-bit, then that bit
-        top = m.bit_length() - 1
-        rows.append((rows[m ^ (1 << top)] << 1) | ((w >> top) & 1))
-    packed = np.concatenate(rows)
+    rows = np.zeros((1, 1 << _CHUNK), dtype=np.int16)
+    for top in range(_CHUNK):  # rows m + 2^top: row m, then bit top of w
+        rows = np.concatenate([rows, (rows << 1) | ((w >> top) & 1)])
+    packed = rows.ravel()
     packed.setflags(write=False)
     return packed
 
@@ -155,8 +160,12 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
     :func:`_stable_index` share their sum, so a group's maximum over its
     words is its maximum over its distinct indices.  The words are read in
     ``_BLOCK``-word blocks; each block keeps its distinct int64 keys
-    ``(mask << nint) | index``, and the distinct keys of all blocks are the
-    pairs.  At k=4 the 547,836 words read keep 117,219 pairs in 2,781 groups.
+    ``(mask << nint) | stable bits``, the word's interior with the mask's
+    bits cleared, which determine the index.  Only the distinct keys of all
+    blocks go through :func:`_stable_index`, and are sorted once more by
+    (mask, index): at k=4 the 547,836 words read keep 117,219 pairs in 2,781
+    groups.  Each step works in place on one int64 array of keys, so the
+    call holds little more than the blocks' keys at once.
 
     Returns the pairs' int32 masks, ascending, and their int32 indices.
     Sorted by mask, the upper masks share longer high-bit prefixes than the
@@ -169,17 +178,25 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
         _upper_pairs(np.arange(lo, min(lo + _BLOCK, half), dtype=np.int32), length, upper)
         for lo in range(0, half, _BLOCK)]))
     masks = (keys >> nint).astype(np.int32)
+    keys <<= 2  # the stable bits where _stable_index reads a word's interior
+    index = _stable_index(masks, keys, nint)
+    keys[:] = masks
+    keys <<= nint
+    keys |= index
+    keys.sort()  # orders each run of equal masks by index; the masks keep their places
     keys &= (1 << nint) - 1
     return masks, keys.astype(np.int32)
 
 
 def _upper_pairs(words: np.ndarray, length: int, upper: np.ndarray) -> np.ndarray:
-    """The distinct keys ``(mask << nint) | stable index`` of the words with an upper mask."""
+    """The distinct keys ``(mask << nint) | stable bits`` of the words with an upper
+    mask: the mask, and the word's interior with the mask's bits cleared."""
     nint = length - 4
-    masks = (unstable_bits(words, length) >> 2) & ((1 << nint) - 1)
+    full = (1 << nint) - 1
+    masks = (unstable_bits(words, length) >> 2) & full
     keep = upper[masks]
     masks, words = masks[keep], words[keep]
-    return _distinct((masks.astype(np.int64) << nint) | _stable_index(masks, words, nint))
+    return _distinct((masks.astype(np.int64) << nint) | ((words >> 2) & full & ~masks))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -203,20 +220,22 @@ def sweep_exponent(k: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray):
+def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray) -> np.ndarray:
     """One backward step: sums of the values g_next on length-(L-4) words.
 
     ``masks`` are unstable interior masks of length-L words, ascending, and
-    ``index`` each entry's :func:`_stable_index`.  Yields ``(mask, sums)``
-    for each run of equal masks, a group, with ``sums[i]`` the sum for the
-    run's i-th index.  For a word w, the interior [2, L-3] is exactly the
-    region whose stability the word determines and the region the next
-    level's words live on.  The sum is g_next summed over the 2^u joint
-    recolorings of w's u unstable interior sites; the word's value is that
-    sum over 2^u, which the caller holds as the integer
-    ``sums << (L-4-u)`` so the whole level shares the exponent increment
-    L-4.  :func:`kstep_vector` passes one entry per word, and
-    :func:`compute_tables` the distinct pairs of :func:`_representatives`.
+    ``index`` each entry's :func:`_stable_index`.  Returns one array of
+    sums in g_next's dtype, aligned with ``index``: entry i is the sum for
+    the word with mask ``masks[i]`` and stable index ``index[i]``; a run of
+    equal masks is a group, and each group writes its slice.  For a word w,
+    the interior [2, L-3] is exactly the region whose stability the word
+    determines and the region the next level's words live on.  The sum is
+    g_next summed over the 2^u joint recolorings of w's u unstable interior
+    sites; the word's value is that sum over 2^u, which the caller holds as
+    the integer ``sums << (L-4-u)`` so the whole level shares the exponent
+    increment L-4.  :func:`kstep_vector` passes one entry per word with top color 0,
+    and :func:`compute_tables` the distinct pairs of
+    :func:`_representatives`.
 
     The groups walk the trie of high-bit mask prefixes depth first.  The sum
     of g_next over the axes of mask U is the sum for U without its lowest
@@ -230,12 +249,16 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray):
     axes above p, those of the prefix already length 1, fold into the inner
     extent.  The frequent low-site sums thus add outer halves, and a partial
     sum's flat index is the word's stable interior bits packed lowest site
-    first: the stable index.
+    first: the stable index.  The trie's root is a transposed copy of
+    g_next, and the function drops its own reference to g_next once the
+    root exists, so a caller that holds no other reference frees it then.
     """
     nint = len(g_next).bit_length() - 1
     starts = np.flatnonzero(_firsts(masks))
     ends = np.r_[starts[1:], len(masks)]
+    sums = np.empty(len(index), dtype=g_next.dtype)
     stack = [(0, g_next.reshape((2,) * nint).transpose().ravel())]
+    del g_next  # the root is a copy
     for s, e in zip(starts.tolist(), ends.tolist()):
         mask = int(masks[s])
         # pop every partial sum whose mask is not a high-bit prefix of this one
@@ -250,7 +273,8 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray):
             summed = np.add(halves[:, 0], halves[:, 1]).ravel()
             prefix |= 1 << p
             stack.append((prefix, summed))
-        yield mask, summed.take(index[s:e])
+        summed.take(index[s:e], out=sums[s:e])
+    return sums
 
 
 def check_sweep_k(k: int) -> None:
@@ -269,6 +293,13 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     ``g[w] / 2**exp`` is the exact probability that the origin is unstable
     after k synchronous steps given initial colors w; k=0 gives the 5-site
     instability indicator.
+
+    Each level sweeps only the words whose top site has color 0, the lower
+    half: one array of sums from :func:`_backward_level`, one shift by each
+    word's stable count, one scatter into the level's vector, and the upper
+    half filled by the complement, ``g[half:] = g[half-1::-1]``.  The
+    level's vector is allocated only after its keys and masks are freed, so
+    it never coexists with them.
     """
     if k:
         check_sweep_k(k)
@@ -276,13 +307,12 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     for r in range(1, k + 1):
         length = 4 * r + 5
         nint = length - 4
-        full = (1 << nint) - 1
-        g_next, g = g, np.zeros(1 << length, dtype=np.int64)
+        full, half = (1 << nint) - 1, 1 << (length - 1)
         # one in-place sort of int64 keys (mask << L) | word orders the words
-        # by mask, then word, so that the level's groups are runs
-        keys = np.empty(len(g), dtype=np.int64)
-        for lo in range(0, len(keys), _BLOCK):
-            block = np.arange(lo, min(lo + _BLOCK, len(keys)), dtype=np.int32)
+        # with top color 0 by mask, then word, so that the level's groups are runs
+        keys = np.empty(half, dtype=np.int64)
+        for lo in range(0, half, _BLOCK):
+            block = np.arange(lo, min(lo + _BLOCK, half), dtype=np.int32)
             unstable = ((unstable_bits(block, length) >> 2) & full).astype(np.int64)
             keys[lo: lo + _BLOCK] = (unstable << length) | block
         keys.sort()
@@ -291,10 +321,12 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
         keys >>= length
         masks = keys.astype(np.int32)
         del keys  # frees 8 bytes a word while the groups run; no view of it may remain
-        lo = 0
-        for mask, sums in _backward_level(g_next, masks, _stable_index(masks, words, nint)):
-            g[words[lo: lo + len(sums)]] = sums << (nint - mask.bit_count())
-            lo += len(sums)
+        sums = _backward_level(g, masks, _stable_index(masks, words, nint))
+        sums <<= nint - np.bitwise_count(masks)
+        del masks
+        g = np.empty(1 << length, dtype=np.int64)
+        g[words] = sums
+        g[half:] = g[half - 1::-1]  # the complement of word w is 2^L - 1 - w
     return g, sweep_exponent(k)
 
 
@@ -362,15 +394,19 @@ def worst_case(
 def compute_tables(k: int) -> ProbTables:
     """All worst-case tables for k steps; exact maxima over every window class.
 
-    Runs the sweep to level k-1, then evaluates the top level on the
-    distinct (mask, stable index) pairs of :func:`_representatives` only.
-    Those come from about a quarter of the words: one per complement pair,
-    and of each pair of mirrored masks only the upper (U >= rev(U)).  At k=4
-    the top level reads 547,836 words and keeps 117,219 pairs in 2,781
-    groups.  Each group's maximum (taken before the level's shift) is
-    exactly the maximum over its words, over its mirrored group and over
-    both complements, so it folds into the cells of its mask and of the
+    Evaluates the top level on the distinct (mask, stable index) pairs of
+    :func:`_representatives` only.  Those come from about a quarter of the
+    words: one per complement pair, and of each pair of mirrored masks only
+    the upper (U >= rev(U)).  At k=4 the top level reads 547,836 words and
+    keeps 117,219 pairs in 2,781 groups.  One ``np.maximum.reduceat`` over
+    the level's sums takes every group's maximum (before the level's shift),
+    which is exactly the maximum over its words, over its mirrored group and
+    over both complements, so it folds into the cells of its mask and of the
     mirrored mask.
+
+    The phases run in the order that keeps the peak low: the pairs first,
+    then the vector of level k-1, passed on with no other reference so that
+    :func:`_backward_level` frees it once its trie root is built.
 
     The group's interior mask covers sites -2k..2k with the origin at bit
     2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if bits
@@ -380,12 +416,15 @@ def compute_tables(k: int) -> ProbTables:
     is the engine's fault: :class:`EngineConsistencyError` names it.
     """
     check_sweep_k(k)
-    g, _ = kstep_vector(k - 1)
     length, sat = 4 * k + 5, 2 * k
+    masks, index = _representatives(length)
+    sums = _backward_level(kstep_vector(k - 1)[0], masks, index)
+    starts = np.flatnonzero(_firsts(masks))
+    masks = masks[starts]
+    tops = np.maximum.reduceat(sums, starts) << (length - 4 - np.bitwise_count(masks))
     unstable = triple = -1  # running maxima; -1 while a cell has no window
     gap = [[-1] * (sat + 1) for _ in range(sat + 1)]
-    for mask, sums in _backward_level(g, *_representatives(length)):
-        top = int(sums.max()) << (length - 4 - mask.bit_count())
+    for mask, top in zip(masks.tolist(), tops.tolist()):
         if mask >> sat & 1:
             unstable = max(unstable, top)
             if mask >> (sat - 1) & 7 == 7:

@@ -12,6 +12,7 @@ from candyfix.engine import (
     EngineConsistencyError,
     _backward_level,
     _mirrors,
+    _pext_table,
     _representatives,
     _stable_index,
     ProbTables,
@@ -191,7 +192,10 @@ def mirrored(words: np.ndarray, length: int) -> np.ndarray:
 def test_symmetry_reductions_are_safe():
     # complement and reflection leave every window probability unchanged:
     # the origin-color normalization of the golden k=1 classes and the table
-    # fold over symmetry representatives cannot bias maxima
+    # fold over symmetry representatives cannot bias maxima.  kstep_vector
+    # fills each level's upper half by the complement, so the complement
+    # assertion holds by construction; test_forward_matches_shared_vector
+    # checks that half against kstep_prob, which uses no symmetry
     for k in (1, 2, 3):
         g, exp = kstep_vector(k)
         length = 4 * k + 5
@@ -228,6 +232,14 @@ def test_representatives_cover_every_mask():
     assert counts[21] == (547_836, 2_781, 5_473)
 
 
+def level_groups(g_next, masks, index) -> list[tuple[int, np.ndarray]]:
+    """_backward_level's sums split at runs of equal masks: (mask, sums) per group."""
+    sums = _backward_level(g_next, masks, index)
+    assert len(sums) == len(index)
+    starts = np.flatnonzero(np.r_[True, masks[1:] != masks[:-1]])
+    return [(int(masks[s]), part) for s, part in zip(starts, np.split(sums, starts[1:]))]
+
+
 def trie_partial_sums(masks) -> int:
     """Partial sums _backward_level's stack computes for groups in this mask order."""
     stack, count = [0], 0
@@ -252,7 +264,7 @@ def test_top_level_trie_partial_sums():
     for length in (17, 21):
         nint = length - 4
         zeros = np.zeros(1 << nint, dtype=np.int64)
-        masks = [mask for mask, _ in _backward_level(zeros, *_representatives(length))]
+        masks = [mask for mask, _ in level_groups(zeros, *_representatives(length))]
         lower = np.sort(mirrored(np.array(masks), nint)).tolist()
         counts[length] = (trie_partial_sums(masks), trie_partial_sums(lower))
     assert counts == {17: (682, 1_069), 21: (4_575, 7_233)}
@@ -265,7 +277,7 @@ def test_top_level_folds_distinct_pairs():
     counts = {}
     for k in (3, 4):
         zeros = np.zeros(1 << (4 * k + 1), dtype=np.int64)
-        sizes = [len(sums) for _, sums in _backward_level(zeros, *_representatives(4 * k + 5))]
+        sizes = [len(sums) for _, sums in level_groups(zeros, *_representatives(4 * k + 5))]
         counts[k] = (sum(sizes), len(sizes))
     assert counts == {3: (8_219, 416), 4: (117_219, 2_781)}
 
@@ -279,16 +291,16 @@ def test_group_maximum_over_pairs_is_maximum_over_words():
         g_next, _ = kstep_vector(k - 1)
         words = np.arange(1 << length, dtype=np.int64)
         masks = (unstable_bits(words, length) >> 2) & full
-        for mask, sums in _backward_level(g_next, *_representatives(length)):
+        for mask, sums in level_groups(g_next, *_representatives(length)):
             base = (words[masks == mask] >> 2) & full & ~mask
             per_word = g_next[base[:, None] | deposits(mask)[None, :]].sum(axis=1)
             assert sums.max() == per_word.max(), (k, mask)
 
 
 def test_compute_tables_memory_bounded():
-    # one group's sums at a time, one stack of partial sums, and a top level
-    # that holds only its distinct (mask, stable index) pairs, never a word's
-    # worth of arrays: the k=4 tables never hold a whole level's sums
+    # one stack of partial sums, and a top level that holds only its
+    # distinct (mask, stable index) pairs and one sum for each, never a
+    # word's worth of arrays: the k=4 tables never hold a whole level's sums
     compute_tables(1)  # the pext table, built once per process
     tracemalloc.start()
     try:
@@ -386,8 +398,11 @@ def test_enumerate_windows_probabilities_realize_table_maxima():
 def test_stable_index_matches_bitwise_pext():
     # the table-driven index against the bit-by-bit definition: the stable
     # interior bits of the word, lowest site most significant; more pairs
-    # than one block, and masks whose stable runs straddle the 9-bit chunks
+    # than one block, masks whose stable runs straddle the 9-bit chunks, and
+    # at 9 interior sites one pair per pext-table entry, whose stable chunk
+    # is the entry's high 9 bits and whose interior is its low 9 bits
     rng = np.random.default_rng(7)
+    cases = []
     for nint in (5, 9, 13, 17, 21):
         full = (1 << nint) - 1
         masks = rng.integers(0, 1 << nint, size=70_000).astype(np.int32)
@@ -395,6 +410,13 @@ def test_stable_index_matches_bitwise_pext():
                     0b1111 << 15, full ^ (0b1111 << 16), 0, full]
         masks[:len(straddle)] = [m & full for m in straddle]
         words = rng.integers(0, 1 << (nint + 4), size=len(masks)).astype(np.int32)
+        cases.append((nint, masks, words))
+    entry = np.arange(len(_pext_table()), dtype=np.int32)
+    assert len(entry) == 1 << 18
+    outside = rng.integers(0, 16, size=len(entry)).astype(np.int32)  # sites 0, 1, 11, 12
+    cases.append((9, 511 ^ (entry >> 9),
+                  ((entry & 511) << 2) | (outside & 3) | ((outside >> 2) << 11)))
+    for nint, masks, words in cases:
         expect = np.zeros(len(masks), dtype=np.int64)
         for p in range(nint):
             stable = (masks >> p) & 1 == 0
@@ -431,7 +453,7 @@ def test_backward_level_order_and_values():
         for words, masks, index in (entries(every), entries(third),
                                     (rep_words, rep_masks, rep_index)):
             lo, last_mask = 0, -1
-            for mask, sums in _backward_level(g_next, masks, index):
+            for mask, sums in level_groups(g_next, masks, index):
                 assert mask > last_mask
                 last_mask = mask
                 group = words[lo: lo + len(sums)]
