@@ -19,7 +19,8 @@ fair-coin line takes bit i of the step's raw words at window site i, and
 every other run its draws in unstable-site order) and ``crosscheck`` its
 ``coin_stream_format``, so two layouts never share a run id.
 
-Exit codes: 0 success, 1 check failure, 2 argument or file-system error.
+Exit codes: 0 success, 1 check failure, 2 argument or file-system error, or
+a run that ran out of memory (one ``error:`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -380,6 +381,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:  # an unusable output path
         return _fail(str(exc))
+    except MemoryError as exc:  # a box or a sweep too large for this machine
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

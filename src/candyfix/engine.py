@@ -39,7 +39,10 @@ is one key sort, one table-driven index pass, one shift and one scatter.
 Complementing every color keeps a word's unstable sites and its probability,
 so every level reads only the words whose top site has color 0; the
 complement of word w is 2^L - 1 - w, so :func:`kstep_vector` fills the upper
-half of each level by reversing the lower.
+half of each level by reversing the lower.  Reflecting a word about the
+origin keeps its probability too, so every level's vector is
+mirror-symmetric, and :func:`_backward_level` requires that of the vector it
+sums: it reads the vector as stored, each word's sites in reverse order.
 
 The tables come straight out of the top level: a group's mask fixes the
 table cell of all its words, so each group's maximum folds into its cell and
@@ -54,7 +57,8 @@ holds no array over its words: at k=4 it reads 547,836 words and keeps
 all of its windows.
 
 Each route that uses a symmetry has an independent check that uses none.
-:func:`kstep_vector` uses the complement; the per-window forward program
+:func:`kstep_vector` uses the complement, and the reflection as
+:func:`_backward_level`'s precondition; the per-window forward program
 :func:`kstep_prob` uses neither symmetry and is tested against the vector on
 every word at k=1 and on sampled words of either top color at k=2..4.  The
 tables use both; :func:`worst_case` and the masks of :mod:`candyfix.windows`
@@ -162,15 +166,14 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
     ``_BLOCK``-word blocks; each block keeps its distinct int64 keys
     ``(mask << nint) | stable bits``, the word's interior with the mask's
     bits cleared, which determine the index.  Only the distinct keys of all
-    blocks go through :func:`_stable_index`, and are sorted once more by
-    (mask, index): at k=4 the 547,836 words read keep 117,219 pairs in 2,781
-    groups.  Each step works in place on one int64 array of keys, so the
-    call holds little more than the blocks' keys at once.
+    blocks go through :func:`_stable_index`: at k=4 the 547,836 words read
+    keep 117,219 pairs in 2,781 groups.
 
-    Returns the pairs' int32 masks, ascending, and their int32 indices.
-    Sorted by mask, the upper masks share longer high-bit prefixes than the
-    lower ones, so :func:`_backward_level`'s trie computes fewer partial
-    sums (4,575 instead of 7,233 at k=4).
+    Returns the pairs' int32 masks and their int32 indices in the keys'
+    order: masks ascending, then stable bits, which :func:`_backward_level`
+    needs only as runs of equal masks.  Sorted by mask, the upper masks share
+    longer high-bit prefixes than the lower ones, so its trie computes fewer
+    partial sums (4,575 instead of 7,233 at k=4).
     """
     nint, half = length - 4, 1 << (length - 1)
     upper = np.arange(1 << nint) >= _mirrors(nint)  # indexed by mask
@@ -179,13 +182,7 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
         for lo in range(0, half, _BLOCK)]))
     masks = (keys >> nint).astype(np.int32)
     keys <<= 2  # the stable bits where _stable_index reads a word's interior
-    index = _stable_index(masks, keys, nint)
-    keys[:] = masks
-    keys <<= nint
-    keys |= index
-    keys.sort()  # orders each run of equal masks by index; the masks keep their places
-    keys &= (1 << nint) - 1
-    return masks, keys.astype(np.int32)
+    return masks, _stable_index(masks, keys, nint)
 
 
 def _upper_pairs(words: np.ndarray, length: int, upper: np.ndarray) -> np.ndarray:
@@ -249,16 +246,15 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray) ->
     axes above p, those of the prefix already length 1, fold into the inner
     extent.  The frequent low-site sums thus add outer halves, and a partial
     sum's flat index is the word's stable interior bits packed lowest site
-    first: the stable index.  The trie's root is a transposed copy of
-    g_next, and the function drops its own reference to g_next once the
-    root exists, so a caller that holds no other reference frees it then.
+    first: the stable index.  The trie's root is g_next itself: its C-order
+    tensor has site nint-1-p on axis p, which reads as site p because g_next
+    is mirror-symmetric, the precondition the module docstring states.
     """
     nint = len(g_next).bit_length() - 1
     starts = np.flatnonzero(_firsts(masks))
     ends = np.r_[starts[1:], len(masks)]
     sums = np.empty(len(index), dtype=g_next.dtype)
-    stack = [(0, g_next.reshape((2,) * nint).transpose().ravel())]
-    del g_next  # the root is a copy
+    stack = [(0, g_next)]
     for s, e in zip(starts.tolist(), ends.tolist()):
         mask = int(masks[s])
         # pop every partial sum whose mask is not a high-bit prefix of this one
@@ -403,10 +399,6 @@ def compute_tables(k: int) -> ProbTables:
     which is exactly the maximum over its words, over its mirrored group and
     over both complements, so it folds into the cells of its mask and of the
     mirrored mask.
-
-    The phases run in the order that keeps the peak low: the pairs first,
-    then the vector of level k-1, passed on with no other reference so that
-    :func:`_backward_level` frees it once its trie root is built.
 
     The group's interior mask covers sites -2k..2k with the origin at bit
     2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if bits

@@ -170,9 +170,9 @@ def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: boo
     axis outermost is processed along its long inner axis throughout.
     """
     out = np.zeros(cells.shape, dtype=bool)
-    last = axis == cells.ndim - 1
-    a = cells if last else np.moveaxis(cells, axis, -1)
+    a = np.moveaxis(cells, axis, -1)
     length = a.shape[-1]
+    kappa = min(kappa, length + 1)  # no run outgrows the line: see unstable_words
     if periodic:
         a = np.take(a, np.arange(length + kappa - 1) % length, axis=-1)
         starts = length
@@ -184,7 +184,7 @@ def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: boo
     start = eq[..., :starts]
     for j in range(1, kappa - 1):
         start = start & eq[..., j: j + starts]
-    line = out if last else np.moveaxis(out, axis, -1)  # a view: writes land in out
+    line = np.moveaxis(out, axis, -1)  # a view: writes land in out
     for j in range(kappa):
         if periodic:
             line |= np.roll(start, j, axis=-1)
@@ -230,6 +230,9 @@ def unstable_words(words: np.ndarray, length: int, kappa: int, periodic: bool) -
     line drops the last site's agreement with the zero bit past it.  The
     result is packed like ``words``, with the spare bits 0.
     """
+    # A kappa past length+1 changes nothing: a clipped line has no run that
+    # long, and a ring has one only when monochrome, and then of every length.
+    kappa = min(kappa, length + 1)
     spare = (length - 1) & 63  # the last site's bit in the last word
     tail = np.uint64((2 << spare) - 1)  # the line's bits in the last word
 

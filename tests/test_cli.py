@@ -530,5 +530,32 @@ def test_simulate_takes_no_threads(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, target", [
+    (("simulate", "--init", "word:0101"), "run_experiment"),
+    (("enumerate", "--k", "1"), "compute_tables"),
+    (("certify", "--k", "1"), "certify"),
+    (("crosscheck", "--k", "1", "--samples", "10", "--windows", "1"), "kstep_prob"),
+    (("probe", "000000000"), "kstep_prob"),
+])
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 128. GiB", "error: Unable to allocate 128. GiB"),
+    ("", "error: out of memory"),
+])
+def test_out_of_memory_is_an_exit_code(tmp_path, monkeypatch, capsys, argv, target,
+                                       message, shown):
+    # raised, never allocated: a run too large for the machine is refused with
+    # the usage code and one line, as a 2^34-site box would be
+    import candyfix.cli as cli_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_mod, target, exhausted)
+    out = ("--out", str(tmp_path)) if argv[0] != "probe" else ()
+    assert run(*argv, *out) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [shown], err
+
+
 def test_missing_subcommand_is_usage_error():
     assert run() == 2

@@ -195,8 +195,10 @@ def test_symmetry_reductions_are_safe():
     # fold over symmetry representatives cannot bias maxima.  kstep_vector
     # fills each level's upper half by the complement, so the complement
     # assertion holds by construction; test_forward_matches_shared_vector
-    # checks that half against kstep_prob, which uses no symmetry
-    for k in (1, 2, 3):
+    # checks that half against kstep_prob, which uses no symmetry.  The
+    # reflection assertion also guards _backward_level's precondition: it
+    # reads each level's vector in place, so g_0..g_3 must be mirror-symmetric
+    for k in (0, 1, 2, 3):
         g, exp = kstep_vector(k)
         length = 4 * k + 5
         idx = np.arange(1 << length)
@@ -223,7 +225,9 @@ def test_representatives_cover_every_mask():
         pairs = np.unique((masks[read].astype(np.int64) << nint)
                           | _stable_index(masks[read], words[read], nint))
         got_masks, got_index = _representatives(length)
-        assert np.array_equal((got_masks.astype(np.int64) << nint) | got_index, pairs), length
+        got = (got_masks.astype(np.int64) << nint) | got_index
+        assert len(np.unique(got)) == len(got), length  # no pair repeats
+        assert np.array_equal(np.sort(got), pairs), length
         kept = np.unique(got_masks)
         assert np.all(kept >= mirrored(kept, nint))
         every = np.unique(masks)
@@ -309,6 +313,21 @@ def test_compute_tables_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 7 << 20, peak / 2**20
+
+
+def test_backward_level_memory_bounded():
+    # the k=4 top level reads g_3 in place: its stack of partial sums never
+    # exceeds g_3's size, and it holds one sum per pair; 0.5 MiB covers the
+    # group bounds, and a copy of g_3 (1 MiB) breaks the bound
+    g_3, _ = kstep_vector(3)
+    masks, index = _representatives(21)
+    tracemalloc.start()
+    try:
+        _backward_level(g_3, masks, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g_3.nbytes + 8 * len(index) + (1 << 19), peak / 2**20
 
 
 def test_window_sufficiency_exhaustive_k1():
@@ -428,11 +447,13 @@ def test_backward_level_order_and_values():
     # groups in ascending mask order, one sum per given entry, and each sum
     # that of arbitrary next-level values over the recolorings of the word's
     # unstable interior sites; for all words, a random third of them, and
-    # the table fold's distinct pairs, each checked on one word that has it
+    # the table fold's distinct pairs, each checked on one word that has it;
+    # the values are mirror-symmetric, as every vector the sweep passes is
     rng = np.random.default_rng(8)
     for length in (9, 13):
         nint, full = length - 4, (1 << (length - 4)) - 1
         g_next = rng.integers(0, 1 << 20, size=1 << nint)
+        g_next = g_next + g_next[mirrored(np.arange(1 << nint), nint)]
         every = np.arange(1 << length, dtype=np.int32)
 
         def entries(words):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -261,6 +262,41 @@ def test_packed_classifier_matches_run_definition():
                     # packed like the line, the spare bits of the last word 0
                     assert np.array_equal(got, pack_line(expect)), (
                         length, kappa, periodic, cells)
+
+
+def test_kappa_beyond_the_line_classifies_as_length_plus_one():
+    # no run outgrows the line: at kappa 10^5 a clipped line has no unstable
+    # site and a ring is unstable exactly where its line is monochrome, as at
+    # kappa = length+1, in both classifiers
+    rng = np.random.default_rng(9)
+    far = 100_000
+    shapes = [(n,) for n in (1, 2, 3, 5, 64, 65)] + [(3, 4), (1, 6)]
+    for periodic in (False, True):
+        for shape in shapes:
+            for bias in (0.5, 0.0, 1.0):
+                cells = (rng.random(shape) < bias).astype(np.uint8)
+                expect = unstable_by_definition(cells, max(shape) + 1, periodic)
+                assert np.array_equal(unstable_sites(cells, far, periodic), expect), (
+                    periodic, cells)
+                if len(shape) == 1:
+                    length = shape[0]
+                    assert np.array_equal(unstable_sites(cells, length + 1, periodic), expect)
+                    for kappa in (length + 1, far):
+                        got = unstable_words(pack_line(cells), length, kappa, periodic)
+                        assert np.array_equal(got, pack_line(expect)), (kappa, periodic, cells)
+
+
+def test_kappa_beyond_the_line_allocates_for_the_line():
+    # a ring of 12 sites at kappa 10^5 allocates for its 12 sites, not for
+    # length + kappa - 1 wrapped indices (800 KB of int64)
+    cells = np.zeros(12, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        unstable_sites(cells, 100_000, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 def test_locality_of_classification():
