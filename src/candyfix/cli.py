@@ -14,10 +14,12 @@ manifest that produced it.  A manifest records the run's
 ``steps`` summed over trials and the ``timings`` of the trajectories and of
 writing them, and for ``crosscheck`` the ``timings`` of the forward program
 and the estimator summed over windows.  The random streams' layouts are part
-of a run's parameters: ``simulate`` records its ``draw_format`` (3: a 1-D
+of a run's parameters: ``simulate`` records its ``draw_format`` (4: a 1-D
 fair-coin line takes bit i of the step's raw words at window site i, and
-every other run its draws in unstable-site order) and ``crosscheck`` its
-``coin_stream_format``, so two layouts never share a run id.
+every other run its draws in unstable-site order, one raw bit each under the
+fair coin and one whole raw word each under any other law) and
+``crosscheck`` its ``coin_stream_format``, so two layouts never share a run
+id.
 
 Exit codes: 0 success, 1 check failure, 2 argument or file-system error, or
 a run that ran out of memory (one ``error:`` line, no traceback).
@@ -126,7 +128,13 @@ class _Manifest:
 
 
 def _parse_dist(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(tok) for tok in text.split(","))
+    dist = []
+    for tok in text.split(","):
+        try:
+            dist.append(Fraction(tok))
+        except ZeroDivisionError:
+            raise ValueError(f"--p entry {tok!r} has a zero denominator") from None
+    return tuple(dist)
 
 
 def _fail(message: str, code: int = USAGE) -> int:
@@ -159,7 +167,7 @@ def cmd_simulate(args) -> int:
             return _fail(f"unknown initial condition {args.init!r}")
         spec = ExperimentSpec(params=params, initial=initial, boundary=args.boundary,
                               t_max=args.t_max, trials=args.trials, seed=args.seed)
-    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator in --p
+    except ValueError as exc:
         return _fail(str(exc))
 
     out = _out_dir(args)

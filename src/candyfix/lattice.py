@@ -15,9 +15,10 @@ while stable sites keep their color.  The trajectory loop that applies it is
 
 :func:`draw_colors` is the one color sampler: it serves both the recolorings
 and random initial content (under the uniform law over the n colors), and it
-reads b-bit fields of a step's raw Philox words, where the law itself fixes b.
-Under the fair coin (b = 1) the fields are the raw words' bits, which a
-packed line blends in whole (``DRAW_FORMAT`` 3).
+reads a step's raw Philox words in one of two layouts.  Under the fair coin
+draw i is bit i % 64 of raw word i // 64, the layout a packed line blends in
+whole; under any other law each draw reads one whole raw word
+(``DRAW_FORMAT`` 4).
 
 Boundary policies fix how runs behave at the box edge:
 
@@ -74,44 +75,19 @@ class ModelParams:
         return self.recolor_dist == (Fraction(1, 2), Fraction(1, 2))
 
     @cached_property
-    def field_bits(self) -> int:
-        """Bits per draw: the narrowest of 1, 2, 4, ..., 64 at which every cut is exact.
-
-        That is the smallest width b at which every cumulative probability is
-        a multiple of 2**-b; a law with any other cumulative (one that is not
-        dyadic, or needs more than 64 bits) takes whole 64-bit words.
-        """
-        dens = [acc.denominator for acc in accumulate(self.recolor_dist)]
-        if any(den & (den - 1) for den in dens):  # a denominator that is no power of 2
-            return 64
-        need = max(dens).bit_length() - 1
-        return next((b for b in (1, 2, 4, 8, 16, 32) if b >= need), 64)
-
-    @cached_property
     def sampling_cuts(self) -> np.ndarray:
-        """Cumulative thresholds on a ``field_bits``-bit field for inversion sampling.
+        """The law's cumulatives below 1 scaled to 2**64, as uint64, for inversion sampling.
 
-        Exact at width b for every law whose cumulative probabilities are
-        multiples of 2**-b with b <= 64; any other law is cut on 64-bit
-        words, accurate to 2**-64.  The cuts come in the fields' own unsigned
-        type (uint8 up to 8 bits).  Computed once per instance and read-only,
-        since every draw shares it.
+        Exact for every law whose cumulatives are multiples of 2**-64, and
+        accurate to 2**-64 for any other.  A cumulative of 1, in a law ending
+        in zeros, gives no cut: 2**64 lies past every word.  Computed once per
+        instance and read-only, since every draw shares it.
         """
-        b = self.field_bits
-        cuts = []
-        for acc in accumulate(self.recolor_dist[:-1]):
-            if acc == 1:  # a law ending in zeros: a cut of 2**b lies past every field
-                break
-            cuts.append((acc.numerator << b) // acc.denominator)
-        cuts = np.array(cuts, dtype=f"u{max(b, 8) // 8}")
+        cuts = np.array([(acc.numerator << 64) // acc.denominator
+                         for acc in accumulate(self.recolor_dist[:-1]) if acc < 1],
+                        dtype=np.uint64)
         cuts.setflags(write=False)
         return cuts
-
-    @cached_property
-    def _fields_are_colors(self) -> bool:
-        """True when the cuts are 1 .. 2**b - 1: the law is uniform over its first 2**b colors."""
-        b, cuts = self.field_bits, self.sampling_cuts
-        return len(cuts) == (1 << b) - 1 and cuts.tolist() == list(range(1, 1 << b))
 
     @cached_property
     def color_dtype(self) -> np.dtype:
@@ -262,45 +238,39 @@ def unstable_words(words: np.ndarray, length: int, kappa: int, periodic: bool) -
 
 
 # Layout of the draws that a step reads from its raw words.
+# 4: draw i is bit i % 64 of raw word i // 64 under the fair coin, as in 3,
+#    and reads all of raw word i under any other law; only the dyadic laws
+#    other than the fair coin draw differently from 3.
 # 3: as 2, except that a 1-D run under the fair two-color law redraws by
 #    window site: site i takes bit i % 64 of the step's raw word i // 64, so
 #    a draw no longer depends on how many sites before it are unstable.
 #    Every other run (more colors, a biased law, d > 1) and every initial
 #    content reads the same draws as in 2.
-# 2: b-bit fields (b = ``ModelParams.field_bits``), 64/b to a word, read from
-#    consecutive words, each word from its low end, the k-th unstable site
-#    in C order taking the k-th field; random initial content comes from the
-#    same sampler under the uniform law.
+# 2: b-bit fields, b the narrowest of 1, 2, 4, ..., 64 at which every
+#    cumulative is exact, 64/b to a word, read from consecutive words, each
+#    word from its low end, the k-th unstable site in C order taking the
+#    k-th field; random initial content comes from the same sampler under
+#    the uniform law.
 # 1: one whole 64-bit word per draw, and initial content from
 #    ``Generator.integers`` in int64.
-# Non-dyadic laws have b = 64, so their recolorings are the same in 1 and 2.
-DRAW_FORMAT = 3
+# Non-dyadic laws have b = 64, so their recolorings are the same in 1 to 4.
+DRAW_FORMAT = 4
 
 
 def draw_colors(gen: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
-    """Rejection-free inversion sampling of `size` colors on b-bit fields.
+    """Rejection-free inversion sampling of `size` colors from raw Philox words.
 
-    The fields (b = ``params.field_bits``) are read from consecutive raw
-    Philox words, 64/b to a word, each word from its low end; the unused
-    fields of the last word are dropped.  A field's color is the number of
-    ``params.sampling_cuts`` at or below it, so under the fair coin (b = 1)
-    a draw is one bit and the colors are the words' bits, lowest first.
-    The colors come back in ``params.color_dtype``.  A fair-coin line held
-    as :func:`pack_line` words reads the same 1-bit fields as whole raw
-    words instead, without calling this sampler.
+    Under the fair coin draw i is bit i % 64 of raw word i // 64, lowest bit
+    first, so 64 draws take one word; a fair-coin line held as
+    :func:`pack_line` words blends in the same bits without calling this
+    sampler.  Under any other law draw i reads all of raw word i, and its
+    color is the number of ``params.sampling_cuts`` at or below that word.
+    The colors come back in ``params.color_dtype``.
     """
-    b = params.field_bits
-    words = gen.bit_generator.random_raw(-(-size * b // 64)).astype("<u8", copy=False)
-    if b == 1:
-        fields = np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
-    elif b < 8:
-        shifts = np.arange(0, 8, b, dtype=np.uint8)  # a byte's fields, low end first
-        fields = ((words.view(np.uint8)[:, None] >> shifts) & ((1 << b) - 1)).ravel()[:size]
-    else:
-        fields = words.view(f"<u{b // 8}")[:size]
-    if params._fields_are_colors:  # the fair coin, say: no cut to count
-        return fields.astype(params.color_dtype, copy=False)
+    if params.uniform_two_color:
+        return unpack_line(gen.bit_generator.random_raw(-(-size // 64)), size)
+    words = gen.bit_generator.random_raw(size)
     colors = np.zeros(size, dtype=params.color_dtype)
     for cut in params.sampling_cuts:
-        colors += fields >= cut
+        colors += words >= cut
     return colors

@@ -18,12 +18,14 @@ its line as uint64 words, 64 sites to a word, classifies it with
 step's raw Philox words, window site i taking bit i % 64 of word i // 64.
 Every other run holds a plain color array, classifies it with
 :func:`candyfix.lattice.unstable_sites` and gives the unstable sites, in C
-order, consecutive draws of :func:`candyfix.lattice.draw_colors`.  Together
-these are ``DRAW_FORMAT`` 3.  Trials are independent: trial ``i`` draws step
-``t`` from block ``t`` of the stream (seed, i), so a trajectory depends only
-on (spec, i), not on which other trials ran.  Its random initial content
-comes from ``draw_colors`` on block ``_INIT_BLOCK`` of that stream, so
-under two colors a raw word yields 64 sites.
+order, consecutive draws of :func:`candyfix.lattice.draw_colors`: under the
+fair coin one raw bit each, 64 to a word, and under any other law one whole
+raw word each.  Together these are ``DRAW_FORMAT`` 4.  Trials are
+independent: trial ``i`` draws step ``t`` from block ``t`` of the stream
+(seed, i), so a trajectory depends only on (spec, i), not on which other
+trials ran.  Its random initial content comes from ``draw_colors`` on block
+``_INIT_BLOCK`` of that stream, so under two colors a raw word yields 64
+sites, and under more colors one site.
 
 The window estimator runs its trials bit-sliced, 64 to a uint64 lane, on
 the origin's shrinking information cone, and step ``t`` takes raw Philox
@@ -87,6 +89,8 @@ class UniformRandomBox:
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         if not self.shape or any(s < 1 for s in self.shape):
             raise ValueError(f"box extents must be >= 1, got {self.shape}")
+        if len(self.shape) > 64:  # numpy's limit on array dimensions
+            raise ValueError(f"a box has at most 64 extents, got {len(self.shape)}")
 
 
 InitialCondition = ExplicitWord | RandomUnstableBlock | UniformRandomBox
@@ -161,7 +165,8 @@ def _initial_cells(spec: ExperimentSpec, stream: RngStream) -> np.ndarray:
     Random content comes from :func:`draw_colors` under the uniform law over
     the n colors, drawn from block ``_INIT_BLOCK`` of the trial's stream and
     laid out in C order.  With two colors site i is therefore bit i % 64 of
-    the block's raw word i // 64, so 64 sites take one word.
+    the block's raw word i // 64, so 64 sites take one word; with more
+    colors site i reads all of raw word i.
     """
     init = spec.initial
     dtype = spec.params.color_dtype

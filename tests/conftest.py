@@ -5,7 +5,7 @@ from candyfix.engine import certify, compute_tables
 
 @pytest.fixture(scope="session")
 def tables_k4():
-    """The k=4 tables (about a second), computed once for every test that reads them."""
+    """The k=4 tables (about 60 ms), computed once for every test that reads them."""
     return compute_tables(4)
 
 

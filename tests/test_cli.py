@@ -68,25 +68,26 @@ def test_simulate_rerun_byte_identical(tmp_path):
 # sha256 of (trajectories.jsonl, aggregate.csv); any change to the trajectory
 # loop, the stream layout or the output format shows here, and so does a new
 # __version__ or DRAW_FORMAT, which the manifest id in every trajectory line
-# hashes (draw format 3: a 1-D fair-coin line redraws window site i from bit
-# i of the step's raw words; the 2-D and three-color boxes keep format 2's
-# draws, so only the run id in their trajectory lines changed with it)
+# hashes (draw format 4: a law other than the fair coin reads one whole raw
+# word per draw; the block, the word and the 2-D box keep format 3's draws,
+# so only the run id in their trajectory lines changed with it, and the
+# kappa=4 1/4,1/4,1/2 box is the one pin whose draws, and aggregate, changed)
 PINNED_SIMULATIONS = (
     (("--init", "block", "--M", "6", "--trials", "25", "--seed", "3"),
-     "6af87048263b00212885b4f8d17fb35a968340c6b2df1f880b5b05c9513016f6",
+     "68eddca69da9e8e69bbc27f5b25fa5bd5f811cc5e30e96013ea04a0458822f2e",
      "617321a14bcacfbc9d065a0ff037ae45e5bbe44e9a2949143b06ee6b56948e46"),
     (("--init", "word:0001100011000111", "--boundary", "frozen", "--trials", "30",
       "--seed", "4"),
-     "0aaef4f1efe026d8894f9ed5ed814cdda6f1db5adc96cfce931e995797f54a70",
+     "074aaf42eef643bf760248575b751c477dda2d09e6129a2e8c458e17916d327d",
      "1729e85c9ed3e4ced87128bd8676954e983c99bb945d359c381ca22cde1ad607"),
     (("--init", "box", "--extent", "7,9", "--boundary", "periodic",
       "--trials", "3", "--t-max", "400", "--seed", "1"),
-     "9fbd9708079bf933ea92aeacc88cad37408cdd90ce8ec3af6803d98bb0898499",
+     "b26513297961bca42ae24dcc6068aaa9403842f14e0b23c67beefe3f28c9c628",
      "8172cc3ea107210fc61137deeb78651c20ede9c0579c14bb558274b566767e76"),
     (("--kappa", "4", "--p", "1/4,1/4,1/2", "--init", "box",
       "--extent", "41", "--trials", "5"),
-     "d1ce7ee131bec2c6e990e7dbdc0dba586ee46d0759692a2c028374ab6c1c7212",
-     "48b0b2cf70717710975088746a5b05d5996ec82d192478146c9def055ae1a886"),
+     "1b8f4fc10caf95113f80e85db523a1e4a9ad9e1128c050c48bc9ffdd5de949f5",
+     "f517091d655d5f849928027522c4b1177df65546348629bd566904ca73f22638"),
 )
 
 
@@ -260,9 +261,9 @@ def test_simulate_manifest_names_draw_format(tmp_path, monkeypatch):
     assert run(*args, "--out", str(tmp_path / "now")) == 0
     path, = (tmp_path / "now").glob("manifest-*.json")
     manifest = json.loads(path.read_text())
-    assert DRAW_FORMAT == 3
-    assert manifest["parameters"]["draw_format"] == 3
-    monkeypatch.setattr(cli_mod, "DRAW_FORMAT", 2)
+    assert DRAW_FORMAT == 4
+    assert manifest["parameters"]["draw_format"] == 4
+    monkeypatch.setattr(cli_mod, "DRAW_FORMAT", 3)
     assert run(*args, "--out", str(tmp_path / "old")) == 0
     old, = (tmp_path / "old").glob("manifest-*.json")
     assert json.loads(old.read_text())["run_id"] != manifest["run_id"]
@@ -329,6 +330,9 @@ def test_simulate_refuses_an_init_parameter_it_never_reads(tmp_path, capsys):
     (("--init", "block", "--M", "-1"), "block half-width must be >= 0, got -1"),
     (("--t-max", "0"), "t_max must be >= 1, got 0"),
     (("--p=-1/2,3/2",), "recolor_dist entries must be nonnegative"),
+    (("--p", "1/0,1"), "--p entry '1/0' has a zero denominator"),
+    (("--init", "box", "--boundary", "frozen", "--extent", ",".join(["1"] * 65)),
+     "a box has at most 64 extents, got 65"),
 ])
 def test_simulate_argument_guards(tmp_path, capsys, argv, message):
     # each guard stops the run with a usage error before any output

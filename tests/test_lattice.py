@@ -135,58 +135,56 @@ def test_step_distribution_uniform_over_outcomes():
         assert abs(c / n - 0.125) <= 4 * se, (word, c / n)
 
 
-def reference_draws(gen, dist, b, size):
-    """The documented draw layout in plain Python ints: b-bit fields of
-    consecutive raw words, each word from its low end; a field's color is
-    the number of cuts, the law's cumulatives scaled to b bits, at or below it."""
-    per_word = 64 // b
-    words = gen.bit_generator.random_raw(-(-size // per_word))
-    cuts = [(acc.numerator << b) // acc.denominator
+def reference_draws(gen, dist, size):
+    """The documented draw layouts in plain Python ints: under the fair coin
+    draw i is bit i % 64 of raw word i // 64; under any other law draw i is
+    the number of cuts, the law's cumulatives scaled to 64 bits, at or below
+    raw word i."""
+    if tuple(dist) == (Fraction(1, 2),) * 2:
+        words = gen.bit_generator.random_raw(-(-size // 64))
+        return [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(size)]
+    cuts = [(acc.numerator << 64) // acc.denominator
             for acc in accumulate(dist[:-1]) if acc < 1]
-    fields = [(int(w) >> (b * j)) & ((1 << b) - 1) for w in words for j in range(per_word)]
-    return [bisect_right(cuts, f) for f in fields[:size]]
+    return [bisect_right(cuts, int(w)) for w in gen.bit_generator.random_raw(size)]
 
 
-# (law, field width b): the narrowest of 1, 2, 4, ..., 64 bits at which every
-# cumulative is exact; non-dyadic laws and 2^-70 take whole words
+# every law but the fair coin reads whole words, whether dyadic or not
 DRAW_LAWS = (
-    ((Fraction(1, 2),) * 2, 1),
-    ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), 2),
-    ((Fraction(3, 16), Fraction(5, 16), Fraction(1, 2)), 4),
-    ((Fraction(1, 32), Fraction(31, 32)), 8),
-    ((Fraction(1, 2**9), Fraction(511, 2**9)), 16),
-    ((Fraction(1, 2**20), Fraction(2**20 - 1, 2**20)), 32),
-    ((Fraction(1, 2**70), 1 - Fraction(1, 2**70)), 64),
-    ((Fraction(1, 3), Fraction(2, 3)), 64),
-    ((Fraction(1, 5),) * 5, 64),
-    ((Fraction(1, 257),) * 257, 64),
-    # uniform over 2^b colors: every field is its own color
-    ((Fraction(1, 4),) * 4, 2),
-    ((Fraction(1, 256),) * 256, 8),
-    ((Fraction(1, 4),) * 4 + (Fraction(0),) * 296, 2),
+    (Fraction(1, 2),) * 2,
+    (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+    (Fraction(3, 16), Fraction(5, 16), Fraction(1, 2)),
+    (Fraction(1, 32), Fraction(31, 32)),
+    (Fraction(1, 2**9), Fraction(511, 2**9)),
+    (Fraction(1, 2**20), Fraction(2**20 - 1, 2**20)),
+    (Fraction(1, 2**70), 1 - Fraction(1, 2**70)),
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 5),) * 5,
+    (Fraction(1, 257),) * 257,
+    (Fraction(1, 4),) * 4,
+    (Fraction(1, 256),) * 256,
+    (Fraction(1, 4),) * 4 + (Fraction(0),) * 296,
     # zeros: trailing ones are never drawn, leading and inner ones give equal cuts
-    ((Fraction(1), Fraction(0)), 1),
-    ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), 1),
-    ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), 1),
-    ((Fraction(0), Fraction(1, 4), Fraction(3, 4)), 2),
-    ((Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0)), 64),
+    (Fraction(1), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 2), Fraction(0), Fraction(1, 2)),
+    (Fraction(0), Fraction(1, 4), Fraction(3, 4)),
+    (Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0)),
 )
 
 
 def test_draw_colors_match_reference_fields():
-    # draw for draw against the plain-int reference at every field width, in
-    # the narrowest color type (257 and 300 colors need uint16); a non-dyadic
-    # law still reads one whole word per draw, searched over its cuts
-    for dist, b in DRAW_LAWS:
+    # draw for draw against the plain-int reference of both layouts, in the
+    # narrowest color type (257 and 300 colors need uint16); a law other
+    # than the fair coin also matches its cuts searched over whole words
+    for dist in DRAW_LAWS:
         params = ModelParams(recolor_dist=dist)
-        assert params.field_bits == b, dist
         for size in (0, 1, 63, 64, 65, 100_001):
             for seed, t in ((0, 0), (2, 1 << 62)):
                 got = draw_colors(RngStream(seed).generator_at(t), params, size)
                 assert got.dtype == params.color_dtype, (dist, size)
-                expect = reference_draws(RngStream(seed).generator_at(t), dist, b, size)
+                expect = reference_draws(RngStream(seed).generator_at(t), dist, size)
                 assert got.tolist() == expect, (dist, size)
-                if b == 64:
+                if not params.uniform_two_color:
                     draws = RngStream(seed).generator_at(t).integers(
                         0, 1 << 64, size=size, dtype=np.uint64)
                     assert np.array_equal(
@@ -194,7 +192,7 @@ def test_draw_colors_match_reference_fields():
 
 
 def test_packed_draws_distribution():
-    # one call of 2^17 draws of a 2-bit law: every color's frequency within 4 SE
+    # one call of 2^17 whole-word draws: every color's frequency within 4 SE
     params = ModelParams(recolor_dist=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     n = 1 << 17
     colors = draw_colors(RngStream(21).generator_at(0), params, n)

@@ -134,7 +134,7 @@ def test_box_trajectory_matches_iterated_step():
     # the trajectory loop against a reference update fed block t of the same
     # stream, which finds unstable sites by the run definition, not the
     # classifier; its content follows the documented layout of a uniform law
-    # (1-bit fields for two colors, whole words for three), in C order
+    # (raw bits for two colors, whole words for three), in C order
     for params, boundary, shape in ((P, Boundary.FROZEN, (6, 5)),
                                     (P, Boundary.PERIODIC, (4, 7)),
                                     (ModelParams(kappa=4, recolor_dist=(
@@ -142,10 +142,10 @@ def test_box_trajectory_matches_iterated_step():
                                      Boundary.PERIODIC, (13,))):
         spec = ExperimentSpec(params, UniformRandomBox(shape), boundary=boundary,
                               trials=3, seed=12, t_max=60)
-        uniform, bits = (Fraction(1, params.n),) * params.n, {2: 1, 3: 64}[params.n]
+        uniform = (Fraction(1, params.n),) * params.n
         for trial in range(spec.trials):
             stream = RngStream(spec.seed, trial)
-            cells = np.array(reference_draws(stream.generator_at(_INIT_BLOCK), uniform, bits,
+            cells = np.array(reference_draws(stream.generator_at(_INIT_BLOCK), uniform,
                                              int(np.prod(shape)))).reshape(shape)
             series = []
             for t in range(spec.t_max + 1):
