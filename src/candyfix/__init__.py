@@ -10,7 +10,7 @@
 * :mod:`candyfix.dyadic`     - Fractions with a power-of-two denominator.
 * :mod:`candyfix.render`     - JSON and text forms of tables and certificates.
 * :mod:`candyfix.cli`        - the command-line front end, the one module where
-  the Monte Carlo estimates meet the exact values (``crosscheck``).
+  the Monte Carlo estimates meet the exact values of the sweep (``crosscheck``).
 
 Import names from these submodules; the package itself holds only
 ``__version__``.

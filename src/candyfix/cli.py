@@ -3,23 +3,24 @@
 Subcommands: ``simulate`` (trajectory experiments under any model
 parameters); ``enumerate`` (exact probability tables) and ``certify``
 (contraction certificates), both for the theorem model only; ``crosscheck``
-(Monte Carlo versus exact engine) and ``probe`` (one window's exact
-probability).  ``simulate`` takes its dimension from ``--init`` and its color
-count from ``--p``, and refuses ``--M`` or ``--extent`` unless ``--init`` reads
-it.  Every successful run writes result files plus a manifest into the output
-directory; the manifest stream is append-only and each result file names the
-manifest that produced it.  A manifest records the run's
-``seconds`` and ``peak_rss_mib``, for ``enumerate``/``certify`` the
-``checks`` that ran with their verdicts, for ``simulate`` the update
+(Monte Carlo estimates against the values of the sweep's top level, the
+route ``certify`` takes) and ``probe`` (one window's exact probability, by
+the forward program).  ``simulate`` takes its dimension from ``--init`` and
+its color count from ``--p``, and refuses ``--M`` or ``--extent`` unless
+``--init`` reads it.  Every successful run writes result files plus a
+manifest into the output directory; the manifest stream is append-only and
+each result file names the manifest that produced it.  A manifest records
+the run's ``seconds`` and ``peak_rss_mib``, for ``enumerate``/``certify``
+the ``checks`` that ran with their verdicts, for ``simulate`` the update
 ``steps`` summed over trials and the ``timings`` of the trajectories and of
-writing them, and for ``crosscheck`` the ``timings`` of the forward program
-and the estimator summed over windows.  The random streams' layouts are part
-of a run's parameters: ``simulate`` records its ``draw_format`` (4: a 1-D
-fair-coin line takes bit i of the step's raw words at window site i, and
-every other run its draws in unstable-site order, one raw bit each under the
-fair coin and one whole raw word each under any other law) and
-``crosscheck`` its ``coin_stream_format``, so two layouts never share a run
-id.
+writing them, and for ``crosscheck`` the ``timings`` of the exact values,
+one top level over every window, and of the estimator summed over windows.
+The random streams' layouts are part of a run's parameters: ``simulate``
+records its ``draw_format`` (4: a 1-D fair-coin line takes bit i of the
+step's raw words at window site i, and every other run its draws in
+unstable-site order, one raw bit each under the fair coin and one whole raw
+word each under any other law) and ``crosscheck`` its
+``coin_stream_format``, so two layouts never share a run id.
 
 Exit codes: 0 success, 1 check failure, 2 argument or file-system error, or
 a run that ran out of memory (one ``error:`` line, no traceback).
@@ -47,6 +48,7 @@ from .engine import (
     check_sweep_k,
     compute_tables,
     kstep_prob,
+    kstep_values,
     unbounded_sum,
 )
 from .lattice import DRAW_FORMAT, Boundary, ModelParams
@@ -267,28 +269,32 @@ def cmd_crosscheck(args) -> int:
         return _fail(f"--windows must be >= 1, got {args.windows}")
     if not 0 <= args.seed < 1 << 64:  # the Philox key that draws the windows
         return _fail(f"--seed must lie in [0, 2^64), got {args.seed}")
+    if args.k > 1:  # the exact values read g_(k-1), which the sweep builds up to k=4
+        try:
+            check_sweep_k(args.k - 1)
+        except ValueError as exc:
+            return _fail(f"--k {args.k} reads the sweep's level {args.k - 1}: {exc}")
     radius = 2 * args.k + 2
-    length = 2 * radius + 1
-    if length > WORD_BITS:  # the forward program's support reaches 2^(sites-4) words
-        return _fail(f"--k {args.k} needs {length}-site windows; the forward program "
-                     f"takes at most {WORD_BITS} sites (k <= {(WORD_BITS - 5) // 4})")
     payload = {"k": args.k, "samples": args.samples, "windows": args.windows,
                "seed": args.seed, "coin_stream_format": COIN_STREAM_FORMAT}
     manifest = _Manifest("crosscheck", payload)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-    words = [int(w) for w in gen.integers(0, 1 << length, size=args.windows)]
+    words = [int(w) for w in gen.integers(0, 1 << (2 * radius + 1), size=args.windows)]
+    start = time.perf_counter()
+    try:
+        exacts = [float(value) for value in kstep_values(words, args.k)]
+    except ValueError as exc:  # g_(k-1) too wide for the level's uint64 sums
+        return _fail(str(exc))
+    exact_s = time.perf_counter() - start
 
     report = []
     failures = 0
-    forward_s = estimate_s = 0.0
-    for i, word in enumerate(words):
+    estimate_s = 0.0
+    for i, (word, exact) in enumerate(zip(words, exacts)):
         window = WindowClass.from_word(word, radius)
         start = time.perf_counter()
-        exact = float(kstep_prob(window, args.k))
-        middle = time.perf_counter()
         freq = estimate_kstep_prob(window, args.k, args.samples, seed=args.seed + 1 + i)
-        forward_s += middle - start
-        estimate_s += time.perf_counter() - middle
+        estimate_s += time.perf_counter() - start
         # 4 binomial standard errors of the exact value: 0 or 1 must match exactly
         tol = 4.0 * sqrt(exact * (1.0 - exact) / args.samples)
         ok = abs(freq - exact) <= tol
@@ -302,7 +308,7 @@ def cmd_crosscheck(args) -> int:
     with open(manifest.add(out / "crosscheck.json"), "w") as fh:
         json.dump({"manifest": manifest.run_id, "failures": failures,
                    "checks": report}, fh, indent=1, sort_keys=True)
-    manifest.record["timings"] = {"forward_s": round(forward_s, 6),
+    manifest.record["timings"] = {"exact_s": round(exact_s, 6),
                                   "estimate_s": round(estimate_s, 6)}
     manifest.close(out)
     checked = len(report)
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("crosscheck", help="Monte Carlo vs exact engine")
+    p = sub.add_parser("crosscheck", help="Monte Carlo vs the exact sweep's values")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--windows", type=int, default=24,

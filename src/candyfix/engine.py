@@ -5,9 +5,10 @@ uniform recoloring.  Everything here is exact integer arithmetic.  The sweep
 holds probabilities as integer numerators over one power-of-two denominator,
 and hands them out as :class:`candyfix.dyadic.Dyadic` - a Fraction whose
 denominator is a power of two; nothing else is needed because every branch
-weight is 1/2.  Numerators are int64, except in the forward program
-:func:`kstep_prob` from the first step whose total mass passes int64: there
-they are Python ints (as at the last step of the all-0 window at k=5).
+weight is 1/2.  Numerators are int64, except in the uint64 sums of
+:func:`kstep_values` and in the forward program :func:`kstep_prob` from the
+first step whose total mass passes int64: there they are Python ints (as at
+the last step of the all-0 window at k=5).
 
 Core quantities:
 
@@ -60,7 +61,10 @@ Each route that uses a symmetry has an independent check that uses none.
 :func:`kstep_vector` uses the complement, and the reflection as
 :func:`_backward_level`'s precondition; the per-window forward program
 :func:`kstep_prob` uses neither symmetry and is tested against the vector on
-every word at k=1 and on sampled words of either top color at k=2..4.  The
+every word at k=1 and on sampled words of either top color at k=2..4.
+:func:`kstep_values` is the sweep's own top level run on given words, so the
+Monte Carlo estimates of ``crosscheck`` check the values the tables come
+from, and the forward program stays the sweep's independent check.  The
 tables use both; :func:`worst_case` and the masks of :mod:`candyfix.windows`
 add none: :func:`worst_case` answers one conditioning at a time, at any
 radius, over every word of the vector, and the tables are tested against it
@@ -326,6 +330,35 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     return g, sweep_exponent(k)
 
 
+def kstep_values(words, k: int) -> list[Dyadic]:
+    """g_k at each radius-(2k+2) word of ``words``, without the level-k vector.
+
+    The sweep's top level run on these words only: ``kstep_vector(k - 1)``
+    once, then one :func:`_backward_level` over the words' masks and stable
+    indices, ordered by mask.  The level sums in uint64, so this reaches
+    k=5 on g_4; a k whose g_{k-1} is too wide for that raises ValueError.
+    Each word's value is its sum over 2^(exp + u), u its unstable count.
+    """
+    if k < 1:
+        raise ValueError(f"step count must be >= 1, got {k}")
+    length = 4 * k + 5
+    nint = length - 4
+    g, exp = kstep_vector(k - 1)
+    bits = int(g.max()).bit_length()
+    if bits + nint > 64:  # a sum adds up to 2^nint values of g_{k-1}
+        raise ValueError(f"k={k} sums 2^{nint} values of {bits} bits; "
+                         f"the level's uint64 sums hold 64 bits")
+    words = np.asarray(words, dtype=np.int64)
+    masks = (unstable_bits(words, length) >> 2) & ((1 << nint) - 1)
+    order = np.argsort(masks, kind="stable")
+    masks, words = masks[order], words[order]
+    sums = _backward_level(g.view(np.uint64), masks, _stable_index(masks, words, nint))
+    values = [None] * len(order)
+    for i, s, u in zip(order.tolist(), sums.tolist(), np.bitwise_count(masks).tolist()):
+        values[i] = Dyadic(s, exp + u)
+    return values
+
+
 # --------------------------------------------------------------------------
 # probability tables
 # --------------------------------------------------------------------------
@@ -474,7 +507,9 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     first, so the pairs holding site p are the sorted keys' tail from
     ``1 << (nint + p)``, and each merge sorts three sorted runs.  Once every
     mask is clear the keys are the next words, sorted, and nothing dense over
-    the next words is ever held.
+    the next words is ever held.  The first step starts from one word, so
+    nothing in it merges: its 2^u next words are built directly, each with
+    the value 1 over 2^u.
 
     Mass is conserved: a word's value enters pre-shifted by ``umax`` minus
     its unstable count, where ``umax`` is the step's widest mask, and after
@@ -491,11 +526,18 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
                          f"(radius {WORD_BITS // 2})")
     if window.radius < 2 * k + 2:
         raise ValueError(f"window radius {window.radius} too small for k={k}")
-    support = np.array([window.word], dtype=np.int64)
-    values = np.ones(1, dtype=np.int64)
-    exp = 0
-    cur = length
-    for _ in range(k):
+    cur = length - 4
+    inner_mask = (1 << cur) - 1
+    unstable = (unstable_bits(window.word, length) >> 2) & inner_mask
+    support = np.array([(window.word >> 2) & inner_mask & ~unstable], dtype=np.int64)
+    sites = unstable
+    while sites:  # lowest site first, so the next words come out ascending
+        low = sites & -sites
+        sites ^= low
+        support = np.concatenate([support, support | low])
+    values = np.ones(len(support), dtype=np.int64)
+    exp = unstable.bit_count()
+    for _ in range(k - 1):
         nint = cur - 4
         inner_mask = (1 << nint) - 1
         unstable = (unstable_bits(support, cur) >> 2) & inner_mask

@@ -32,8 +32,8 @@ the origin's shrinking information cone, and step ``t`` takes raw Philox
 words, one per lane and resolved site, from block ``t`` of the stream
 (seed, 0).  It classifies with its own bitwise form of the kappa=3 rule and
 takes nothing from the exact half but the :class:`WindowClass` value type;
-its comparison with the exact forward program lives in the CLI's
-``crosscheck`` command.
+its comparison with the exact values of the sweep's top level lives in the
+CLI's ``crosscheck`` command.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ inside the window; everything here works on those derived flags.
 forward program and the conditioning masks.  The Monte Carlo estimator keeps
 its own bit-sliced form of the rule, so it shares no classifier code with
 what it checks.  :class:`WindowClass` is one window's word and radius, as
-the forward program and the estimator take it.
+the forward program and the estimator take it; the 25-site limit of
+:data:`WORD_BITS` binds the forward program, so ``probe``, and the masks.
 
 The three conditioning descriptors select the windows whose worst case
 defines each probability table (:func:`conditioning_mask`):
@@ -31,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Longest window, in sites, that the exact half takes; kstep_prob and
-# conditioning_mask refuse longer ones.  The forward program's support reaches
-# 2^(sites-4) words and a mask spans all 2^sites.  The Monte Carlo estimator
+# Longest window, in sites, that kstep_prob (so probe) and conditioning_mask
+# take; they refuse longer ones.  The forward program's support reaches
+# 2^(sites-4) words and a mask spans all 2^sites.  crosscheck's exact values
+# come from the sweep, whose limit is k <= 5, and the Monte Carlo estimator
 # cuts every window to the 4k+5 sites that reach the origin, so has no limit.
 WORD_BITS = 25
 

@@ -236,9 +236,10 @@ def test_crosscheck_small_pass(tmp_path, capsys):
 
 
 def test_crosscheck_manifest_timings(tmp_path):
-    # the forward program's and the estimator's seconds, summed over windows,
-    # sit in the manifest beside the run's own wall time; the parameters name
-    # the coin-stream format, so two formats never share a run id
+    # the seconds of the exact values (one top level over all windows) and of
+    # the estimator (summed over windows) sit in the manifest beside the run's
+    # own wall time; the parameters name the coin-stream format, so two
+    # formats never share a run id
     assert run("crosscheck", "--k", "2", "--windows", "3", "--samples", "2000",
                "--out", str(tmp_path)) == 0
     path, = tmp_path.glob("manifest-*.json")
@@ -247,7 +248,7 @@ def test_crosscheck_manifest_timings(tmp_path):
     assert manifest["parameters"] == {"k": 2, "samples": 2000, "windows": 3, "seed": 0,
                                       "coin_stream_format": 3}
     timings = manifest["timings"]
-    assert sorted(timings) == ["estimate_s", "forward_s"]
+    assert sorted(timings) == ["estimate_s", "exact_s"]
     assert min(timings.values()) >= 0
     assert sum(timings.values()) <= manifest["seconds"]
     assert "timings" not in json.loads((tmp_path / "crosscheck.json").read_text())
@@ -404,14 +405,34 @@ def test_crosscheck_zero_samples_rejected(tmp_path):
                "--out", str(tmp_path)) == 2
 
 
-def test_crosscheck_k_beyond_forward_support_refused(tmp_path, capsys):
-    # k=6 windows have 29 sites, more than the forward program takes (its
-    # support reaches 2^(sites-4) words); the refusal comes before any exact
-    # or Monte Carlo work
+def test_crosscheck_k_beyond_sweep_refused(tmp_path, capsys):
+    # the exact values at k=6 would read g_5, which the sweep does not build
+    # (65-bit numerators); the refusal comes before any exact or Monte Carlo work
     assert run("crosscheck", "--k", "6", "--windows", "1", "--samples", "10",
                "--out", str(tmp_path)) == 2
-    assert "29-site windows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--k 6 reads the sweep's level 5" in err and "62 bits" in err
     assert not (tmp_path / "crosscheck.json").exists()
+
+
+def test_crosscheck_refuses_sums_beyond_64_bits(tmp_path, monkeypatch, capsys):
+    # a g_4 of 44 bits would overflow the top level's uint64 sums at k=5 (2^21
+    # values each): kstep_values raises, and the run stops before the
+    # estimator and writes nothing
+    import candyfix.engine as engine_mod
+
+    wide = np.zeros(1 << 21, dtype=np.int64)
+    wide[0] = 1 << 43
+    monkeypatch.setattr(engine_mod, "kstep_vector",
+                        lambda k: (wide, engine_mod.sweep_exponent(k)))
+    with pytest.raises(ValueError, match="44 bits"):
+        engine_mod.kstep_values([0], 5)
+    out = tmp_path / "out"
+    assert run("crosscheck", "--k", "5", "--windows", "2", "--samples", "10",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "44 bits" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_crosscheck_step_count_must_be_positive(tmp_path, capsys):
@@ -436,7 +457,7 @@ def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
     # whose estimate is not exactly 1 breaches under the real 4-SE rule
     import candyfix.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "kstep_prob", lambda window, k: Dyadic(1))
+    monkeypatch.setattr(cli_mod, "kstep_values", lambda words, k: [Dyadic(1)] * len(words))
     code = run("crosscheck", "--k", "1", "--windows", "3", "--samples", "10",
                "--out", str(tmp_path))
     assert code == 1
@@ -446,7 +467,7 @@ def test_crosscheck_detects_breach(tmp_path, monkeypatch, capsys):
 # sha256 of crosscheck.json: the exact values, every estimated frequency to
 # the last digit and the manifest id; any change to the estimator's stream
 # layout (coin-stream format 3: lane-major raw words, one per lane and
-# resolved site), its classifier or the forward program's arithmetic shows here
+# resolved site), its classifier or the sweep's top-level arithmetic shows here
 PINNED_CROSSCHECKS = (
     (("--k", "2", "--samples", "20000", "--windows", "6", "--seed", "3"),
      "fc3960836a070e8fb4345e1709451fed039a3a7dcc6985edad982deb1b88d0bd"),
@@ -538,7 +559,7 @@ def test_simulate_takes_no_threads(tmp_path):
     (("simulate", "--init", "word:0101"), "run_experiment"),
     (("enumerate", "--k", "1"), "compute_tables"),
     (("certify", "--k", "1"), "certify"),
-    (("crosscheck", "--k", "1", "--samples", "10", "--windows", "1"), "kstep_prob"),
+    (("crosscheck", "--k", "1", "--samples", "10", "--windows", "1"), "kstep_values"),
     (("probe", "000000000"), "kstep_prob"),
 ])
 @pytest.mark.parametrize("message, shown", [

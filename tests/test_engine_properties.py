@@ -19,6 +19,7 @@ from candyfix.engine import (
     compute_tables,
     gap_sum,
     kstep_prob,
+    kstep_values,
     kstep_vector,
     one_step_oracle,
     unbounded_sum,
@@ -138,6 +139,40 @@ def test_forward_matches_shared_vector():
     heavy = WindowClass.parse(HEAVY_K4)
     assert str(heavy) == HEAVY_K4
     assert kstep_prob(heavy, 4) == Dyadic(int(g[heavy.word]), exp) == Dyadic(1482647401, 33)
+
+
+def test_kstep_values_match_shared_vector():
+    # one top level over the given words, in their order, repeats included;
+    # at k=3 the sample takes words of both top colors: kstep_values sums the
+    # words of top color 1 itself, where the vector fills them by the complement
+    rng = np.random.default_rng(30)
+    for k in (1, 2, 3):
+        g, exp = kstep_vector(k)
+        length = 4 * k + 5
+        if k < 3:
+            words = rng.permutation(1 << length)
+        else:
+            words = np.concatenate([rng.integers(0, 1 << (length - 1), size=60),
+                                    rng.integers(1 << (length - 1), 1 << length, size=60)])
+            words = np.concatenate([words, words[::7]])
+        words = words.tolist()
+        assert kstep_values(words, k) == [Dyadic(int(g[w]), exp) for w in words], k
+
+
+def test_kstep_values_match_forward_program():
+    rng = np.random.default_rng(31)
+    for k, count in ((1, 40), (2, 20), (3, 8), (4, 4)):
+        radius = 2 * k + 2
+        words = rng.integers(0, 1 << (2 * radius + 1), size=count).tolist()
+        assert kstep_values(words, k) == [
+            kstep_prob(WindowClass.from_word(w, radius), k) for w in words], k
+
+
+def test_kstep_values_k5_pinned():
+    # the top level over g_4 (43 bits) sums 2^21 values, 64 bits: uint64 sums
+    heavy = WindowClass.parse("0101000001101010101011001")
+    assert kstep_values([0, (1 << 25) - 1, heavy.word], 5) == [
+        Dyadic(570543725928283, 52), Dyadic(570543725928283, 52), Dyadic(413567, 24)]
 
 
 def test_forward_program_memory_bounded():
