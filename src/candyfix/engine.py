@@ -38,12 +38,13 @@ value is one entry of its mask's partial sum, the one at its stable index
 is one key sort, one table-driven index pass, one shift and one scatter.
 
 Complementing every color keeps a word's unstable sites and its probability,
-so every level reads only the words whose top site has color 0; the
-complement of word w is 2^L - 1 - w, so :func:`kstep_vector` fills the upper
-half of each level by reversing the lower.  Reflecting a word about the
-origin keeps its probability too, so every level's vector is
-mirror-symmetric, and :func:`_backward_level` requires that of the vector it
-sums: it reads the vector as stored, each word's sites in reverse order.
+so every level reads only the words (the tables' top level: the interiors)
+whose top site has color 0; the complement of word w is 2^L - 1 - w, so
+:func:`kstep_vector` fills the upper half of each level by reversing the
+lower.  Reflecting a word about the origin keeps its probability too, so
+every level's vector is mirror-symmetric, and :func:`_backward_level`
+requires that of the vector it sums: it reads the vector as stored, each
+word's sites in reverse order.
 
 The tables come straight out of the top level: a group's mask fixes the
 table cell of all its words, so each group's maximum folds into its cell and
@@ -53,9 +54,11 @@ so only masks with U >= rev(U), the upper of each mirrored pair, are kept,
 and each group's maximum also fills the cell of rev(U) (the gap (m, n)
 beside (n, m)).  Words with the same mask and stable index have the same
 value, so the level folds only the distinct (mask, stable index) pairs and
-holds no array over its words: at k=4 it reads 547,836 words and keeps
-117,219 pairs in 2,781 groups.  Every cell is still the exact maximum over
-all of its windows.
+holds no array over its words.  It builds them from the interiors, not the
+words: a word's border can only make the interior's first or last run
+unstable, so each interior stands for its words through four masks.  At k=4
+it reads 65,536 interiors and keeps 77,741 pairs in 2,781 groups.  Every
+cell is still the exact maximum over all of its windows.
 
 Each route that uses a symmetry has an independent check that uses none.
 :func:`kstep_vector` uses the complement, and the reflection as
@@ -160,18 +163,24 @@ def _mirrors(nbits: int) -> np.ndarray:
 def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (mask, stable index) pairs the tables' top level folds.
 
-    The complement keeps a word's mask and value, so only words whose top
-    site has color 0 are read.  The reflection maps the words of mask U onto
-    those of rev(U) with the same values, so only masks with U >= rev(U), the
-    upper of each mirrored pair, are kept; the groups of the other masks are
-    the mirrors of kept ones.  Words that share a mask and a
-    :func:`_stable_index` share their sum, so a group's maximum over its
-    words is its maximum over its distinct indices.  The words are read in
-    ``_BLOCK``-word blocks; each block keeps its distinct int64 keys
-    ``(mask << nint) | stable bits``, the word's interior with the mask's
-    bits cleared, which determine the index.  Only the distinct keys of all
-    blocks go through :func:`_stable_index`: at k=4 the 547,836 words read
-    keep 117,219 pairs in 2,781 groups.
+    A word's pair depends on its interior x, sites [2, L-3], and on its
+    border only through two choices.  The border sites 0 and 1 meet the
+    interior only in the triples (0, 1, 2) and (1, 2, 3), whose interior
+    sites lie in x's first run, so the left border either makes that run
+    unstable or leaves x's clipped mask, and some border does each; the
+    right border acts likewise on the last run.  So the masks of x's words
+    are the four of :func:`_border_masks`, and the level enumerates
+    interiors instead of words.  The complement keeps a mask and its values,
+    so only interiors whose top site has color 0 are read.  The reflection
+    maps the words of mask U onto those of rev(U) with the same values, so
+    only masks with U >= rev(U), the upper of each mirrored pair, are kept;
+    the groups of the other masks are the mirrors of kept ones.  Words that share a mask and a :func:`_stable_index` share
+    their sum, so a group's maximum over its words is its maximum over its
+    distinct indices.  The interiors are read in ``_BLOCK``-interior blocks;
+    each block keeps its distinct int64 keys ``(mask << nint) | stable
+    bits``, x with the mask's bits cleared, which determine the index.  Only
+    the distinct keys of all blocks go through :func:`_stable_index`: at k=4
+    the 65,536 interiors read keep 77,741 pairs in 2,781 groups.
 
     Returns the pairs' int32 masks and their int32 indices in the keys'
     order: masks ascending, then stable bits, which :func:`_backward_level`
@@ -179,25 +188,35 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
     longer high-bit prefixes than the lower ones, so its trie computes fewer
     partial sums (4,575 instead of 7,233 at k=4).
     """
-    nint, half = length - 4, 1 << (length - 1)
-    upper = np.arange(1 << nint) >= _mirrors(nint)  # indexed by mask
-    keys = _distinct(np.concatenate([
-        _upper_pairs(np.arange(lo, min(lo + _BLOCK, half), dtype=np.int32), length, upper)
-        for lo in range(0, half, _BLOCK)]))
+    nint, half = length - 4, 1 << (length - 5)
+    upper = np.arange(1 << nint, dtype=np.int32) >= _mirrors(nint)  # indexed by mask
+    parts = []
+    for lo in range(0, half, _BLOCK):
+        interior = np.arange(lo, min(lo + _BLOCK, half), dtype=np.int32)
+        masks = _border_masks(interior, nint)
+        keep = upper[masks]
+        masks, interior = masks[keep], np.broadcast_to(interior, keep.shape)[keep]
+        keys = masks.astype(np.int64) << nint
+        keys |= interior & ~masks
+        parts.append(_distinct(keys))
+    keys = np.concatenate(parts)
+    del parts  # the blocks' keys go before the last sort copies them
+    keys = _distinct(keys)
     masks = (keys >> nint).astype(np.int32)
     keys <<= 2  # the stable bits where _stable_index reads a word's interior
     return masks, _stable_index(masks, keys, nint)
 
 
-def _upper_pairs(words: np.ndarray, length: int, upper: np.ndarray) -> np.ndarray:
-    """The distinct keys ``(mask << nint) | stable bits`` of the words with an upper
-    mask: the mask, and the word's interior with the mask's bits cleared."""
-    nint = length - 4
+def _border_masks(interior: np.ndarray, nint: int) -> np.ndarray:
+    """The four unstable masks a border can give each ``nint``-site interior:
+    rows u, u|first, u|last and u|first|last, with u its runs clipped at its
+    ends and first and last its first and last runs (all of a monochrome one)."""
     full = (1 << nint) - 1
-    masks = (unstable_bits(words, length) >> 2) & full
-    keep = upper[masks]
-    masks, words = masks[keep], words[keep]
-    return _distinct((masks.astype(np.int64) << nint) | ((words >> 2) & full & ~masks))
+    unstable = unstable_bits(interior, nint)
+    change = (interior ^ (interior >> 1)) & (full >> 1)  # bit i: sites i, i+1 differ
+    first = (((change & -change) << 1) - 1) & full
+    last = full & ~((1 << np.frexp(change)[1]) - 1)  # frexp: the highest change's bit + 1
+    return np.stack([unstable, unstable | first, unstable | last, unstable | first | last])
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -424,14 +443,15 @@ def compute_tables(k: int) -> ProbTables:
     """All worst-case tables for k steps; exact maxima over every window class.
 
     Evaluates the top level on the distinct (mask, stable index) pairs of
-    :func:`_representatives` only.  Those come from about a quarter of the
-    words: one per complement pair, and of each pair of mirrored masks only
-    the upper (U >= rev(U)).  At k=4 the top level reads 547,836 words and
-    keeps 117,219 pairs in 2,781 groups.  One ``np.maximum.reduceat`` over
-    the level's sums takes every group's maximum (before the level's shift),
-    which is exactly the maximum over its words, over its mirrored group and
-    over both complements, so it folds into the cells of its mask and of the
-    mirrored mask.
+    :func:`_representatives` only: a border can only make its interior's
+    first or last run unstable, so each interior gives its words' pairs
+    through four masks.  Of these it keeps one interior per complement
+    pair, and of each pair of mirrored masks only the upper (U >= rev(U)).
+    At k=4 the top level reads 65,536 interiors and keeps 77,741 pairs in
+    2,781 groups.  One ``np.maximum.reduceat`` over the level's sums takes
+    every group's maximum (before the level's shift), which is exactly the
+    maximum over its words, over its mirrored group and over both
+    complements, so it folds into the cells of its mask and of the mirror.
 
     The group's interior mask covers sites -2k..2k with the origin at bit
     2k.  A set origin bit means ``p_unstable``, and ``p_triple`` too if bits

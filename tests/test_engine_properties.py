@@ -11,6 +11,7 @@ from candyfix.dyadic import Dyadic
 from candyfix.engine import (
     EngineConsistencyError,
     _backward_level,
+    _border_masks,
     _mirrors,
     _pext_table,
     _representatives,
@@ -248,15 +249,16 @@ def test_mirror_table_matches_bitwise_mirror():
 
 
 def test_representatives_cover_every_mask():
-    # top color 0 and U >= rev(U): every mask of the level is kept or is the
-    # mirror of a kept one, the k=4 top level reads about a quarter of the
-    # words, and it keeps each distinct (mask, stable index) pair of them once
+    # interior top color 0 and U >= rev(U): every mask of the level is kept
+    # or is the mirror of a kept one, the k=4 top level stands for about a
+    # quarter of the words, and it keeps each distinct (mask, stable index)
+    # pair of them once
     counts = {}
     for length in (9, 13, 17, 21):
         nint, full = length - 4, (1 << (length - 4)) - 1
         words = np.arange(1 << length, dtype=np.int32)
         masks = (unstable_bits(words, length) >> 2) & full
-        read = (words < 1 << (length - 1)) & (masks >= mirrored(masks, nint))
+        read = ((words >> (length - 3)) & 1 == 0) & (masks >= mirrored(masks, nint))
         pairs = np.unique((masks[read].astype(np.int64) << nint)
                           | _stable_index(masks[read], words[read], nint))
         got_masks, got_index = _representatives(length)
@@ -311,14 +313,46 @@ def test_top_level_trie_partial_sums():
 
 def test_top_level_folds_distinct_pairs():
     # words that share a mask and a stable index share a sum, so the top
-    # level folds each distinct pair once: 117,219 of them where it reads
-    # 547,836 words at k=4
+    # level folds each distinct pair once: 77,741 of them from the 65,536
+    # interiors it reads at k=4
     counts = {}
     for k in (3, 4):
         zeros = np.zeros(1 << (4 * k + 1), dtype=np.int64)
         sizes = [len(sums) for _, sums in level_groups(zeros, *_representatives(4 * k + 5))]
         counts[k] = (sum(sizes), len(sizes))
-    assert counts == {3: (8_219, 416), 4: (117_219, 2_781)}
+    assert counts == {3: (5_415, 416), 4: (77_741, 2_781)}
+
+
+def test_border_masks_give_every_words_pair():
+    # the border acts only on the interior's first and last runs, so the
+    # four masks of each interior give exactly the (mask, stable bits) pairs
+    # of all 2^L words; no symmetry reduction on either side
+    for length in (9, 13, 17):
+        nint, full = length - 4, (1 << (length - 4)) - 1
+        words = np.arange(1 << length, dtype=np.int64)
+        masks = (unstable_bits(words, length) >> 2) & full
+        every = np.unique((masks << nint) | ((words >> 2) & full & ~masks))
+        interiors = np.arange(1 << nint, dtype=np.int64)
+        variants = _border_masks(interiors, nint)
+        assert variants.shape == (4, 1 << nint), length
+        got = np.unique((variants << nint) | (interiors & ~variants))
+        assert np.array_equal(got, every), length
+
+
+def test_representatives_k5():
+    # the k=5 top level from its 2^20 interiors: the 18,873 groups of its
+    # upper masks, and a peak set by the blocks' distinct keys and the pairs
+    # with their stable indices (under 26 MiB), not by every word's key
+    _representatives(9)  # the pext table, built once per process
+    tracemalloc.start()
+    try:
+        masks, index = _representatives(25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(masks), len(np.unique(masks))) == (1_137_487, 18_873)
+    assert len(index) == len(masks)
+    assert peak < 36 << 20, peak / 2**20
 
 
 def test_group_maximum_over_pairs_is_maximum_over_words():
