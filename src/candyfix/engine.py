@@ -174,13 +174,14 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
     so only interiors whose top site has color 0 are read.  The reflection
     maps the words of mask U onto those of rev(U) with the same values, so
     only masks with U >= rev(U), the upper of each mirrored pair, are kept;
-    the groups of the other masks are the mirrors of kept ones.  Words that share a mask and a :func:`_stable_index` share
-    their sum, so a group's maximum over its words is its maximum over its
-    distinct indices.  The interiors are read in ``_BLOCK``-interior blocks;
-    each block keeps its distinct int64 keys ``(mask << nint) | stable
-    bits``, x with the mask's bits cleared, which determine the index.  Only
-    the distinct keys of all blocks go through :func:`_stable_index`: at k=4
-    the 65,536 interiors read keep 77,741 pairs in 2,781 groups.
+    the groups of the other masks are the mirrors of kept ones.  Words that
+    share a mask and a :func:`_stable_index` share their sum, so a group's
+    maximum over its words is its maximum over its distinct indices.  The
+    interiors are read in ``_BLOCK``-interior blocks; each block keeps its
+    distinct int64 keys ``(mask << nint) | stable bits``, x with the mask's
+    bits cleared, which determine the index.  Only the distinct keys of all
+    blocks go through :func:`_stable_index`: at k=4 the 65,536 interiors
+    read keep 77,741 pairs in 2,781 groups.
 
     Returns the pairs' int32 masks and their int32 indices in the keys'
     order: masks ascending, then stable bits, which :func:`_backward_level`

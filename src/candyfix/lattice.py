@@ -136,13 +136,11 @@ class RngStream:
 def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: bool) -> np.ndarray:
     """Sites on a monochromatic run of >= kappa consecutive sites along one axis.
 
-    ``start`` marks where such a run begins, and a site is unstable when a
-    run starts 0..kappa-1 sites before it.  Both take about log2(kappa)
-    doublings: a run of m+s sites (s < m) begins at i iff runs of m begin
-    at i and at i+s, and a site within m+s sites of a start is within m of
-    it or of the site s before.  A periodic line is first extended by
-    kappa-1 wrapped sites, so runs cross the seam; a periodic line shorter
-    than kappa wraps onto itself and is unstable iff it is monochromatic.
+    ``start`` marks where such a run begins: the AND of kappa-1 shifted
+    neighbor-equality masks.  A site is unstable when a run starts 0..kappa-1
+    sites before it.  A periodic line is first extended by kappa-1 wrapped
+    sites, so runs cross the seam; a periodic line shorter than kappa wraps
+    onto itself and is unstable iff it is monochromatic.
 
     The result is laid out like ``cells``, so a batch stored with the run
     axis outermost is processed along its long inner axis throughout.
@@ -153,23 +151,21 @@ def _unstable_along_axis(cells: np.ndarray, axis: int, kappa: int, periodic: boo
     kappa = min(kappa, length + 1)  # no run outgrows the line: see unstable_words
     if periodic:
         a = np.take(a, np.arange(length + kappa - 1) % length, axis=-1)
-    elif length < kappa:
-        return out
-    start, run = a[..., 1:] == a[..., :-1], 2  # start: a run of `run` sites begins
-    while run < kappa:
-        step = min(run - 1, kappa - run)
-        start = start[..., :-step] & start[..., step:]
-        run += step
+        starts = length
+    else:
+        starts = length - kappa + 1
+        if starts < 1:
+            return out
+    eq = a[..., 1:] == a[..., :-1]
+    start = eq[..., :starts]
+    for j in range(1, kappa - 1):
+        start = start & eq[..., j: j + starts]
     line = np.moveaxis(out, axis, -1)  # a view: writes land in out
-    line[..., :start.shape[-1]] = start
-    reach = 1  # line: a run begins 0..reach-1 sites before
-    while reach < kappa:
-        step = min(reach, kappa - reach)
+    for j in range(kappa):
         if periodic:
-            line |= np.roll(line, step, axis=-1)
+            line |= np.roll(start, j, axis=-1)
         else:
-            line[..., step:] |= line[..., :-step]
-        reach += step
+            line[..., j: j + starts] |= start
     return out
 
 

@@ -342,7 +342,8 @@ def test_border_masks_give_every_words_pair():
 def test_representatives_k5():
     # the k=5 top level from its 2^20 interiors: the 18,873 groups of its
     # upper masks, and a peak set by the blocks' distinct keys and the pairs
-    # with their stable indices (under 26 MiB), not by every word's key
+    # with their stable indices (25.2 MiB measured, bound 36 MiB), not by
+    # every word's key
     _representatives(9)  # the pext table, built once per process
     tracemalloc.start()
     try:

@@ -240,18 +240,6 @@ def test_classifier_matches_run_definition():
                     expect = unstable_by_definition(cells, kappa, periodic)
                     assert np.array_equal(unstable_sites(cells, kappa, periodic), expect), (
                         kappa, periodic, cells)
-    # long runs: each doubling count, on lines just past kappa and past twice
-    # it, so runs begin near both ends and, on a ring, cross the seam; the
-    # biases start a run of kappa 1s, or of kappa 0s, at about 60% or 13%
-    # of the sites
-    for kappa in (6, 9, 17, 33, 64):
-        for periodic in (False, True):
-            for shape in [(kappa + 1,), (2 * kappa + 3,)]:
-                for bias in (1 - 0.5 / kappa, 2 / kappa):
-                    cells = (rng.random(shape) < bias).astype(np.int64)
-                    expect = unstable_by_definition(cells, kappa, periodic)
-                    assert np.array_equal(unstable_sites(cells, kappa, periodic), expect), (
-                        kappa, periodic, cells)
 
 
 def test_packed_classifier_matches_run_definition():
