@@ -41,10 +41,13 @@ Complementing every color keeps a word's unstable sites and its probability,
 so every level reads only the words (the tables' top level: the interiors)
 whose top site has color 0; the complement of word w is 2^L - 1 - w, so
 :func:`kstep_vector` fills the upper half of each level by reversing the
-lower.  Reflecting a word about the origin keeps its probability too, so
-every level's vector is mirror-symmetric, and :func:`_backward_level`
-requires that of the vector it sums: it reads the vector as stored, each
-word's sites in reverse order.
+lower.  So every level's vector is complement-symmetric, ``g[i] ==
+g[N-1-i]``, and so is each partial sum of it; :func:`_backward_level`
+requires that of the vector it sums and keeps only the first half of each
+partial sum, reading nothing of the vector's upper half.  Reflecting a word
+about the origin keeps its probability too, so every level's vector is
+mirror-symmetric, and :func:`_backward_level` requires that as well: it
+reads the vector as stored, each word's sites in reverse order.
 
 The tables come straight out of the top level: a group's mask fixes the
 table cell of all its words, so each group's maximum folds into its cell and
@@ -61,8 +64,8 @@ it reads 65,536 interiors and keeps 77,741 pairs in 2,781 groups.  Every
 cell is still the exact maximum over all of its windows.
 
 Each route that uses a symmetry has an independent check that uses none.
-:func:`kstep_vector` uses the complement, and the reflection as
-:func:`_backward_level`'s precondition; the per-window forward program
+:func:`kstep_vector` uses the complement, and both symmetries as
+:func:`_backward_level`'s preconditions; the per-window forward program
 :func:`kstep_prob` uses neither symmetry and is tested against the vector on
 every word at k=1 and on sampled words of either top color at k=2..4.
 :func:`kstep_values` is the sweep's own top level run on given words, so the
@@ -174,14 +177,17 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
     so only interiors whose top site has color 0 are read.  The reflection
     maps the words of mask U onto those of rev(U) with the same values, so
     only masks with U >= rev(U), the upper of each mirrored pair, are kept;
-    the groups of the other masks are the mirrors of kept ones.  Words that
+    the groups of the other masks are the mirrors of kept ones.  rev(U) is
+    read from two :func:`_mirrors` tables of half the width, one for U's low
+    bits and one for its high bits, so no table covers every mask.  Words that
     share a mask and a :func:`_stable_index` share their sum, so a group's
     maximum over its words is its maximum over its distinct indices.  The
     interiors are read in ``_BLOCK``-interior blocks; each block keeps its
     distinct int64 keys ``(mask << nint) | stable bits``, x with the mask's
-    bits cleared, which determine the index.  Only the distinct keys of all
-    blocks go through :func:`_stable_index`: at k=4 the 65,536 interiors
-    read keep 77,741 pairs in 2,781 groups.
+    bits cleared, which determine the index; the blocks' keys are sorted
+    once more together when there are several.  Only the distinct keys of
+    all blocks go through :func:`_stable_index`: at k=4 the 65,536
+    interiors read, one block, keep 77,741 pairs in 2,781 groups.
 
     Returns the pairs' int32 masks and their int32 indices in the keys'
     order: masks ascending, then stable bits, which :func:`_backward_level`
@@ -190,19 +196,24 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
     partial sums (4,575 instead of 7,233 at k=4).
     """
     nint, half = length - 4, 1 << (length - 5)
-    upper = np.arange(1 << nint, dtype=np.int32) >= _mirrors(nint)  # indexed by mask
+    low = nint // 2  # rev(U) is the mirror of U's low bits, moved up, | that of its high bits
+    low_mirrors, high_mirrors = _mirrors(low) << (nint - low), _mirrors(nint - low)
     parts = []
     for lo in range(0, half, _BLOCK):
         interior = np.arange(lo, min(lo + _BLOCK, half), dtype=np.int32)
         masks = _border_masks(interior, nint)
-        keep = upper[masks]
+        keep = np.stack([row >= (low_mirrors[row & ((1 << low) - 1)] | high_mirrors[row >> low])
+                         for row in masks])  # a row at a time: quarter-size temporaries
         masks, interior = masks[keep], np.broadcast_to(interior, keep.shape)[keep]
         keys = masks.astype(np.int64) << nint
         keys |= interior & ~masks
         parts.append(_distinct(keys))
-    keys = np.concatenate(parts)
-    del parts  # the blocks' keys go before the last sort copies them
-    keys = _distinct(keys)
+    if len(parts) == 1:  # one block's keys are already distinct and sorted
+        keys = parts[0]
+    else:
+        keys = np.concatenate(parts)
+        del parts  # the blocks' keys go before the last sort copies them
+        keys = _distinct(keys)
     masks = (keys >> nint).astype(np.int32)
     keys <<= 2  # the stable bits where _stable_index reads a word's interior
     return masks, _stable_index(masks, keys, nint)
@@ -260,40 +271,70 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray) ->
 
     The groups walk the trie of high-bit mask prefixes depth first.  The sum
     of g_next over the axes of mask U is the sum for U without its lowest
-    set bit, summed over that bit's axis, so a stack of partial sums along
-    the current root-to-leaf path serves every group; it never holds more
-    than g_next's own size.  Each partial sum is a flat array: g_next's
-    ``(2,)*nint`` tensor with interior site p on axis p, each summed axis
-    cut to length 1.  Summing out bit p adds the two halves of
-    ``reshape(2^p, 2, -1)``.  Bits are summed out high to low, so the p axes
-    below p still have length 2 and the outer extent is exactly 2^p; the
-    axes above p, those of the prefix already length 1, fold into the inner
-    extent.  The frequent low-site sums thus add outer halves, and a partial
-    sum's flat index is the word's stable interior bits packed lowest site
-    first: the stable index.  The trie's root is g_next itself: its C-order
-    tensor has site nint-1-p on axis p, which reads as site p because g_next
-    is mirror-symmetric, the precondition the module docstring states.
+    set bit, summed over that bit's axis, so one partial sum per trie depth,
+    along the current root-to-leaf path, serves every group.  A partial sum
+    is a flat array: g_next's ``(2,)*nint`` tensor with interior site p on
+    axis p, each summed axis cut to length 1.  Summing out bit p adds the
+    two halves of ``reshape(2^p, 2, -1)``.  Bits are summed out high to low,
+    so the p axes below p still have length 2 and the outer extent is
+    exactly 2^p; the axes above p, those of the prefix already length 1,
+    fold into the inner extent.  A partial sum's flat index is then the
+    word's stable interior bits packed lowest site first: the stable index.
+    The trie's root is g_next itself: its C-order tensor has site nint-1-p
+    on axis p, which reads as site p because g_next is mirror-symmetric.
+
+    g_next is also complement-symmetric, ``g_next[i] == g_next[N-1-i]``, and
+    a partial sum inherits that, since complementing a word maps the
+    recolorings of its unstable sites onto each other: a partial sum S of n
+    entries has S[i] == S[n-1-i] and is held as its first half H,
+    ``ceil(n/2)`` entries.  The root is the view ``g_next[:N//2]``, and
+    nothing reads ``g_next[N//2:]``.  Site 0, the outermost axis, is summed
+    out last on every path, so before that H is S with site 0 at color 0,
+    and summing out site p > 0 adds the halves of
+    ``H.reshape(2^(p-1), 2, -1)``.  Summing out site 0 adds S's outer
+    halves, and S's second half is H reversed, so the new half is
+    ``H[:m] + H[::-1][:m]``.  A pair with index i reads H at
+    ``min(i, n-1-i)``, folded once for all pairs in an int32 array.  The
+    partial sums at trie depth d live in one buffer of that depth, half of
+    g_next in all, and the (depth, p) views are built once per call, so a
+    trie step is one ``np.add`` into its depth's buffer.
+
+    Both symmetries are preconditions, which the module docstring states:
+    every vector :func:`kstep_vector` returns has both.
     """
     nint = len(g_next).bit_length() - 1
+    nodes = [g_next[: len(g_next) // 2]] + [  # depth d: half of 2^(nint-d) entries
+        np.empty(((1 << (nint - d)) + 1) // 2, dtype=g_next.dtype) for d in range(1, nint + 1)]
+    steps = [None]  # steps[d][p]: np.add's operands that sum site p out of depth d-1
+    for d in range(1, nint + 1):
+        half, out = nodes[d - 1], nodes[d]
+        row = [(half[: len(out)], half[::-1][: len(out)], out)]
+        for p in range(1, nint - d + 1):
+            split = half.reshape(1 << (p - 1), 2, -1)
+            row.append((split[:, 0], split[:, 1], out.reshape(1 << (p - 1), -1)))
+        steps.append(row)
+    folded = np.int32((1 << nint) - 1) >> np.bitwise_count(masks)  # a pair's n - 1
+    folded -= index
+    np.minimum(folded, index, out=folded)
     starts = np.flatnonzero(_firsts(masks))
     ends = np.r_[starts[1:], len(masks)]
     sums = np.empty(len(index), dtype=g_next.dtype)
-    stack = [(0, g_next)]
+    stack = [0]  # the masks of the partial sums in nodes[0..depth]
     for s, e in zip(starts.tolist(), ends.tolist()):
         mask = int(masks[s])
         # pop every partial sum whose mask is not a high-bit prefix of this one
-        while mask & -(stack[-1][0] & -stack[-1][0]) != stack[-1][0]:
+        while mask & -(stack[-1] & -stack[-1]) != stack[-1]:
             stack.pop()
-        prefix, summed = stack[-1]
+        prefix = stack[-1]
         rest = mask ^ prefix
         while rest:
             p = rest.bit_length() - 1
             rest ^= 1 << p
-            halves = summed.reshape(1 << p, 2, -1)
-            summed = np.add(halves[:, 0], halves[:, 1]).ravel()
+            a, b, out = steps[len(stack)][p]
+            np.add(a, b, out=out)
             prefix |= 1 << p
-            stack.append((prefix, summed))
-        summed.take(index[s:e], out=sums[s:e])
+            stack.append(prefix)
+        nodes[len(stack) - 1].take(folded[s:e], out=sums[s:e])
     return sums
 
 

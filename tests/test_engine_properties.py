@@ -231,9 +231,12 @@ def test_symmetry_reductions_are_safe():
     # fold over symmetry representatives cannot bias maxima.  kstep_vector
     # fills each level's upper half by the complement, so the complement
     # assertion holds by construction; test_forward_matches_shared_vector
-    # checks that half against kstep_prob, which uses no symmetry.  The
-    # reflection assertion also guards _backward_level's precondition: it
-    # reads each level's vector in place, so g_0..g_3 must be mirror-symmetric
+    # checks that half against kstep_prob, which uses no symmetry.  Both
+    # assertions also guard _backward_level's preconditions: it reads each
+    # level's vector in place, site order reversed, so g_0..g_3 must be
+    # mirror-symmetric, and it reads only the vector's lower half and keeps
+    # only the first half of each partial sum, so they must be
+    # complement-symmetric
     for k in (0, 1, 2, 3):
         g, exp = kstep_vector(k)
         length = 4 * k + 5
@@ -386,9 +389,10 @@ def test_compute_tables_memory_bounded():
 
 
 def test_backward_level_memory_bounded():
-    # the k=4 top level reads g_3 in place: its stack of partial sums never
-    # exceeds g_3's size, and it holds one sum per pair; 0.5 MiB covers the
-    # group bounds, and a copy of g_3 (1 MiB) breaks the bound
+    # the k=4 top level reads g_3 in place: its per-depth buffers of partial
+    # sums hold half of g_3, and it holds one sum per pair; 0.5 MiB covers
+    # the folded indices and the group bounds, and a copy of g_3 (1 MiB)
+    # breaks the bound
     g_3, _ = kstep_vector(3)
     masks, index = _representatives(21)
     tracemalloc.start()
@@ -398,6 +402,26 @@ def test_backward_level_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < g_3.nbytes + 8 * len(index) + (1 << 19), peak / 2**20
+
+
+def test_backward_level_reads_lower_half():
+    # every vector the sweep passes is complement-symmetric, so the level
+    # reads only its lower half: with the upper half overwritten by -1 every
+    # sum is unchanged, over the words of top color 0 and the fold's pairs
+    for k in (2, 3, 4):
+        length = 4 * k + 5
+        nint, full = length - 4, (1 << (length - 4)) - 1
+        g_next, _ = kstep_vector(k - 1)
+        broken = g_next.copy()
+        broken[len(broken) // 2:] = -1
+        words = np.arange(1 << (length - 1), dtype=np.int32)
+        masks = (unstable_bits(words, length) >> 2) & full
+        order = np.argsort(masks, kind="stable")
+        masks, words = masks[order], words[order]
+        for masks, index in ((masks, _stable_index(masks, words, nint)),
+                             _representatives(length)):
+            expect = _backward_level(g_next, masks, index)
+            assert np.array_equal(_backward_level(broken, masks, index), expect), length
 
 
 def test_window_sufficiency_exhaustive_k1():
@@ -518,12 +542,14 @@ def test_backward_level_order_and_values():
     # that of arbitrary next-level values over the recolorings of the word's
     # unstable interior sites; for all words, a random third of them, and
     # the table fold's distinct pairs, each checked on one word that has it;
-    # the values are mirror-symmetric, as every vector the sweep passes is
+    # the values are mirror- and complement-symmetric, as every vector the
+    # sweep passes is
     rng = np.random.default_rng(8)
     for length in (9, 13):
         nint, full = length - 4, (1 << (length - 4)) - 1
         g_next = rng.integers(0, 1 << 20, size=1 << nint)
         g_next = g_next + g_next[mirrored(np.arange(1 << nint), nint)]
+        g_next = g_next + g_next[::-1]  # the complement of word i is 2^nint - 1 - i
         every = np.arange(1 << length, dtype=np.int32)
 
         def entries(words):
