@@ -375,9 +375,9 @@ def test_group_maximum_over_pairs_is_maximum_over_words():
 
 
 def test_compute_tables_memory_bounded():
-    # one stack of partial sums, and a top level that holds only its
-    # distinct (mask, stable index) pairs and one sum for each, never a
-    # word's worth of arrays: the k=4 tables never hold a whole level's sums
+    # one half-size partial sum per trie depth, and a top level that holds
+    # only its distinct (mask, stable index) pairs and one sum for each, never
+    # a word's worth of arrays: the k=4 tables never hold a whole level's sums
     compute_tables(1)  # the pext table, built once per process
     tracemalloc.start()
     try:
@@ -417,9 +417,8 @@ def test_backward_level_reads_lower_half():
         words = np.arange(1 << (length - 1), dtype=np.int32)
         masks = (unstable_bits(words, length) >> 2) & full
         order = np.argsort(masks, kind="stable")
-        masks, words = masks[order], words[order]
-        for masks, index in ((masks, _stable_index(masks, words, nint)),
-                             _representatives(length)):
+        per_word = masks[order], _stable_index(masks[order], words[order], nint)
+        for masks, index in (per_word, _representatives(length)):
             expect = _backward_level(g_next, masks, index)
             assert np.array_equal(_backward_level(broken, masks, index), expect), length
 
