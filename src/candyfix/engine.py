@@ -34,8 +34,9 @@ Each level averages over the unstable sites of every word; words sharing an
 unstable-site mask share one partial sum of the next level's values, and
 those sums are built depth first along the masks' common prefixes.  A word's
 value is one entry of its mask's partial sum, the one at its stable index
-(its stable interior bits).  In :func:`kstep_vector` a level's per-word work
-is one key sort, one table-driven index pass, one shift and one scatter.
+(its stable interior bits, folded with its complement's).  :func:`_level`
+runs a level on given words for :func:`kstep_vector` and :func:`kstep_values`
+alike: one key sort, one table-driven index pass and one shift per word.
 
 Complementing every color keeps a word's unstable sites and its probability,
 so every level reads only the words (the tables' top level: the interiors)
@@ -55,8 +56,8 @@ table cell of all its words, so each group's maximum folds into its cell and
 the words of mask U onto those of the mirrored mask rev(U), value for value,
 so only masks with U >= rev(U), the upper of each mirrored pair, are kept,
 and each group's maximum also fills the cell of rev(U) (the gap (m, n)
-beside (n, m)).  Words with the same mask and stable index have the same
-value, so the level folds only the distinct (mask, stable index) pairs and
+beside (n, m)).  Words with the same mask and stable bits have the same
+value, so the level folds only the distinct (mask, stable bits) pairs and
 holds no array over its words.  It builds them from the interiors, not the
 words: a word's border can only make the interior's first or last run
 unstable, so each interior stands for its words through four masks.  At k=4
@@ -135,19 +136,27 @@ def _pext_table() -> np.ndarray:
 
 
 def _stable_index(masks: np.ndarray, words: np.ndarray, nint: int) -> np.ndarray:
-    """Each word's bits at the clear positions of its unstable interior mask, lowest
-    site most significant: one :func:`_pext_table` lookup per chunk, low chunk first."""
+    """Each word's stable index, int32: i, its bits 2..L-3 at its mask's clear bits,
+    lowest site most significant, one :func:`_pext_table` lookup a chunk, folded
+    to ``min(i, n-1-i)``, n = 2^(stable count), as its complement's i is n-1-i."""
     table = _pext_table()
     full, chunk = (1 << nint) - 1, (1 << _CHUNK) - 1
     out = np.zeros(len(masks), dtype=np.int32)
     for lo in range(0, len(masks), _BLOCK):
         stable = ~masks[lo: lo + _BLOCK] & full
-        interior = (words[lo: lo + _BLOCK] >> 2) & full
+        interior = words[lo: lo + _BLOCK] >> 2  # bits past the interior meet no stable bit
         idx = out[lo: lo + _BLOCK]
-        for shift in range(0, nint, _CHUNK):
-            sc = (stable >> shift) & chunk
+        for _ in range(0, nint, _CHUNK):  # each pass consumes one chunk of both
+            sc = stable & chunk
             idx <<= np.bitwise_count(sc)
-            idx |= table[(sc << _CHUNK) | ((interior >> shift) & chunk)]
+            sc <<= _CHUNK
+            sc |= interior & chunk
+            idx |= table[sc]
+            stable >>= _CHUNK
+            interior >>= _CHUNK
+        rest = np.int32(full) >> np.bitwise_count(masks[lo: lo + _BLOCK])  # n - 1
+        rest -= idx
+        np.minimum(idx, rest, out=idx)
     return out
 
 
@@ -164,36 +173,29 @@ def _mirrors(nbits: int) -> np.ndarray:
 
 
 def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (mask, stable index) pairs the tables' top level folds.
+    """The distinct (mask, stable bits) pairs the tables' top level folds.
 
     A word's pair depends on its interior x, sites [2, L-3], and on its
-    border only through two choices.  The border sites 0 and 1 meet the
-    interior only in the triples (0, 1, 2) and (1, 2, 3), whose interior
-    sites lie in x's first run, so the left border either makes that run
-    unstable or leaves x's clipped mask, and some border does each; the
-    right border acts likewise on the last run.  So the masks of x's words
-    are the four of :func:`_border_masks`, and the level enumerates
-    interiors instead of words.  The complement keeps a mask and its values,
-    so only interiors whose top site has color 0 are read.  The reflection
-    maps the words of mask U onto those of rev(U) with the same values, so
-    only masks with U >= rev(U), the upper of each mirrored pair, are kept;
-    the groups of the other masks are the mirrors of kept ones.  rev(U) is
-    read from two :func:`_mirrors` tables of half the width, one for U's low
-    bits and one for its high bits, so no table covers every mask.  Words that
-    share a mask and a :func:`_stable_index` share their sum, so a group's
-    maximum over its words is its maximum over its distinct indices.  The
-    interiors are read in ``_BLOCK``-interior blocks; each block keeps its
-    distinct int64 keys ``(mask << nint) | stable bits``, x with the mask's
-    bits cleared, which determine the index; the blocks' keys are sorted
-    once more together when there are several.  Only the distinct keys of
-    all blocks go through :func:`_stable_index`: at k=4 the 65,536
-    interiors read, one block, keep 77,741 pairs in 2,781 groups.
+    border only through two choices: sites 0 and 1 meet the interior only in
+    the triples (0, 1, 2) and (1, 2, 3), inside x's first run, so the left
+    border either makes that run unstable or leaves x's clipped mask, and
+    some border does each; the right border acts likewise on the last run.
+    So x's words have the four masks of :func:`_border_masks`, and the level
+    enumerates interiors, those whose top site has color 0 (the complement
+    keeps a mask and its values).  Reflection maps the words of mask U onto
+    those of rev(U), value for value, so only masks with U >= rev(U) are
+    kept, rev(U) read from two :func:`_mirrors` tables of half the width.
+    Words with the same mask and stable bits share their sum, so a group's
+    maximum over its words is its maximum over its distinct pairs.  Each
+    ``_BLOCK`` of interiors keeps its distinct int64 keys ``(mask << nint) |
+    stable bits``, and several blocks' keys are sorted once more together.
+    At k=4 the 65,536 interiors, one block, keep 77,741 pairs in 2,781 groups.
 
-    Returns the pairs' int32 masks and their int32 indices in the keys'
-    order: masks ascending, then stable bits, which :func:`_backward_level`
-    needs only as runs of equal masks.  Sorted by mask, the upper masks share
-    longer high-bit prefixes than the lower ones, so its trie computes fewer
-    partial sums (4,575 instead of 7,233 at k=4).
+    Returns the pairs' int32 masks and int32 stable words (the stable bits at
+    bits 2..L-3, as in a word), masks ascending: :func:`_backward_level`
+    needs runs of equal masks, and sorted upper masks share longer high-bit
+    prefixes than lower ones, so its trie computes fewer partial sums (4,575
+    instead of 7,233 at k=4).
     """
     nint, half = length - 4, 1 << (length - 5)
     low = nint // 2  # rev(U) is the mirror of U's low bits, moved up, | that of its high bits
@@ -215,8 +217,9 @@ def _representatives(length: int) -> tuple[np.ndarray, np.ndarray]:
         del parts  # the blocks' keys go before the last sort copies them
         keys = _distinct(keys)
     masks = (keys >> nint).astype(np.int32)
+    keys &= (1 << nint) - 1
     keys <<= 2  # the stable bits where _stable_index reads a word's interior
-    return masks, _stable_index(masks, keys, nint)
+    return masks, keys.astype(np.int32)
 
 
 def _border_masks(interior: np.ndarray, nint: int) -> np.ndarray:
@@ -252,22 +255,18 @@ def sweep_exponent(k: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _backward_level(g_next: np.ndarray, masks: np.ndarray, words: np.ndarray) -> np.ndarray:
     """One backward step: sums of the values g_next on length-(L-4) words.
 
     ``masks`` are unstable interior masks of length-L words, ascending, and
-    ``index`` each entry's :func:`_stable_index`.  Returns one array of
-    sums in g_next's dtype, aligned with ``index``: entry i is the sum for
-    the word with mask ``masks[i]`` and stable index ``index[i]``; a run of
-    equal masks is a group, and each group writes its slice.  For a word w,
-    the interior [2, L-3] is exactly the region whose stability the word
-    determines and the region the next level's words live on.  The sum is
-    g_next summed over the 2^u joint recolorings of w's u unstable interior
-    sites; the word's value is that sum over 2^u, which the caller holds as
-    the integer ``sums << (L-4-u)`` so the whole level shares the exponent
-    increment L-4.  :func:`kstep_vector` passes one entry per word with top color 0,
-    and :func:`compute_tables` the distinct pairs of
-    :func:`_representatives`.
+    ``words`` integers whose bits 2..L-3 are each entry's interior, of which
+    :func:`_stable_index` reads the stable bits.  Returns one sum per entry,
+    in g_next's dtype; a run of equal masks is a group.  A word's interior
+    [2, L-3] is exactly the region whose stability it determines and where
+    the next level's words live.  Its sum is g_next over the 2^u joint
+    recolorings of its u unstable interior sites, and its value that sum
+    over 2^u.  :func:`_level` passes the words it is given, and
+    :func:`compute_tables` the pairs of :func:`_representatives`.
 
     The groups walk the trie of high-bit mask prefixes depth first.  The sum
     of g_next over the axes of mask U is the sum for U without its lowest
@@ -284,25 +283,24 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray) ->
     on axis p, which reads as site p because g_next is mirror-symmetric.
 
     g_next is also complement-symmetric, ``g_next[i] == g_next[N-1-i]``, and
-    a partial sum inherits that, since complementing a word maps the
-    recolorings of its unstable sites onto each other: a partial sum S of n
-    entries has S[i] == S[n-1-i] and is held as its first half H,
-    ``ceil(n/2)`` entries.  The root is the view ``g_next[:N//2]``, and
-    nothing reads ``g_next[N//2:]``.  Site 0, the outermost axis, is summed
-    out last on every path, so before that H is S with site 0 at color 0,
-    and summing out site p > 0 adds the halves of
-    ``H.reshape(2^(p-1), 2, -1)``.  Summing out site 0 adds S's outer
-    halves, and S's second half is H reversed, so the new half is
-    ``H[:m] + H[::-1][:m]``.  A pair with index i reads H at
-    ``min(i, n-1-i)``, folded once for all pairs in an int32 array.  The
-    partial sums at trie depth d live in one buffer of that depth, half of
-    g_next in all, and the (depth, p) views are built once per call, so a
-    trie step is one ``np.add`` into its depth's buffer.
-
-    Both symmetries are preconditions, which the module docstring states:
-    every vector :func:`kstep_vector` returns has both.
+    so is each partial sum, since complementing a word maps the recolorings
+    of its unstable sites onto each other: a partial sum S of n entries has
+    S[i] == S[n-1-i] and is held as its first half H, ``ceil(n/2)``
+    entries.  The root is the view ``g_next[:N//2]``; nothing reads
+    ``g_next[N//2:]``.  Site 0, the outermost axis, is summed out last on
+    every path, so before that H is S with site 0 at color 0, and summing
+    out site p > 0 adds the halves of ``H.reshape(2^(p-1), 2, -1)``.
+    Summing out site 0 adds S's outer halves, S's second half being H
+    reversed: ``H[:m] + H[::-1][:m]``.  A word with index i reads H at the
+    folded index ``min(i, n-1-i)`` of :func:`_stable_index`.  Each trie
+    depth's partial sums live in one buffer, half of g_next in all, and the
+    (depth, p) views are built once per call, so a trie step is one
+    ``np.add`` into its depth's buffer.  Both symmetries are preconditions
+    (see the module docstring): every vector :func:`kstep_vector` returns
+    has both.
     """
     nint = len(g_next).bit_length() - 1
+    index = _stable_index(masks, words, nint)  # before the buffers: its temporaries pass
     nodes = [g_next[: len(g_next) // 2]] + [  # depth d: half of 2^(nint-d) entries
         np.empty(((1 << (nint - d)) + 1) // 2, dtype=g_next.dtype) for d in range(1, nint + 1)]
     steps = [None]  # steps[d][p]: np.add's operands that sum site p out of depth d-1
@@ -313,9 +311,6 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray) ->
             split = half.reshape(1 << (p - 1), 2, -1)
             row.append((split[:, 0], split[:, 1], out.reshape(1 << (p - 1), -1)))
         steps.append(row)
-    folded = np.int32((1 << nint) - 1) >> np.bitwise_count(masks)  # a pair's n - 1
-    folded -= index
-    np.minimum(folded, index, out=folded)
     starts = np.flatnonzero(_firsts(masks))
     ends = np.r_[starts[1:], len(masks)]
     sums = np.empty(len(index), dtype=g_next.dtype)
@@ -334,8 +329,34 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, index: np.ndarray) ->
             np.add(a, b, out=out)
             prefix |= 1 << p
             stack.append(prefix)
-        nodes[len(stack) - 1].take(folded[s:e], out=sums[s:e])
+        nodes[len(stack) - 1].take(index[s:e], out=sums[s:e])
     return sums
+
+
+def _level(g_next: np.ndarray, words: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """One backward level on ``length``-site words in [0, 2^L): (words, sums).
+
+    One in-place sort of int64 keys ``(mask << L) | word`` puts the words in
+    the mask order :func:`_backward_level` needs; the keys are freed before
+    it runs.  Returns the sorted words, int32, and their sums, each shifted
+    by its stable count: a word's value is its sum over 2^(exp + L-4), exp
+    that of g_next.
+    """
+    full = (1 << (length - 4)) - 1
+    keys = np.empty(len(words), dtype=np.int64)
+    for lo in range(0, len(words), _BLOCK):
+        block = words[lo: lo + _BLOCK]
+        unstable = ((unstable_bits(block, length) >> 2) & full).astype(np.int64)
+        keys[lo: lo + _BLOCK] = (unstable << length) | block
+    keys.sort()
+    words = keys.astype(np.int32)  # the low 32 bits; the mask's bits cleared next
+    words &= (1 << length) - 1
+    keys >>= length
+    masks = keys.astype(np.int32)
+    del keys  # frees 8 bytes a word while the groups run; no view of it may remain
+    sums = _backward_level(g_next, masks, words)
+    sums <<= length - 4 - np.bitwise_count(masks)
+    return words, sums
 
 
 def check_sweep_k(k: int) -> None:
@@ -355,36 +376,18 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     after k synchronous steps given initial colors w; k=0 gives the 5-site
     instability indicator.
 
-    Each level sweeps only the words whose top site has color 0, the lower
-    half: one array of sums from :func:`_backward_level`, one shift by each
-    word's stable count, one scatter into the level's vector, and the upper
-    half filled by the complement, ``g[half:] = g[half-1::-1]``.  The
-    level's vector is allocated only after its keys and masks are freed, so
-    it never coexists with them.
+    Each level runs :func:`_level` on the words whose top site has color 0,
+    the lower half, scatters its sums into the level's vector, allocated
+    only after the level's keys and masks are freed, and fills the upper
+    half by the complement, ``g[half:] = g[half-1::-1]``.
     """
     if k:
         check_sweep_k(k)
     g = ((unstable_bits(np.arange(32), 5) >> 2) & 1).astype(np.int64)  # g_0 on 5-site words
     for r in range(1, k + 1):
         length = 4 * r + 5
-        nint = length - 4
-        full, half = (1 << nint) - 1, 1 << (length - 1)
-        # one in-place sort of int64 keys (mask << L) | word orders the words
-        # with top color 0 by mask, then word, so that the level's groups are runs
-        keys = np.empty(half, dtype=np.int64)
-        for lo in range(0, half, _BLOCK):
-            block = np.arange(lo, min(lo + _BLOCK, half), dtype=np.int32)
-            unstable = ((unstable_bits(block, length) >> 2) & full).astype(np.int64)
-            keys[lo: lo + _BLOCK] = (unstable << length) | block
-        keys.sort()
-        words = keys.astype(np.int32)  # the low 32 bits; the mask's bits cleared next
-        words &= (1 << length) - 1
-        keys >>= length
-        masks = keys.astype(np.int32)
-        del keys  # frees 8 bytes a word while the groups run; no view of it may remain
-        sums = _backward_level(g, masks, _stable_index(masks, words, nint))
-        sums <<= nint - np.bitwise_count(masks)
-        del masks
+        half = 1 << (length - 1)
+        words, sums = _level(g, np.arange(half, dtype=np.int32), length)
         g = np.empty(1 << length, dtype=np.int64)
         g[words] = sums
         g[half:] = g[half - 1::-1]  # the complement of word w is 2^L - 1 - w
@@ -395,29 +398,24 @@ def kstep_values(words, k: int) -> list[Dyadic]:
     """g_k at each radius-(2k+2) word of ``words``, without the level-k vector.
 
     The sweep's top level run on these words only: ``kstep_vector(k - 1)``
-    once, then one :func:`_backward_level` over the words' masks and stable
-    indices, ordered by mask.  The level sums in uint64, so this reaches
-    k=5 on g_4; a k whose g_{k-1} is too wide for that raises ValueError.
-    Each word's value is its sum over 2^(exp + u), u its unstable count.
+    once, then one :func:`_level` over the words.  The level sums in uint64,
+    so this reaches k=5 on g_4; a k whose g_{k-1} is too wide for that, or a
+    word outside [0, 2^(4k+5)), raises ValueError.  Each word's value is its
+    sum over 2^(exp + 4k+1), exp that of g_{k-1}.
     """
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
     length = 4 * k + 5
     nint = length - 4
+    words = [WindowClass(int(w), 2 * k + 2).word for w in words]  # ValueError outside [0, 2^L)
     g, exp = kstep_vector(k - 1)
     bits = int(g.max()).bit_length()
-    if bits + nint > 64:  # a sum adds up to 2^nint values of g_{k-1}
+    if bits + nint > 64:  # a shifted sum adds up to 2^nint values of g_{k-1}
         raise ValueError(f"k={k} sums 2^{nint} values of {bits} bits; "
                          f"the level's uint64 sums hold 64 bits")
-    words = np.asarray(words, dtype=np.int64)
-    masks = (unstable_bits(words, length) >> 2) & ((1 << nint) - 1)
-    order = np.argsort(masks, kind="stable")
-    masks, words = masks[order], words[order]
-    sums = _backward_level(g.view(np.uint64), masks, _stable_index(masks, words, nint))
-    values = [None] * len(order)
-    for i, s, u in zip(order.tolist(), sums.tolist(), np.bitwise_count(masks).tolist()):
-        values[i] = Dyadic(s, exp + u)
-    return values
+    ordered, sums = _level(g.view(np.uint64), np.array(words, dtype=np.int64), length)
+    value = dict(zip(ordered.tolist(), sums.tolist()))
+    return [Dyadic(value[w], exp + nint) for w in words]
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +482,7 @@ def worst_case(
 def compute_tables(k: int) -> ProbTables:
     """All worst-case tables for k steps; exact maxima over every window class.
 
-    Evaluates the top level on the distinct (mask, stable index) pairs of
+    Evaluates the top level on the distinct (mask, stable bits) pairs of
     :func:`_representatives` only: a border can only make its interior's
     first or last run unstable, so each interior gives its words' pairs
     through four masks.  Of these it keeps one interior per complement
@@ -504,8 +502,8 @@ def compute_tables(k: int) -> ProbTables:
     """
     check_sweep_k(k)
     length, sat = 4 * k + 5, 2 * k
-    masks, index = _representatives(length)
-    sums = _backward_level(kstep_vector(k - 1)[0], masks, index)
+    masks, words = _representatives(length)
+    sums = _backward_level(kstep_vector(k - 1)[0], masks, words)
     starts = np.flatnonzero(_firsts(masks))
     masks = masks[starts]
     tops = np.maximum.reduceat(sums, starts) << (length - 4 - np.bitwise_count(masks))

@@ -176,6 +176,32 @@ def test_kstep_values_k5_pinned():
         Dyadic(570543725928283, 52), Dyadic(570543725928283, 52), Dyadic(413567, 24)]
 
 
+def test_kstep_values_refuses_words_outside_the_window(monkeypatch):
+    # a word of more than 4k+5 sites, or a negative one, is refused by name
+    # before g_(k-1) is built; an in-range word still gets its value
+    word = 0b101100111
+    assert kstep_values([word], 1) == [kstep_prob(WindowClass.from_word(word, 4), 1)]
+    monkeypatch.setattr(engine, "kstep_vector", lambda k: pytest.fail("g_(k-1) was built"))
+    for bad in (1 << 13, -1):
+        with pytest.raises(ValueError, match=rf"word {bad} does not fit 9 sites"):
+            kstep_values([5, bad], 1)
+
+
+def test_kstep_vector_memory_bounded():
+    # level 4's vector is allocated after its int64 keys and its masks are
+    # freed: at the scatter it holds g_4 (16 MiB), the level's int64 sums and
+    # int32 words for 2^20 words (12 MiB) and g_3 (1 MiB), 29 MiB in all, and
+    # the keys (8 MiB) alive at any point past the sort break the bound
+    kstep_vector(1)  # the pext table, built once per process
+    tracemalloc.start()
+    try:
+        kstep_vector(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak / 2**20
+
+
 def test_forward_program_memory_bounded():
     # each step resolves one unstable site at a time over merged (mask, base)
     # pairs, so it holds about the next support, not a rows x 2^u scatter; the
@@ -254,8 +280,8 @@ def test_mirror_table_matches_bitwise_mirror():
 def test_representatives_cover_every_mask():
     # interior top color 0 and U >= rev(U): every mask of the level is kept
     # or is the mirror of a kept one, the k=4 top level stands for about a
-    # quarter of the words, and it keeps each distinct (mask, stable index)
-    # pair of them once
+    # quarter of the words, and it keeps each distinct (mask, stable bits)
+    # pair of them once, the stable bits as a word's interior, bits 2..L-3
     counts = {}
     for length in (9, 13, 17, 21):
         nint, full = length - 4, (1 << (length - 4)) - 1
@@ -263,9 +289,10 @@ def test_representatives_cover_every_mask():
         masks = (unstable_bits(words, length) >> 2) & full
         read = ((words >> (length - 3)) & 1 == 0) & (masks >= mirrored(masks, nint))
         pairs = np.unique((masks[read].astype(np.int64) << nint)
-                          | _stable_index(masks[read], words[read], nint))
-        got_masks, got_index = _representatives(length)
-        got = (got_masks.astype(np.int64) << nint) | got_index
+                          | ((words[read] >> 2) & full & ~masks[read]))
+        got_masks, got_words = _representatives(length)
+        assert got_words.dtype == np.int32 and np.all(got_words & ~(full << 2) == 0), length
+        got = (got_masks.astype(np.int64) << nint) | (got_words >> 2)
         assert len(np.unique(got)) == len(got), length  # no pair repeats
         assert np.array_equal(np.sort(got), pairs), length
         kept = np.unique(got_masks)
@@ -276,10 +303,10 @@ def test_representatives_cover_every_mask():
     assert counts[21] == (547_836, 2_781, 5_473)
 
 
-def level_groups(g_next, masks, index) -> list[tuple[int, np.ndarray]]:
+def level_groups(g_next, masks, words) -> list[tuple[int, np.ndarray]]:
     """_backward_level's sums split at runs of equal masks: (mask, sums) per group."""
-    sums = _backward_level(g_next, masks, index)
-    assert len(sums) == len(index)
+    sums = _backward_level(g_next, masks, words)
+    assert len(sums) == len(words)
     starts = np.flatnonzero(np.r_[True, masks[1:] != masks[:-1]])
     return [(int(masks[s]), part) for s, part in zip(starts, np.split(sums, starts[1:]))]
 
@@ -345,17 +372,16 @@ def test_border_masks_give_every_words_pair():
 def test_representatives_k5():
     # the k=5 top level from its 2^20 interiors: the 18,873 groups of its
     # upper masks, and a peak set by the blocks' distinct keys and the pairs
-    # with their stable indices (25.2 MiB measured, bound 36 MiB), not by
+    # with their stable words (25.2 MiB measured, bound 36 MiB), not by
     # every word's key
-    _representatives(9)  # the pext table, built once per process
     tracemalloc.start()
     try:
-        masks, index = _representatives(25)
+        masks, words = _representatives(25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (len(masks), len(np.unique(masks))) == (1_137_487, 18_873)
-    assert len(index) == len(masks)
+    assert len(words) == len(masks)
     assert peak < 36 << 20, peak / 2**20
 
 
@@ -391,17 +417,17 @@ def test_compute_tables_memory_bounded():
 def test_backward_level_memory_bounded():
     # the k=4 top level reads g_3 in place: its per-depth buffers of partial
     # sums hold half of g_3, and it holds one sum per pair; 0.5 MiB covers
-    # the folded indices and the group bounds, and a copy of g_3 (1 MiB)
-    # breaks the bound
+    # the folded stable indices and the group bounds, and a copy of g_3
+    # (1 MiB) breaks the bound
     g_3, _ = kstep_vector(3)
-    masks, index = _representatives(21)
+    masks, words = _representatives(21)
     tracemalloc.start()
     try:
-        _backward_level(g_3, masks, index)
+        _backward_level(g_3, masks, words)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < g_3.nbytes + 8 * len(index) + (1 << 19), peak / 2**20
+    assert peak < g_3.nbytes + 8 * len(words) + (1 << 19), peak / 2**20
 
 
 def test_backward_level_reads_lower_half():
@@ -410,17 +436,16 @@ def test_backward_level_reads_lower_half():
     # sum is unchanged, over the words of top color 0 and the fold's pairs
     for k in (2, 3, 4):
         length = 4 * k + 5
-        nint, full = length - 4, (1 << (length - 4)) - 1
+        full = (1 << (length - 4)) - 1
         g_next, _ = kstep_vector(k - 1)
         broken = g_next.copy()
         broken[len(broken) // 2:] = -1
         words = np.arange(1 << (length - 1), dtype=np.int32)
         masks = (unstable_bits(words, length) >> 2) & full
         order = np.argsort(masks, kind="stable")
-        per_word = masks[order], _stable_index(masks[order], words[order], nint)
-        for masks, index in (per_word, _representatives(length)):
-            expect = _backward_level(g_next, masks, index)
-            assert np.array_equal(_backward_level(broken, masks, index), expect), length
+        for masks, words in ((masks[order], words[order]), _representatives(length)):
+            expect = _backward_level(g_next, masks, words)
+            assert np.array_equal(_backward_level(broken, masks, words), expect), length
 
 
 def test_window_sufficiency_exhaustive_k1():
@@ -509,10 +534,12 @@ def test_enumerate_windows_probabilities_realize_table_maxima():
 
 def test_stable_index_matches_bitwise_pext():
     # the table-driven index against the bit-by-bit definition: the stable
-    # interior bits of the word, lowest site most significant; more pairs
-    # than one block, masks whose stable runs straddle the 9-bit chunks, and
-    # at 9 interior sites one pair per pext-table entry, whose stable chunk
-    # is the entry's high 9 bits and whose interior is its low 9 bits
+    # interior bits of the word, lowest site most significant, as i, folded
+    # to min(i, n-1-i) over the mask's n stable indices, so that the word's
+    # complement gets the same index; more pairs than one block, masks whose
+    # stable runs straddle the 9-bit chunks, and at 9 interior sites one pair
+    # per pext-table entry, whose stable chunk is the entry's high 9 bits and
+    # whose interior is its low 9 bits
     rng = np.random.default_rng(7)
     cases = []
     for nint in (5, 9, 13, 17, 21):
@@ -530,19 +557,24 @@ def test_stable_index_matches_bitwise_pext():
                   ((entry & 511) << 2) | (outside & 3) | ((outside >> 2) << 11)))
     for nint, masks, words in cases:
         expect = np.zeros(len(masks), dtype=np.int64)
+        last = np.zeros(len(masks), dtype=np.int64)  # n - 1: all stable bits set
         for p in range(nint):
             stable = (masks >> p) & 1 == 0
             expect[stable] = (expect[stable] << 1) | ((words[stable] >> (p + 2)) & 1)
+            last[stable] = (last[stable] << 1) | 1
+        expect = np.minimum(expect, last - expect)
         assert np.array_equal(_stable_index(masks, words, nint), expect), nint
+        complement = words ^ ((1 << (nint + 4)) - 1)
+        assert np.array_equal(_stable_index(masks, complement, nint), expect), nint
 
 
 def test_backward_level_order_and_values():
     # groups in ascending mask order, one sum per given entry, and each sum
     # that of arbitrary next-level values over the recolorings of the word's
     # unstable interior sites; for all words, a random third of them, and
-    # the table fold's distinct pairs, each checked on one word that has it;
-    # the values are mirror- and complement-symmetric, as every vector the
-    # sweep passes is
+    # the table fold's distinct pairs, whose stable words are given and each
+    # checked on one word that has its pair; the values are mirror- and
+    # complement-symmetric, as every vector the sweep passes is
     rng = np.random.default_rng(8)
     for length in (9, 13):
         nint, full = length - 4, (1 << (length - 4)) - 1
@@ -555,21 +587,21 @@ def test_backward_level_order_and_values():
             masks = (unstable_bits(words, length) >> 2) & full
             order = np.lexsort((words, masks))
             words, masks = words[order], masks[order]
-            return words, masks, _stable_index(masks, words, nint)
+            return words, masks, words
 
-        words, masks, index = entries(every)
-        keys = (masks.astype(np.int64) << nint) | index
+        words, masks, _ = entries(every)
+        keys = (masks.astype(np.int64) << nint) | ((words >> 2) & full & ~masks)
         order = np.argsort(keys, kind="stable")
-        rep_masks, rep_index = _representatives(length)
-        rep_keys = (rep_masks.astype(np.int64) << nint) | rep_index
+        rep_masks, rep_given = _representatives(length)
+        rep_keys = (rep_masks.astype(np.int64) << nint) | (rep_given >> 2)
         at = np.searchsorted(keys[order], rep_keys)
         assert np.array_equal(keys[order][at], rep_keys)
         rep_words = words[order][at]
         third = np.sort(rng.choice(every, size=len(every) // 3, replace=False))
-        for words, masks, index in (entries(every), entries(third),
-                                    (rep_words, rep_masks, rep_index)):
+        for words, masks, given in (entries(every), entries(third),
+                                    (rep_words, rep_masks, rep_given)):
             lo, last_mask = 0, -1
-            for mask, sums in level_groups(g_next, masks, index):
+            for mask, sums in level_groups(g_next, masks, given):
                 assert mask > last_mask
                 last_mask = mask
                 group = words[lo: lo + len(sums)]

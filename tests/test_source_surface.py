@@ -1,7 +1,8 @@
 """The package ships only what runs: no unused import, no public name nobody calls.
 
-A top-level public function or class of ``src/candyfix`` must be referenced
-from outside its own definition by some module of ``src/candyfix`` or of
+A top-level public function or class of ``src/candyfix``, and a private
+(underscored) function, class or module constant, must be referenced from
+outside its own definition by some module of ``src/candyfix`` or of
 ``perfbench/`` (the benchmark names its targets as strings, so a dotted name
 in a string constant counts).  What only tests call belongs in the tests.
 The Monte Carlo half takes nothing from the exact half but the window type,
@@ -56,6 +57,18 @@ def _references(node) -> set[str]:
     return names
 
 
+def _defined(node) -> list[str]:
+    """The names a top-level statement defines that must have a user: a
+    function or class, public or private, and a private module constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)
+                and t.id.startswith("_") and not t.id.startswith("__")]
+    return []
+
+
 def test_every_import_and_public_name_is_used():
     package = _parsed(sorted(PACKAGE.glob("*.py")))
     bench = _parsed(sorted((ROOT / "perfbench").glob("*.py")))
@@ -80,14 +93,12 @@ def test_every_import_and_public_name_is_used():
     oracles = set()
     for path, tree in package.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
-                continue
-            if (path.stem, node.name) in TEST_ORACLES:
-                oracles.add((path.stem, node.name))
-            elif not any(node.name in names for other, names in referenced if other is not node):
-                problems.append(f"{path.name}:{node.lineno} {node.name} has no caller "
-                                "in src/candyfix or perfbench")
+            for name in _defined(node):
+                if (path.stem, name) in TEST_ORACLES:
+                    oracles.add((path.stem, name))
+                elif not any(name in names for other, names in referenced if other is not node):
+                    problems.append(f"{path.name}:{node.lineno} {name} has no caller "
+                                    "in src/candyfix or perfbench")
     assert problems == []
     assert oracles == set(TEST_ORACLES)  # every named exception still exists
 
