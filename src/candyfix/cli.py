@@ -261,19 +261,16 @@ def cmd_certify(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    if args.k < 1:
-        return _fail(f"--k must be >= 1, got {args.k}")
+    try:
+        check_sweep_k(args.k)
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.samples < 1:
         return _fail(f"--samples must be >= 1, got {args.samples}")
     if args.windows < 1:
         return _fail(f"--windows must be >= 1, got {args.windows}")
     if not 0 <= args.seed < 1 << 64:  # the Philox key that draws the windows
         return _fail(f"--seed must lie in [0, 2^64), got {args.seed}")
-    if args.k > 1:  # the exact values read g_(k-1), which the sweep builds up to k=4
-        try:
-            check_sweep_k(args.k - 1)
-        except ValueError as exc:
-            return _fail(f"--k {args.k} reads the sweep's level {args.k - 1}: {exc}")
     radius = 2 * args.k + 2
     payload = {"k": args.k, "samples": args.samples, "windows": args.windows,
                "seed": args.seed, "coin_stream_format": COIN_STREAM_FORMAT}
@@ -283,7 +280,7 @@ def cmd_crosscheck(args) -> int:
     start = time.perf_counter()
     try:
         exacts = [float(value) for value in kstep_values(words, args.k)]
-    except ValueError as exc:  # g_(k-1) too wide for the level's uint64 sums
+    except ValueError as exc:  # a level whose sums would pass 64 bits
         return _fail(str(exc))
     exact_s = time.perf_counter() - start
 
@@ -322,9 +319,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if args.k < 1:
-        return _fail(f"--k must be >= 1, got {args.k}")
-    try:  # kstep_prob refuses a window too wide to run or too narrow for k
+    try:  # kstep_prob refuses a step count below 1 and a window too wide or too narrow
         prob = kstep_prob(WindowClass.parse(args.window), args.k)
     except ValueError as exc:
         return _fail(str(exc))

@@ -5,10 +5,10 @@ uniform recoloring.  Everything here is exact integer arithmetic.  The sweep
 holds probabilities as integer numerators over one power-of-two denominator,
 and hands them out as :class:`candyfix.dyadic.Dyadic` - a Fraction whose
 denominator is a power of two; nothing else is needed because every branch
-weight is 1/2.  Numerators are int64, except in the uint64 sums of
-:func:`kstep_values` and in the forward program :func:`kstep_prob` from the
-first step whose total mass passes int64: there they are Python ints (as at
-the last step of the all-0 window at k=5).
+weight is 1/2.  Numerators are int64, or uint64 at a sweep level whose sums
+can reach 64 bits (level 5), as :func:`_backward_level` reads off the vector
+it sums, and Python ints in the forward program :func:`kstep_prob` from the
+first step whose total mass passes int64 (the all-0 window's last at k=5).
 
 Core quantities:
 
@@ -240,11 +240,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[_firsts(keys)]
 
 
-# Widest numerator int64 holds: check_sweep_k refuses a k whose sweep passes it,
-# kstep_prob moves to Python ints at the first step whose total mass would.
-SWEEP_BITS = 62
-
-
 def sweep_exponent(k: int) -> int:
     """Exponent of g_k and of every k-step table entry: level r adds its 4r+1 interior sites."""
     return 2 * k * k + 3 * k
@@ -261,7 +256,7 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, words: np.ndarray) ->
     ``masks`` are unstable interior masks of length-L words, ascending, and
     ``words`` integers whose bits 2..L-3 are each entry's interior, of which
     :func:`_stable_index` reads the stable bits.  Returns one sum per entry,
-    in g_next's dtype; a run of equal masks is a group.  A word's interior
+    int64 or uint64 as below; a run of equal masks is a group.  A word's interior
     [2, L-3] is exactly the region whose stability it determines and where
     the next level's words live.  Its sum is g_next over the 2^u joint
     recolorings of its u unstable interior sites, and its value that sum
@@ -297,12 +292,20 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, words: np.ndarray) ->
     (depth, p) views are built once per call, so a trie step is one
     ``np.add`` into its depth's buffer.  Both symmetries are preconditions
     (see the module docstring): every vector :func:`kstep_vector` returns
-    has both.
+    has both.  The sweep's one width rule is here: a sum, as its caller
+    shifts it, is at most 2^nint times max(H), so at ``bits =
+    max(H).bit_length() + nint`` up to 63 it sums in int64, at 64 in uint64,
+    either a view of H, and beyond 64 it raises ValueError before any sum.
     """
     nint = len(g_next).bit_length() - 1
+    root = g_next[: len(g_next) // 2]
+    bits = int(root.max()).bit_length() + nint
+    if bits > 64:
+        raise ValueError(f"a level sums 2^{nint} values of {bits - nint} bits, past 64")
+    root = root.view(np.int64 if bits < 64 else np.uint64)
     index = _stable_index(masks, words, nint)  # before the buffers: its temporaries pass
-    nodes = [g_next[: len(g_next) // 2]] + [  # depth d: half of 2^(nint-d) entries
-        np.empty(((1 << (nint - d)) + 1) // 2, dtype=g_next.dtype) for d in range(1, nint + 1)]
+    nodes = [root] + [  # depth d: half of 2^(nint-d) entries
+        np.empty(((1 << (nint - d)) + 1) // 2, dtype=root.dtype) for d in range(1, nint + 1)]
     steps = [None]  # steps[d][p]: np.add's operands that sum site p out of depth d-1
     for d in range(1, nint + 1):
         half, out = nodes[d - 1], nodes[d]
@@ -313,7 +316,7 @@ def _backward_level(g_next: np.ndarray, masks: np.ndarray, words: np.ndarray) ->
         steps.append(row)
     starts = np.flatnonzero(_firsts(masks))
     ends = np.r_[starts[1:], len(masks)]
-    sums = np.empty(len(index), dtype=g_next.dtype)
+    sums = np.empty(len(index), dtype=root.dtype)
     stack = [0]  # the masks of the partial sums in nodes[0..depth]
     for s, e in zip(starts.tolist(), ends.tolist()):
         mask = int(masks[s])
@@ -338,9 +341,9 @@ def _level(g_next: np.ndarray, words: np.ndarray, length: int) -> tuple[np.ndarr
 
     One in-place sort of int64 keys ``(mask << L) | word`` puts the words in
     the mask order :func:`_backward_level` needs; the keys are freed before
-    it runs.  Returns the sorted words, int32, and their sums, each shifted
-    by its stable count: a word's value is its sum over 2^(exp + L-4), exp
-    that of g_next.
+    it runs.  Returns the sorted words, int32, and their sums, in the dtype
+    :func:`_backward_level` picks, each shifted by its stable count: a
+    word's value is its sum over 2^(exp + L-4), exp that of g_next.
     """
     full = (1 << (length - 4)) - 1
     keys = np.empty(len(words), dtype=np.int64)
@@ -360,13 +363,12 @@ def _level(g_next: np.ndarray, words: np.ndarray, length: int) -> tuple[np.ndarr
 
 
 def check_sweep_k(k: int) -> None:
-    """Raise ValueError unless the shared k-step vector fits the sweep's numerators."""
+    """Raise ValueError unless 1 <= k <= 5: level 6 would need 88-bit sums."""
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    bits = sweep_exponent(k)
-    if bits > SWEEP_BITS:
-        raise ValueError(f"k={k} needs {bits}-bit numerators; the exact sweep is "
-                         f"limited to {SWEEP_BITS} bits (k <= 4)")
+    if k > 5:
+        raise ValueError(f"k={k} is beyond the exact sweep (k <= 5): level 6 would "
+                         f"sum 2^25 values of g_5, whose maximum has 63 bits")
 
 
 def kstep_vector(k: int) -> tuple[np.ndarray, int]:
@@ -379,7 +381,8 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
     Each level runs :func:`_level` on the words whose top site has color 0,
     the lower half, scatters its sums into the level's vector, allocated
     only after the level's keys and masks are freed, and fills the upper
-    half by the complement, ``g[half:] = g[half-1::-1]``.
+    half by the complement, ``g[half:] = g[half-1::-1]``.  Each vector has its
+    sums' dtype: int64 up to g_4, uint64 for g_5 (2^25 words, 256 MiB).
     """
     if k:
         check_sweep_k(k)
@@ -388,7 +391,7 @@ def kstep_vector(k: int) -> tuple[np.ndarray, int]:
         length = 4 * r + 5
         half = 1 << (length - 1)
         words, sums = _level(g, np.arange(half, dtype=np.int32), length)
-        g = np.empty(1 << length, dtype=np.int64)
+        g = np.empty(1 << length, dtype=sums.dtype)
         g[words] = sums
         g[half:] = g[half - 1::-1]  # the complement of word w is 2^L - 1 - w
     return g, sweep_exponent(k)
@@ -398,24 +401,18 @@ def kstep_values(words, k: int) -> list[Dyadic]:
     """g_k at each radius-(2k+2) word of ``words``, without the level-k vector.
 
     The sweep's top level run on these words only: ``kstep_vector(k - 1)``
-    once, then one :func:`_level` over the words.  The level sums in uint64,
-    so this reaches k=5 on g_4; a k whose g_{k-1} is too wide for that, or a
-    word outside [0, 2^(4k+5)), raises ValueError.  Each word's value is its
-    sum over 2^(exp + 4k+1), exp that of g_{k-1}.
+    once, then one :func:`_level` over the words.  A k that
+    :func:`check_sweep_k` refuses, or a word outside [0, 2^(4k+5)), raises
+    ValueError before g_{k-1} is built.  Each word's value is its sum over
+    2^(exp + 4k+1), exp that of g_{k-1}.
     """
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
+    check_sweep_k(k)
     length = 4 * k + 5
-    nint = length - 4
     words = [WindowClass(int(w), 2 * k + 2).word for w in words]  # ValueError outside [0, 2^L)
     g, exp = kstep_vector(k - 1)
-    bits = int(g.max()).bit_length()
-    if bits + nint > 64:  # a shifted sum adds up to 2^nint values of g_{k-1}
-        raise ValueError(f"k={k} sums 2^{nint} values of {bits} bits; "
-                         f"the level's uint64 sums hold 64 bits")
-    ordered, sums = _level(g.view(np.uint64), np.array(words, dtype=np.int64), length)
+    ordered, sums = _level(g, np.array(words, dtype=np.int64), length)
     value = dict(zip(ordered.tolist(), sums.tolist()))
-    return [Dyadic(value[w], exp + nint) for w in words]
+    return [Dyadic(value[w], exp + length - 4) for w in words]
 
 
 # --------------------------------------------------------------------------
@@ -473,10 +470,9 @@ def worst_case(
     else:
         idx = np.arange(1 << (2 * radius + 1), dtype=np.int64)
         values = g[(idx >> (radius - base)) & ((1 << (2 * base + 1)) - 1)]
-    best = values.max(where=mask, initial=-1)
-    if best < 0:
+    if not mask.any():
         raise UnrealizableConditioningError(f"{conditioning} selects no window")
-    return Dyadic(int(best), exp)
+    return Dyadic(int(values.max(where=mask, initial=0)), exp)  # g_5 is uint64
 
 
 def compute_tables(k: int) -> ProbTables:
@@ -547,6 +543,11 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return keys[starts], np.add.reduceat(values[order], starts)
 
 
+# Widest total mass the forward program holds in int64: kstep_prob moves to
+# Python ints at the first step whose mass would pass it.
+SWEEP_BITS = 62
+
+
 def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     """Exact probability that the origin is unstable after k steps.
 
@@ -555,8 +556,8 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     is retained (two sites fewer per side), and identical words merge by
     adding their masses.  Works for any radius >= 2k+2; with a larger radius
     the extra margin is carried along, which is what makes
-    :func:`window_sufficiency_check` informative.  A window of more than
-    :data:`WORD_BITS` sites, or of radius below 2k+2, raises ValueError.
+    :func:`window_sufficiency_check` informative.  A k below 1, a window of
+    more than :data:`WORD_BITS` sites or of radius below 2k+2 raises ValueError.
 
     Each step resolves the support sparsely, one unstable site at a time.
     A word becomes the pair ``(mask, base)``, keyed ``(mask << nint) | base``:
@@ -581,6 +582,8 @@ def kstep_prob(window: WindowClass, k: int) -> Dyadic:
     :class:`EngineConsistencyError`.
     """
     length = 2 * window.radius + 1
+    if k < 1:
+        raise ValueError(f"step count must be >= 1, got {k}")
     if length > WORD_BITS:
         raise ValueError(f"window has {length} sites; the limit is {WORD_BITS} "
                          f"(radius {WORD_BITS // 2})")

@@ -379,6 +379,8 @@ def estimate_kstep_prob(window: WindowClass, k: int, trials: int, seed: int = 0)
     first n trials see the same coins whatever the trial count.  The last
     lane's bits past ``trials`` are simulated but masked out of the count.
     """
+    if k < 1:
+        raise ValueError(f"step count must be >= 1, got {k}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     cut = 2 * k + 2

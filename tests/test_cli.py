@@ -7,7 +7,7 @@ import pytest
 from candyfix import __version__
 from candyfix.cli import main
 from candyfix.dyadic import Dyadic
-from candyfix.engine import ProbTables, compute_tables, kstep_vector
+from candyfix.engine import ProbTables, compute_tables, kstep_values, kstep_vector
 from candyfix.lattice import DRAW_FORMAT
 from candyfix.montecarlo import COIN_STREAM_FORMAT
 from candyfix.render import tables_to_json, tables_to_text
@@ -177,13 +177,21 @@ def test_certify_k1_and_k3(tmp_path, capsys):
     assert "c = 55705/49152" in out
 
 
-def test_sweep_beyond_62_bits_refused(tmp_path, capsys):
-    # k=5 needs 65-bit numerators: refuse at once instead of an object-dtype sweep
-    with pytest.raises(ValueError, match="62 bits"):
-        kstep_vector(5)
-    for command in ("enumerate", "certify"):
-        assert run(command, "--k", "5", "--out", str(tmp_path / command)) == 2, command
-        assert "62 bits" in capsys.readouterr().err
+def test_sweep_beyond_k5_refused(tmp_path, capsys, monkeypatch):
+    # level 6 would sum 2^25 values of g_5 (63 bits): every sweep entry point
+    # refuses k=6 by its argument, before any level runs or any output exists
+    import candyfix.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_backward_level",
+                        lambda *args: pytest.fail("a sweep level ran"))
+    for call in (lambda: kstep_vector(6), lambda: kstep_values([0], 6),
+                 lambda: compute_tables(6)):
+        with pytest.raises(ValueError, match="k <= 5"):
+            call()
+    for command in ("enumerate", "certify"):  # crosscheck: the test below
+        assert run(command, "--k", "6", "--out", str(tmp_path / command)) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k <= 5" in err, command
         assert not (tmp_path / command).exists()
 
 
@@ -405,14 +413,23 @@ def test_crosscheck_zero_samples_rejected(tmp_path):
                "--out", str(tmp_path)) == 2
 
 
-def test_crosscheck_k_beyond_sweep_refused(tmp_path, capsys):
-    # the exact values at k=6 would read g_5, which the sweep does not build
-    # (65-bit numerators); the refusal comes before any exact or Monte Carlo work
+def test_crosscheck_k_beyond_sweep_refused(tmp_path, capsys, monkeypatch):
+    # the exact values at k=6 would sum g_5 over 2^25 values, 88 bits; the
+    # refusal comes before any exact or Monte Carlo work
+    import candyfix.cli as cli_mod
+    import candyfix.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_backward_level",
+                        lambda *args: pytest.fail("a sweep level ran"))
+    monkeypatch.setattr(cli_mod, "estimate_kstep_prob",
+                        lambda *args, **kwargs: pytest.fail("the estimator ran"))
     assert run("crosscheck", "--k", "6", "--windows", "1", "--samples", "10",
-               "--out", str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert "--k 6 reads the sweep's level 5" in err and "62 bits" in err
-    assert not (tmp_path / "crosscheck.json").exists()
+               "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: k=6 is beyond the exact sweep (k <= 5): level 6 would sum 2^25 "
+        "values of g_5, whose maximum has 63 bits\n") and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_crosscheck_refuses_sums_beyond_64_bits(tmp_path, monkeypatch, capsys):
@@ -439,7 +456,7 @@ def test_crosscheck_step_count_must_be_positive(tmp_path, capsys):
     assert run("crosscheck", "--k", "0", "--windows", "1", "--samples", "10",
                "--out", str(tmp_path)) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: --k must be >= 1, got 0\n" and captured.out == ""
+    assert captured.err == "error: step count must be >= 1, got 0\n" and captured.out == ""
     assert not list(tmp_path.iterdir())
 
 
@@ -520,7 +537,7 @@ def test_probe_k5_all_zero(capsys):
 def test_probe_step_count_must_be_positive(capsys):
     for k in ("0", "-1"):
         assert run("probe", "--k", k, "110001011") == 2, k
-        assert "--k must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: step count must be >= 1, got {k}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

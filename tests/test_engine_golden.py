@@ -152,6 +152,17 @@ def test_k4_certificate_exact(certificate_k4):
     assert cert.contraction
 
 
+def test_k5_certificate_exact(certificate_k5):
+    # one step further: level 5 sums g_4 (43 bits) over 2^21 values in uint64,
+    # and the margin grows from 0.5% to 14%
+    cert = certificate_k5
+    assert cert.p_unstable == Dyadic(12799971343, 36)
+    assert cert.p_triple == Dyadic(1478735045, 33)
+    assert (cert.gap_argmax, cert.gap_max) == (20, Dyadic(543696849, 28))
+    assert cert.c == Fraction(29436036065, 1 << 35)
+    assert cert.contraction
+
+
 def test_k4_tables_all_cells_pinned(tables_k4):
     # every one of the 83 k=4 entries, not only the certificate's terms
     doc = json.dumps(tables_to_json(tables_k4), sort_keys=True).encode()

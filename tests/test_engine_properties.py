@@ -448,6 +448,20 @@ def test_backward_level_reads_lower_half():
             assert np.array_equal(_backward_level(broken, masks, words), expect), length
 
 
+def test_backward_level_reads_its_width_off_the_vector():
+    # a level sums up to 2^nint values, and its callers shift every sum to at
+    # most 2^nint times the largest value: a constant vector (complement- and
+    # mirror-symmetric) on nint=4 sites sums in int64 while its values have
+    # 59 bits, in uint64 at 60 (64-bit sums, exact), and is refused at 61
+    masks, words = np.array([0, 0b1111], dtype=np.int32), np.zeros(2, dtype=np.int32)
+    for bits, dtype in ((59, np.int64), (60, np.uint64)):
+        c = (1 << bits) - 1
+        sums = _backward_level(np.full(16, c, dtype=np.int64), masks, words)
+        assert sums.dtype == dtype and sums.tolist() == [c, 16 * c], bits
+    with pytest.raises(ValueError, match=r"2\^4 values of 61 bits"):
+        _backward_level(np.full(16, (1 << 61) - 1, dtype=np.int64), masks, words)
+
+
 def test_window_sufficiency_exhaustive_k1():
     assert window_sufficiency_check(1)
 
@@ -483,6 +497,15 @@ def test_forward_program_refuses_a_window_past_the_word_limit():
         kstep_prob(WindowClass.from_word(0, 13), 1)
 
 
+def test_forward_program_refuses_step_counts_below_one():
+    # k <= 0 once ran the first step and skipped the rest, answering 3/2^3
+    window = WindowClass.parse("110001011")
+    assert kstep_prob(window, 1) == Dyadic(3, 3)
+    for k in (0, -1, -3):
+        with pytest.raises(ValueError, match=f"step count must be >= 1, got {k}"):
+            kstep_prob(window, k)
+
+
 def test_parallel_tables_bit_identical():
     # the tables hold no state between calls, so concurrent calls agree
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -498,6 +521,14 @@ def test_worst_case_empty_reports(monkeypatch):
         lambda k, cond, radius: np.zeros(1 << (2 * radius + 1), dtype=bool))
     with pytest.raises(UnrealizableConditioningError):
         worst_case(1, StableGap(0, 0))
+
+
+def test_worst_case_reads_a_uint64_vector():
+    # kstep_vector(5) is uint64, so the per-conditioning oracle reads that
+    # dtype too; a k=1 vector viewed as uint64 gives the same cells
+    g, exp = kstep_vector(1)
+    for cond in (UnstableAtOrigin(), TripleUnstable(), StableGap(1, 0)):
+        assert worst_case(1, cond, vector=(g.view(np.uint64), exp)) == worst_case(1, cond), cond
 
 
 def test_tables_empty_gap_cell_reports(monkeypatch):

@@ -406,6 +406,9 @@ def test_estimate_refuses_bad_input():
     # radius 4 reaches the origin's cone for k=1 only
     with pytest.raises(ValueError, match="cannot determine k=2"):
         estimate_kstep_prob(window, 2, 10)
+    for k in (0, -1):  # k=-1 once ended in an IndexError
+        with pytest.raises(ValueError, match=f"step count must be >= 1, got {k}"):
+            estimate_kstep_prob(window, k, 1000)
 
 
 def test_mean_contraction_echo(certificate_k4):

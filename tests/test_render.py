@@ -26,12 +26,13 @@ PINNED_TEXT = {
     2: "80bb72e3054f4a82b5a73765f3d39938b30df7f19910faaa06c40c4fe3aa4529",
     3: "c319deed332957048313fb41bda01e7c5fac31da6d3b7d6e6c7ca12bacca0b22",
     4: "9f2da47f33060a6f9ff2d6a60d59ff2d50e2873afb8399e4edb69959fd1b5a5b",
+    5: "f170698d0a53827f4bce6140d7b805d9eadc8592a63bb3e6b792c8030b10521c",
 }
 
 
-def test_tables_text_pinned(tables_k4):
+def test_tables_text_pinned(tables_k4, tables_k5):
     for k, digest in PINNED_TEXT.items():
-        tables = tables_k4 if k == 4 else compute_tables(k)
+        tables = {4: tables_k4, 5: tables_k5}.get(k) or compute_tables(k)
         assert hashlib.sha256(tables_to_text(tables).encode()).hexdigest() == digest, k
 
 
@@ -42,12 +43,13 @@ PINNED_JSON = {
     2: "4662c8bc96e1f4c59f92a87bffc887d99c162547741b265d574e2388b812d61a",
     3: "1cc538d1de17d281e6a4fe8e010350a41662ee96cfd41a7d4375cc6bd0f68fa9",
     4: "ea430c130189e76ee5d8506d246e9d5bd9b8e7743cd6d859eb7c8d21a95eb5a2",
+    5: "57a4e4abbbcba2a088b945aad54ff9c13e164834fea375ceea8e4a83884deea4",
 }
 
 
-def test_tables_json_pinned(tables_k4):
+def test_tables_json_pinned(tables_k4, tables_k5):
     for k, digest in PINNED_JSON.items():
-        tables = tables_k4 if k == 4 else compute_tables(k)
+        tables = {4: tables_k4, 5: tables_k5}.get(k) or compute_tables(k)
         blob = json.dumps(tables_to_json(tables), indent=1, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, k
 
